@@ -65,7 +65,7 @@ class RunConfig:
     t_quad: int = 4
     h_ladder: tuple = (0.1, 0.05, 0.025, 0.0125)
     mode: str = "plate_bending"
-    target_preset: str = "ovalization_a2"
+    target_preset: str = ""  # empty: the family's DEFAULT_TARGETS entry
     sample_count: int = 64
     output_dir: str = "out"
     formats: tuple = ("json", "csv")
@@ -95,8 +95,9 @@ def parse_config(path):
             cfg.family = s.get("family", cfg.family).strip().lower()
             if "grid" in s:
                 g = _floats(s["grid"])
-                if len(g) != 2:
-                    raise ConfigError("[surface] grid needs two integers")
+                if len(g) != 2 or not all(x.is_integer() for x in g):
+                    raise ConfigError("[surface] grid needs two integers, "
+                                      "got %r" % s["grid"])
                 cfg.grid = (int(g[0]), int(g[1]))
             params = {}
             if "bounds" in s:
@@ -302,20 +303,24 @@ def cmd_isometries(cfg, outdir, verify):
     return payload
 
 
-def _membrane_target(cfg, chart):
-    if cfg.target_preset == "ovalization_a2":
+DEFAULT_TARGETS = {"plate": "plate_nonrobust", "cylinder": "ovalization_a2",
+                   "revolution": "ovalization_a2"}
+
+
+def _membrane_target(preset, chart):
+    if preset == "ovalization_a2":
         if chart.family not in ("cylinder", "revolution"):
             raise ConfigError("ovalization_a2 target needs a cylinder chart")
         mode = presets.cylinder_inextensional_mode(chart, 2)
         A = iso.extend_A(chart, mode)
         return fn.a_squared_tan(chart, A)
-    if cfg.target_preset == "plate_nonrobust":
+    if preset == "plate_nonrobust":
         v = presets.plate_bending_mode(chart)
         g = geo.surface_gradient(chart, v)[..., 2, :]
         b = -np.einsum("xyi,xyj->xyij", g, g)
         return FormField2(b)
-    if cfg.target_preset.endswith(".csv"):
-        rows = np.loadtxt(cfg.target_preset, delimiter=",", skiprows=1)
+    if preset.endswith(".csv"):
+        rows = np.loadtxt(preset, delimiter=",", skiprows=1)
         if rows.shape != (chart.n_nodes, 3):
             raise ConfigError("target csv must carry b11,b22,b12 per node")
         b = np.zeros(chart.shape + (2, 2))
@@ -323,13 +328,17 @@ def _membrane_target(cfg, chart):
         b[..., 1, 1] = rows[:, 1].reshape(chart.shape)
         b[..., 0, 1] = b[..., 1, 0] = rows[:, 2].reshape(chart.shape)
         return FormField2(b)
-    raise ConfigError("unknown membrane target %r" % (cfg.target_preset,))
+    raise ConfigError("unknown membrane target %r" % (preset,))
 
 
 def cmd_membrane(cfg, outdir, verify):
     chart = _build_chart(cfg)
-    target = _membrane_target(cfg, chart)
-    payload = {}
+    preset = cfg.target_preset or DEFAULT_TARGETS.get(chart.family)
+    if preset is None:
+        raise ConfigError("no default membrane target on a %s chart; set "
+                          "[solver] target_preset" % chart.family)
+    target = _membrane_target(preset, chart)
+    payload = {"target_preset": preset}
     if chart.family in ("cylinder", "revolution"):
         sol = mem.solve_revolution_membrane(chart, target,
                                             fourier_order=cfg.fourier_order)
@@ -411,6 +420,7 @@ def cmd_minimize(cfg, outdir, verify):
         "iterations": result.iterations,
         "kappa": cfg.kappa,
         "flagged": result.flagged,
+        "stop_reason": result.stop_reason,
         "wellposed": well.ok,
         "table": result.table,
         "rotation": [[float(x) for x in row] for row in result.rotation],

@@ -272,27 +272,9 @@ def _skew_defect_rows(chart, fields):
 
 def bending_q2_gram(chart, fields, moduli):
     """Gram matrix of (1/24) integral Q2(bending form) over given fields."""
-    if not moduli.isotropic:
-        m = len(fields)
-        frames = [geo.frame_form(chart, bending_form(chart, extend_A(chart, f)))
-                  for f in fields]
-        G = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                val = geo.integrate(chart, mat.q2_bilinear_frame(
-                    frames[i], frames[j], moduli))
-                G[i, j] = G[j, i] = val / 24.0
-        return G
-    sw = np.sqrt(chart.quad_w.ravel() / 24.0)
-    cmu = np.sqrt(2.0 * moduli.mu)
-    ctr = np.sqrt(moduli.q2_trace_coeff)
-    rows = np.empty((len(fields), 4 * chart.n_nodes))
-    for k, f in enumerate(fields):
-        F = geo.frame_form(chart, bending_form(chart, extend_A(chart, f)))
-        f11, f22, f12 = F[..., 0, 0].ravel(), F[..., 1, 1].ravel(), F[..., 0, 1].ravel()
-        rows[k] = np.concatenate([
-            cmu * sw * f11, cmu * sw * f22,
-            cmu * np.sqrt(2.0) * sw * f12, ctr * sw * (f11 + f22)])
+    frames = np.stack([geo.frame_form(chart, bending_form(chart, extend_A(chart, f)))
+                       for f in fields])
+    rows = mat.q2_rows(frames, moduli, chart.quad_w / 24.0)
     return rows @ rows.T
 
 

@@ -184,7 +184,7 @@ def q2_numeric(F_frame, moduli, n=(0.0, 0.0, 1.0)):
             H[..., k, l] = H[..., l, k] = q3_bilinear(
                 basis[..., k, :, :], basis[..., l, :, :], moduli)
     try:
-        coef = np.linalg.solve(H, rhs)
+        coef = np.linalg.solve(H, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             "singular normal equations in the tangential relaxation; "
@@ -197,19 +197,39 @@ def q2_numeric(F_frame, moduli, n=(0.0, 0.0, 1.0)):
     return RelaxationResult(value=q3(comp, moduli), c=c)
 
 
+def q2_frame_matrix(moduli):
+    """3x3 matrix Q with Q2(F) = v.Q v on v = (F11, F22, sqrt(2) F12),
+    polarized from q2_numeric on the three basis forms."""
+    E = np.zeros((3, 2, 2))
+    E[0, 0, 0] = E[1, 1, 1] = 1.0
+    E[2, 0, 1] = E[2, 1, 0] = np.sqrt(0.5)
+    diag = q2_numeric(E, moduli).value
+    pair = q2_numeric(E[:, None] + E[None, :], moduli).value
+    return 0.5 * (pair - diag[:, None] - diag[None, :])
+
+
+def q2_rows(F_frame, moduli, weights):
+    """Square-root rows of a weighted integral of the relaxed form.
+
+    For frame fields (..., N1, N2, 2, 2) and node weights (N1, N2) returns
+    rows with |rows|^2 = sum_nodes weights Q2(F): four closed-form blocks
+    for isotropic moduli, the Cholesky factor of q2_frame_matrix otherwise.
+    """
+    F = np.asarray(F_frame, dtype=float)
+    lead = F.shape[:-4]
+    f11, f22, f12 = (F[..., a, b].reshape(lead + (-1,))
+                     for a, b in ((0, 0), (1, 1), (0, 1)))
+    sw = np.sqrt(np.ravel(weights))
+    if moduli.isotropic:
+        cmu, ctr = np.sqrt(2.0 * moduli.mu), np.sqrt(moduli.q2_trace_coeff)
+        return np.concatenate([cmu * sw * f11, cmu * sw * f22,
+                               cmu * np.sqrt(2.0) * sw * f12,
+                               ctr * sw * (f11 + f22)], axis=-1)
+    L = np.linalg.cholesky(q2_frame_matrix(moduli))
+    v = np.stack([f11, f22, np.sqrt(2.0) * f12], axis=-1)
+    return np.einsum("...nk,kl,n->...ln", v, L, sw).reshape(lead + (-1,))
+
+
 def q2_value(F_frame, moduli):
     """Pointwise relaxed form value for a (..., 2, 2) symmetric field."""
     return q2_relax(F_frame, moduli).value
-
-
-def q2_bilinear_frame(F1, F2, moduli):
-    """Bilinear form of the relaxed tangential form on frame coefficients."""
-    S1, S2 = _sym(np.asarray(F1, float)), _sym(np.asarray(F2, float))
-    if moduli.isotropic:
-        return (2.0 * moduli.mu * np.einsum("...ij,...ij->...", S1, S2)
-                + moduli.q2_trace_coeff
-                * np.einsum("...ii->...", S1) * np.einsum("...jj->...", S2))
-    # polarization identity through the numeric route
-    vp = q2_numeric(S1 + S2, moduli).value
-    vm = q2_numeric(S1 - S2, moduli).value
-    return 0.25 * (vp - vm)

@@ -3,26 +3,31 @@ a finite-strain dictionary and the optimal-rotation candidates.
 
 The bending-only problem is an exactly solvable symmetric linear system
 on the rigid-complemented basis.  With a positive stretching coupling the
-objective is quartic in the isometry coefficients: the strain
-coefficients are eliminated exactly by linear least squares and the
-isometry coefficients descend by BFGS with finite-difference gradients
-and a backtracking line search, so the objective is non-increasing by
-construction.
+strain coefficients are eliminated exactly by linear least squares, which
+leaves an explicit quartic polynomial in the isometry coefficients.  Its
+gradient and Hessian are evaluated in closed form and drive a
+trust-region Newton iteration (Nocedal & Wright, Numerical Optimization,
+ch. 4).  The iteration accepts only steps that lower the objective, so
+the objective history is non-increasing, and every run names its stop
+reason: converged, iteration cap, or a solver failure that is raised.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.optimize
 
 from . import functional as fn
 from . import geometry as geo
 from . import isometry as iso
+from . import material as mat
 from . import membrane as mem
 from .geometry import FormField2, VectorField3
 
 
 class MinimizationError(RuntimeError):
-    """Line search failed to produce a monotone step."""
+    """The solver stopped for a reason other than convergence or the
+    iteration cap, or its objective increased."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -35,7 +40,6 @@ class SolverOptions:
     max_iter: int = 200
     restarts: int = 2
     seed: int = 0
-    fd_step: float = 1e-6
 
 
 @dataclass
@@ -51,6 +55,7 @@ class MinimizationResult:
     objective_history: list
     flagged: bool = False
     coefficients: np.ndarray = None
+    stop_reason: str = "converged"
 
 
 @dataclass
@@ -99,72 +104,73 @@ def _load_vector(chart, load, rotation, fields):
     return np.array([fn.load_work(chart, load, rotation, f) for f in fields])
 
 
-def _stretch_rows(chart, moduli):
-    """Row weighting so that |rows(F)|^2 = (1/2) integral Q2(F)."""
-    sw = np.sqrt(0.5 * chart.quad_w.ravel())
-    cmu = np.sqrt(2.0 * moduli.mu)
-    ctr = np.sqrt(moduli.q2_trace_coeff)
+def _pair_frames(chart, fields, kappa):
+    """Frame coefficients of (kappa/2) sym(A_i A_j)_tan on every mode pair.
 
-    def rows(frame):
-        f11 = frame[..., 0, 0].ravel()
-        f22 = frame[..., 1, 1].ravel()
-        f12 = frame[..., 0, 1].ravel()
-        return np.concatenate([cmu * sw * f11, cmu * sw * f22,
-                               cmu * np.sqrt(2.0) * sw * f12,
-                               ctr * sw * (f11 + f22)])
-    return rows
-
-
-def _fd_grad(fun, x, step):
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * step)
-    return g
+    With frame vectors e_a = sum_k t_k G^{-1/2}_ka, the frame entry of
+    A_i A_j is e_b . A_i A_j e_a = (A_i^T e_b) . (A_j e_a): both factors
+    are formed once per mode and one batched product over the nodes gives
+    every pair.  A is not assumed exactly skew.
+    """
+    p, n = len(fields), chart.n_nodes
+    A = np.stack([iso.extend_A(chart, f).values for f in fields])
+    A = A.reshape(p, n, 3, 3)
+    e = np.einsum("xydk,xyka->xyda", np.stack([chart.t1, chart.t2], axis=-1),
+                  chart.ginv_half).reshape(n, 3, 2)
+    Ae = np.einsum("pncd,nda->ncpa", A, e).reshape(n, 3, 2 * p)
+    ATe = np.einsum("pndc,ndb->ncpb", A, e).reshape(n, 3, 2 * p)
+    K = (np.swapaxes(ATe, 1, 2) @ Ae).reshape(n, p, 2, p, 2)
+    K = K.transpose(1, 3, 0, 4, 2).reshape(p, p, *chart.shape, 2, 2)
+    K = K + np.swapaxes(K, 0, 1)
+    return 0.125 * kappa * (K + np.swapaxes(K, -1, -2))
 
 
-def _bfgs(fun, x0, tol, max_iter, fd_step):
-    x = np.asarray(x0, dtype=float).copy()
-    n = x.size
-    H = np.eye(n)
-    f = fun(x)
-    g = _fd_grad(fun, x, fd_step)
-    history = [f]
-    it = 0
-    while it < max_iter and np.linalg.norm(g) > tol:
-        p = -H @ g
-        if p @ g >= 0:
-            p = -g
-        alpha, fn_val = 1.0, None
-        gp = g @ p
-        for _ in range(60):
-            cand = fun(x + alpha * p)
-            if cand <= f + 1e-4 * alpha * gp:
-                fn_val = cand
-                break
-            alpha *= 0.5
-        if fn_val is None:
-            if np.linalg.norm(g) <= 100.0 * tol:
-                break
-            raise MinimizationError(
-                "line search exhausted without a monotone step",
-                diagnostics={"iteration": it, "objective": f,
-                             "gradient_norm": float(np.linalg.norm(g))})
-        s = alpha * p
-        x = x + s
-        gn = _fd_grad(fun, x, fd_step)
-        yv = gn - g
-        sy = float(s @ yv)
-        if sy > 1e-12 * np.linalg.norm(s) * max(np.linalg.norm(yv), 1e-300):
-            rho = 1.0 / sy
-            Imat = np.eye(n)
-            H = (Imat - rho * np.outer(s, yv)) @ H @ (Imat - rho * np.outer(yv, s)) \
-                + rho * np.outer(s, s)
-        f, g = fn_val, gn
-        history.append(f)
-        it += 1
-    return x, f, g, it, history
+def _quartic_parts(xi, pair, G, ell):
+    """Value, gradient and Hessian of |y|^2 + xi.G xi - ell.xi with
+    y = sum_ij xi_i xi_j D_ij, for D = pair symmetric in its first two axes.
+
+    With J_ir = sum_j xi_j D_ijr: gradient 4 J y + 2 G xi - ell and Hessian
+    8 J J^T + 4 sum_r y_r D_r + 2 G.
+    """
+    J = np.tensordot(xi, pair, axes=1)
+    y = J.T @ xi
+    value = float(y @ y) + float(xi @ G @ xi) - float(ell @ xi)
+    grad = 4.0 * (J @ y) + 2.0 * (G @ xi) - ell
+    hess = 8.0 * (J @ J.T) + 4.0 * (pair @ y) + 2.0 * G
+    return value, grad, hess
+
+
+def _newton(parts, xi0, opts):
+    """Trust-region Newton (More-Sorensen subproblems) on exact derivatives.
+
+    Returns the iterate, value, gradient norm, iteration count, objective
+    history and stop reason: "converged", "max_iter", or the solver's
+    message when it stops short of tol but within 100 tol.  Any other
+    stop, or an increase of the objective, raises MinimizationError.
+    """
+    history = [parts(xi0)[0]]
+    sol = scipy.optimize.minimize(
+        lambda z: parts(z)[:2], xi0, method="trust-exact", jac=True,
+        hess=lambda z: parts(z)[2],
+        callback=lambda intermediate_result: history.append(
+            float(intermediate_result.fun)),
+        options={"gtol": opts.tol, "maxiter": opts.max_iter})
+    if np.any(np.diff(history) > 1e-10 * max(abs(history[0]), 1.0)):
+        raise MinimizationError("objective increased along the iteration",
+                                diagnostics={"history": history})
+    grad_norm = float(np.linalg.norm(sol.jac))
+    if sol.status == 0:
+        reason = "converged"
+    elif sol.status == 1:
+        reason = "max_iter"
+    elif grad_norm <= 100.0 * opts.tol:
+        reason = sol.message
+    else:
+        raise MinimizationError(
+            "trust-region Newton stopped: %s" % sol.message,
+            diagnostics={"iteration": int(sol.nit), "objective": float(sol.fun),
+                         "gradient_norm": grad_norm})
+    return sol.x, float(sol.fun), grad_norm, int(sol.nit), history, reason
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +225,18 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
                dict_degree=4, opts=None):
     """Minimize the full limit functional over displacement and strain.
 
-    The strain coefficients are eliminated by exact linear least squares
-    at every displacement iterate (the strain subproblem is quadratic);
-    the isometry coefficients descend by BFGS with central
-    finite-difference gradients, the quadratic displacement effect making
-    the reduced objective quartic.  Runs every rotation candidate and the
-    configured number of seeded restarts; the best pair is returned.
+    The quadratic displacement effect is bilinear in the basis skew
+    fields, so its weighted rows on every mode pair form one tensor C.
+    The strain coefficients solve a linear least-squares problem at every
+    displacement; eliminating them projects C once onto the complement of
+    the strain dictionary and leaves the explicit quartic
+
+        f(xi) = |sum_ij xi_i xi_j P C_ij|^2 + xi.G xi - l.xi
+
+    in the isometry coefficients.  f is minimized by trust-region Newton on
+    its closed-form gradient and Hessian.  Runs every rotation candidate
+    and the configured number of seeded restarts; the best pair is
+    returned with the solver's stop reason.
     """
     if kappa <= 0:
         raise ValueError("minimize_J requires kappa > 0; "
@@ -237,32 +249,22 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     G = iso.bending_q2_gram(chart, fields, moduli)
     G = 0.5 * (G + G.T)
 
-    strains, gens, _ = mem._dictionary_strains(chart, dict_degree)
-    rows = _stretch_rows(chart, moduli)
-    cols = np.stack([rows(geo.frame_form(chart, FormField2(b)))
-                     for b in strains], axis=1)
+    # weighted rows with |rows(F)|^2 = (1/2) integral Q2(F)
+    strains, _, _ = mem._dictionary_strains(chart, dict_degree)
+    w = 0.5 * chart.quad_w
+    cols = mat.q2_rows(np.stack([geo.frame_form(chart, FormField2(b))
+                                 for b in strains]), moduli, w).T
     norms = np.linalg.norm(cols, axis=0)
     keep = norms > 1e-14 * max(norms.max(), 1e-300)
     cols = cols[:, keep]
     kept_idx = np.flatnonzero(keep)
     colsq, colsr = np.linalg.qr(cols, mode="reduced")
 
-    # the quadratic displacement effect is bilinear in the basis skew
-    # fields: precompute its weighted rows on every mode pair
-    A_fields = np.stack([iso.extend_A(chart, f).values for f in fields])
-    t = np.stack([chart.t1, chart.t2], axis=-2)
-    pair_rows = np.empty((p, p, cols.shape[0]))
-    for i in range(p):
-        for j in range(i, p):
-            M = 0.5 * (np.einsum("xycd,xyde->xyce", A_fields[i], A_fields[j])
-                       + np.einsum("xycd,xyde->xyce", A_fields[j], A_fields[i]))
-            b = np.einsum("xyce,xyie,xyjc->xyij", M, t, t)
-            b = 0.25 * kappa * (b + np.swapaxes(b, -1, -2))
-            r = rows(geo.frame_form(chart, FormField2(b)))
-            pair_rows[i, j] = pair_rows[j, i] = r
-
-    def quad_target(xi):
-        return np.einsum("i,j,ijr->r", xi, xi, pair_rows)
+    # split the pair rows into dictionary coordinates (which give the
+    # optimal strain) and the complement (which enters the objective)
+    pair = mat.q2_rows(_pair_frames(chart, fields, kappa), moduli, w)
+    pair_dict = pair @ colsq
+    pair -= pair_dict @ colsq.T
 
     rng = np.random.default_rng(opts.seed)
     starts = [np.zeros(p)]
@@ -273,49 +275,23 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     best = None
     for k, Q in enumerate(candidates):
         ell = _load_vector(chart, load, Q, fields)
+        runs = [_newton(lambda z, ell=ell: _quartic_parts(z, pair, G, ell),
+                        xi0, opts) for xi0 in starts]
+        run = min(runs, key=lambda r: r[1])
+        table.append({"candidate": k, "value": run[1], "gradient_norm": run[2],
+                      "iterations": run[3], "stop_reason": run[5]})
+        if best is None or run[1] < best[1][1]:
+            best = (k, run)
 
-        def objective(z, ell=ell):
-            # strain step folded in exactly: the least-squares optimal
-            # coefficients leave the orthogonal complement of the dictionary
-            y = quad_target(z)
-            if cols.shape[1]:
-                y = y - colsq @ (colsq.T @ y)
-            return float(y @ y) + float(z @ G @ z) - float(ell @ z)
-
-        cand_best = None
-        for xi0 in starts:
-            xi, fval, grad, it, history = _bfgs(
-                objective, xi0.copy(), opts.tol, opts.max_iter, opts.fd_step)
-            flagged = it >= opts.max_iter
-            diffs = np.diff(history)
-            if history and np.any(diffs > 1e-10 * max(abs(history[0]), 1.0)):
-                raise MinimizationError(
-                    "objective increased along the iteration",
-                    diagnostics={"history": history})
-            y = quad_target(xi)
-            beta = np.linalg.solve(colsr, colsq.T @ y) if cols.shape[1] \
-                else np.zeros(0)
-            entry = (fval, xi.copy(), beta, float(np.linalg.norm(grad)),
-                     it, history, flagged)
-            if cand_best is None or entry[0] < cand_best[0]:
-                cand_best = entry
-        table.append({"candidate": k, "value": cand_best[0],
-                      "gradient_norm": cand_best[3],
-                      "iterations": cand_best[4]})
-        if best is None or cand_best[0] < best[0]:
-            best = cand_best + (k,)
-
-    value, xi, beta, grad_norm, iters, history, flagged, k = best
-    vdof = reduced @ xi
-    vfield = VectorField3(iso.dof_to_field(vdof, chart.shape))
+    k, (xi, value, grad_norm, iters, history, reason) = best
+    beta = np.linalg.solve(colsr, np.einsum("i,j,ijk->k", xi, xi, pair_dict))
     coeffs = np.zeros(len(strains))
     coeffs[kept_idx] = beta
-    bfield = np.zeros(chart.shape + (2, 2))
-    for cval, bstr in zip(coeffs, strains):
-        if cval != 0.0:
-            bfield += cval * bstr
+    vfield = VectorField3(iso.dof_to_field(reduced @ xi, chart.shape))
     return MinimizationResult(
-        V_star=vfield, B_coeffs=coeffs, B_field=FormField2(bfield),
-        rotation=np.asarray(candidates[k], float), value=float(value),
+        V_star=vfield, B_coeffs=coeffs,
+        B_field=FormField2(np.tensordot(coeffs, np.asarray(strains), axes=1)),
+        rotation=np.asarray(candidates[k], float), value=value,
         gradient_norm=grad_norm, iterations=iters, table=table,
-        objective_history=history, flagged=flagged, coefficients=xi)
+        objective_history=history, flagged=reason == "max_iter",
+        coefficients=xi, stop_reason=reason)

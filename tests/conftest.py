@@ -5,6 +5,7 @@ import pytest
 
 import vkshell as vk
 from vkshell import geometry as geo
+from vkshell import material as mat
 
 
 def random_rotation(rng):
@@ -16,6 +17,14 @@ def random_rotation(rng):
         [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
         [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
     ])
+
+
+def isotropic_voigt(mu, lam):
+    """Isotropic moduli written as a 6x6 Voigt matrix."""
+    C = np.zeros((6, 6))
+    C[:3, :3] = 2 * mu * np.eye(3) + lam
+    C[3:, 3:] = mu * np.eye(3)
+    return mat.AnisotropicModuli(C)
 
 
 def rotated_cylinder(R, grid, radius=1.0, height=1.0):

@@ -267,6 +267,8 @@ def test_acceptance_07_coercivity_and_lower_bound(capsys):
     bound = -0.25 * float(ell @ ell) / cs.smallest
     if not (np.isfinite(res.value) and res.value >= bound):
         failures.append("value %.6f below bound %.6f" % (res.value, bound))
+    if res.flagged:
+        failures.append("quartic minimize flagged (%s)" % res.stop_reason)
     _finish(7, "coercivity (plate %.1e, cyl %.1e) and lower bound "
             "(%.4f >= %.4f)" % (ps.smallest / ps.largest,
                                 cs.smallest / cs.largest, res.value, bound),

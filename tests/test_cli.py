@@ -97,6 +97,16 @@ def test_bad_value_is_config_error(tmp_path):
     assert cli.run(["surface", "--config", str(cfg)]) == 2
 
 
+def test_non_integer_grid_is_config_error(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[surface]\nfamily = plate\ngrid = 8.7 8\n")
+    assert cli.run(["surface", "--config", str(cfg),
+                    "--output-dir", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    cfg.write_text("[surface]\nfamily = plate\ngrid = 8 8.0\n")
+    assert cli.parse_config(str(cfg)).grid == (8, 8)
+
+
 def test_surface_plate_report(tmp_path):
     cfg_path = write_cfg(tmp_path, PLATE_CFG)
     assert cli.run(["surface", "--config", cfg_path, "--verify"]) == 0
@@ -152,6 +162,7 @@ def test_minimize_subcommand_and_determinism(tmp_path):
     assert c1 == c2
     data = json.loads(b1)
     assert data["value"] <= 1e-12
+    assert data["stop_reason"] == "converged" and not data["flagged"]
     assert data["wellposed"] in (True, False)
 
 
@@ -176,6 +187,21 @@ def test_membrane_plate_projection_path(tmp_path):
     data = json.loads((tmp_path / "out" / "membrane_result.json").read_text())
     assert "residual" not in data  # no revolution solve on a plate
     assert data["projection_residual"] > 0.1
+
+
+def test_membrane_default_target_per_family(tmp_path):
+    cfg_path = write_cfg(tmp_path, PLATE_CFG)
+    assert cli.run(["membrane", "--config", cfg_path]) == 0
+    data = json.loads((tmp_path / "out" / "membrane_result.json").read_text())
+    assert data["target_preset"] == "plate_nonrobust"
+    assert data["projection_residual"] > 0.1
+    cfg_path = write_cfg(tmp_path, CYL_CFG, name="cyl.cfg", out="cyl")
+    assert cli.run(["membrane", "--config", cfg_path]) == 0
+    data = json.loads((tmp_path / "cyl" / "membrane_result.json").read_text())
+    assert data["target_preset"] == "ovalization_a2"
+    sphere = PLATE_CFG.replace("family = plate", "family = sphere_patch")
+    cfg_path = write_cfg(tmp_path, sphere, name="sph.cfg", out="sph")
+    assert cli.run(["membrane", "--config", cfg_path]) == 2
 
 
 def test_membrane_csv_target(tmp_path):

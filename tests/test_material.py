@@ -3,16 +3,9 @@ import pytest
 
 from vkshell import material as mat
 
-from conftest import random_rotation
+from conftest import isotropic_voigt, random_rotation
 
 M11 = mat.ElasticModuli(1.0, 1.0)
-
-
-def isotropic_voigt(mu, lam):
-    C = np.zeros((6, 6))
-    C[:3, :3] = 2 * mu * np.eye(3) + lam
-    C[3:, 3:] = mu * np.eye(3)
-    return mat.AnisotropicModuli(C)
 
 
 def test_moduli_validation():
@@ -181,3 +174,35 @@ def test_anisotropic_validation():
     bad[0, 1] = 0.5  # not symmetric
     with pytest.raises(ValueError):
         mat.AnisotropicModuli(bad)
+
+
+def test_q2_numeric_batched_matches_node_loop():
+    C = np.diag([3.0, 2.0, 1.5, 0.8, 0.9, 0.7])
+    C[0, 1] = C[1, 0] = 0.6
+    C[3, 5] = C[5, 3] = 0.2
+    rng = np.random.default_rng(11)
+    F = rng.normal(size=(4, 5, 2, 2))
+    F = 0.5 * (F + np.swapaxes(F, -1, -2))
+    for moduli in (mat.AnisotropicModuli(C), M11):
+        batched = mat.q2_numeric(F, moduli)
+        for i in range(4):
+            for j in range(5):
+                single = mat.q2_numeric(F[i, j], moduli)
+                assert abs(batched.value[i, j] - single.value) \
+                    <= 1e-13 * single.value
+                assert np.max(np.abs(batched.c[i, j] - single.c)) <= 1e-13
+
+
+def test_q2_frame_matrix_represents_relaxed_form():
+    rng = np.random.default_rng(12)
+    F = rng.normal(size=(6, 2, 2))
+    F = 0.5 * (F + np.swapaxes(F, -1, -2))
+    v = np.stack([F[:, 0, 0], F[:, 1, 1], np.sqrt(2.0) * F[:, 0, 1]], axis=-1)
+    C = np.diag([3.0, 2.0, 1.5, 0.8, 0.9, 0.7])
+    C[0, 2] = C[2, 0] = 0.4
+    for moduli in (M11, isotropic_voigt(1.3, 0.6), mat.AnisotropicModuli(C)):
+        Q = mat.q2_frame_matrix(moduli)
+        assert np.allclose(Q, Q.T, rtol=0, atol=1e-14)
+        want = mat.q2_relax(F, moduli).value
+        got = np.einsum("nk,kl,nl->n", v, Q, v)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)

@@ -172,3 +172,96 @@ def test_b_step_reduces_stretching(cyl_problem):
     stretch = fn.stretching_energy(chart, res.B_field, A, 1.0, M11)
     bend = fn.bending_energy(chart, res.V_star, M11)
     assert stretch <= 1e-6 * max(bend, 1e-12)
+
+
+def test_quartic_derivatives_match_central_differences():
+    """Closed-form gradient and Hessian of the reduced quartic against
+    central differences of its value at a random point."""
+    rng = np.random.default_rng(7)
+    p, R = 6, 40
+    pair = rng.normal(size=(p, p, R))
+    pair = 0.5 * (pair + np.swapaxes(pair, 0, 1))
+    G = rng.normal(size=(p, p))
+    G = G @ G.T + np.eye(p)
+    ell = rng.normal(size=p)
+    xi = rng.normal(size=p)
+    value, grad, hess = mz._quartic_parts(xi, pair, G, ell)
+
+    def f(z):
+        return mz._quartic_parts(z, pair, G, ell)[0]
+
+    h = 1e-4
+    eye = np.eye(p)
+    fd_grad = np.array([(f(xi + h * e) - f(xi - h * e)) / (2 * h) for e in eye])
+    fd_hess = np.array([[(f(xi + h * (ei + ej)) - f(xi + h * (ei - ej))
+                          - f(xi - h * (ei - ej)) + f(xi - h * (ei + ej)))
+                         / (4 * h * h) for ej in eye] for ei in eye])
+    y = np.einsum("i,j,ijr->r", xi, xi, pair)
+    assert abs(value - (y @ y + xi @ G @ xi - ell @ xi)) <= 1e-12 * abs(value)
+    assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * np.max(np.abs(grad))
+    assert np.max(np.abs(hess - fd_hess)) <= 1e-6 * np.max(np.abs(hess))
+
+
+def test_stop_reasons(cyl_problem):
+    chart, basis, load = cyl_problem
+    done = mz.minimize_J(chart, basis, load, [np.eye(3)], 1.0, M11,
+                         dict_degree=3,
+                         opts=mz.SolverOptions(tol=1e-10, restarts=1))
+    assert done.stop_reason == "converged" and not done.flagged
+    assert done.gradient_norm <= 1e-10
+    assert done.table[0]["stop_reason"] == "converged"
+    capped = mz.minimize_J(chart, basis, load, [np.eye(3)], 1.0, M11,
+                           dict_degree=3,
+                           opts=mz.SolverOptions(tol=1e-10, max_iter=1,
+                                                 restarts=1))
+    assert capped.stop_reason == "max_iter" and capped.flagged
+    assert capped.iterations == 1
+    quad = mz.minimize_quadratic(chart, basis, load, [np.eye(3)], M11)
+    assert quad.stop_reason == "converged"
+
+
+def test_anisotropic_moduli_in_both_minimizers(cyl_problem):
+    """Anisotropic moduli run through both minimizers; the isotropic
+    tensor written as a Voigt matrix reproduces the isotropic results."""
+    chart, basis, load = cyl_problem
+    opts = mz.SolverOptions(tol=1e-10, max_iter=300, restarts=2, seed=0)
+    from conftest import isotropic_voigt
+    voigt = isotropic_voigt(1.0, 1.0)
+    for solve in (
+            lambda m: mz.minimize_quadratic(chart, basis, load, [np.eye(3)], m),
+            lambda m: mz.minimize_J(chart, basis, load, [np.eye(3)], 1.0, m,
+                                    dict_degree=3, opts=opts)):
+        ref, got = solve(M11), solve(voigt)
+        assert abs(got.value - ref.value) <= 1e-8 * abs(ref.value)
+        assert np.max(np.abs(got.V_star.values - ref.V_star.values)) \
+            <= 1e-6 * np.max(np.abs(ref.V_star.values))
+
+    C = np.diag([3.0, 2.0, 1.5, 0.8, 0.9, 0.7])
+    C[0, 1] = C[1, 0] = 0.6
+    aniso = mat.AnisotropicModuli(C)
+    quad = mz.minimize_quadratic(chart, basis, load, [np.eye(3)], aniso)
+    full = mz.minimize_J(chart, basis, load, [np.eye(3)], 1.0, aniso,
+                         dict_degree=3, opts=opts)
+    assert quad.value < 0 and np.isfinite(full.value)
+    assert full.stop_reason == "converged"
+    hist = full.objective_history
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+
+@pytest.mark.parametrize("grad, outcome", [(1e-9, "message"), (1e-3, "raise")])
+def test_solver_failure_is_named_or_raised(monkeypatch, grad, outcome):
+    """A stop that is neither convergence nor the cap is reported by the
+    solver's message only when the gradient is within 100 tol."""
+    from scipy.optimize import OptimizeResult
+    message = "A bad approximation caused failure to predict improvement."
+    monkeypatch.setattr(mz.scipy.optimize, "minimize", lambda *a, **k: (
+        OptimizeResult(x=np.zeros(2), fun=0.0, jac=np.array([grad, 0.0]),
+                       status=2, nit=4, message=message)))
+    parts = lambda z: (0.0, np.zeros(2), np.eye(2))
+    opts = mz.SolverOptions(tol=1e-10)
+    if outcome == "raise":
+        with pytest.raises(mz.MinimizationError) as err:
+            mz._newton(parts, np.zeros(2), opts)
+        assert err.value.diagnostics["gradient_norm"] == grad
+    else:
+        assert mz._newton(parts, np.zeros(2), opts)[-1] == message
