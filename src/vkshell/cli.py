@@ -126,6 +126,7 @@ def parse_config(path):
             sc = cp["scaling"]
             cfg.kappa = sc.getfloat("kappa", cfg.kappa)
             cfg.e_rule = sc.get("e_rule", cfg.e_rule).strip()
+            _e_rule(cfg.e_rule)
         if cp.has_section("load"):
             ld = cp["load"]
             cfg.load_preset = ld.get("preset", cfg.load_preset).strip()
@@ -194,17 +195,22 @@ def _mode_field(cfg, chart):
     return builder(chart)
 
 
-def _e_rule(cfg):
-    if cfg.e_rule == "kappa2h4":
-        if cfg.kappa > 0:
-            return lambda h: (cfg.kappa * h * h) ** 2
+def _e_rule(name):
+    """Thickness scaling e(h) named by [scaling] e_rule; None for
+    "kappa2h4", the default rule of gammacheck.build_ansatz."""
+    if name == "kappa2h4":
+        return None
+    if name == "h5":
         return lambda h: h ** 5
-    if cfg.e_rule.startswith("h^"):
-        p = float(cfg.e_rule[2:])
-        return lambda h: h ** p
-    if cfg.e_rule == "h5":
-        return lambda h: h ** 5
-    raise ConfigError("unknown e_rule %r" % (cfg.e_rule,))
+    if name.startswith("h^"):
+        try:
+            p = float(name[2:])
+        except ValueError:
+            p = np.nan
+        if np.isfinite(p):
+            return lambda h: h ** p
+    raise ConfigError("unknown e_rule %r (expected kappa2h4, h5 or h^p)"
+                      % (name,))
 
 
 def write_json(path, payload):
@@ -454,7 +460,7 @@ def cmd_gamma_check(cfg, outdir, verify):
         w = mem.solve_revolution_membrane(chart, target,
                                           fourier_order=cfg.fourier_order).w
     ansatz = gc.build_ansatz(chart, V, w=w, kappa=cfg.kappa, moduli=moduli,
-                             e_rule=None if cfg.e_rule == "kappa2h4" else _e_rule(cfg))
+                             e_rule=_e_rule(cfg.e_rule))
     table = gc.convergence_study(ansatz, cfg.h_ladder, moduli,
                                  t_quad=cfg.t_quad)
     errors = table.errors()

@@ -162,11 +162,12 @@ def _linearized_residuals(moment, candidates):
 
 
 def _circle_family(U, V, count):
+    """U R(phi) V^T for count angles phi, R(phi) the rotation about e1."""
     out = []
     for phi in np.linspace(0.0, 2.0 * np.pi, count, endpoint=False):
         cp, sp = np.cos(phi), np.sin(phi)
-        P = np.array([[1.0, 0.0, 0.0], [0.0, cp, sp], [0.0, sp, -cp]])
-        out.append(U @ P @ V.T)
+        R = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
+        out.append(U @ R @ V.T)
     return out
 
 
@@ -222,16 +223,11 @@ def rotation_set(load, tol=1e-9, sample_count=64, seed=0):
             if detuv < 0:
                 # flipping the null column keeps Fhat and makes det +1
                 Ur[:, 2] *= -1.0
-            fam = []
-            for phi in np.linspace(0.0, 2.0 * np.pi, sample_count, endpoint=False):
-                cp, sp = np.cos(phi), np.sin(phi)
-                P = np.array([[1.0, 0, 0], [0, cp, -sp], [0, sp, cp]])
-                fam.append(Ur @ P @ V.T)
-            candidates = fam
+            candidates = _circle_family(Ur, V, sample_count)
         else:
             # det(UV^T) = -1 with coinciding trailing singular values:
             # one-parameter family of reflected completions
-            candidates = _circle_family(U, V, sample_count)
+            candidates = _circle_family(U, V * [1.0, 1.0, -1.0], sample_count)
     lin = _linearized_residuals(moment, candidates)
     return RotationSetResult(
         m=m, candidates=candidates, degenerate=degenerate,

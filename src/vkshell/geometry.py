@@ -439,8 +439,20 @@ def frame_form(chart, form):
     _check_grid(chart, form.coeff)
     if np.any(chart.sqrt_g <= 0) or not np.all(np.isfinite(chart.ginv_half)):
         raise ChartError("metric is not positive definite; chart is corrupted")
-    return np.einsum("xyik,xykl,xylj->xyij", chart.ginv_half, form.coeff,
-                     chart.ginv_half)
+    return chart.ginv_half @ form.coeff @ chart.ginv_half
+
+
+def frame_rows(F, weights):
+    """Weighted rows sqrt(w) (F11, F22, sqrt(2) F12) of frame fields.
+
+    For frames (..., N1, N2, 2, 2) and node weights (N1, N2) the squared
+    norm of each row is sum_nodes w |F|^2 (Frobenius).
+    """
+    F = np.asarray(F, dtype=float)
+    F = F.reshape(F.shape[:-4] + (-1, 2, 2))
+    sw = np.sqrt(np.ravel(weights))
+    return np.concatenate([sw * F[..., 0, 0], sw * F[..., 1, 1],
+                           np.sqrt(2.0) * sw * F[..., 0, 1]], axis=-1)
 
 
 def tangential_vector_from_covector(chart, w1, w2):

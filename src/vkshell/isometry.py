@@ -111,11 +111,8 @@ def bending_form(chart, A):
         A = SkewField(np.asarray(A, float))
     if A.shape != chart.shape:
         raise ValueError("SkewField grid does not match chart grid")
-    dAn = np.stack([np.einsum("xycd,xyd->xyc", chart.d1(A.values), chart.normal),
-                    np.einsum("xycd,xyd->xyc", chart.d2(A.values), chart.normal)],
-                   axis=-2)                       # (N1,N2,2,3)
     t = np.stack([chart.t1, chart.t2], axis=-2)
-    b = np.einsum("xyic,xyjc->xyij", dAn, t)
+    b = np.einsum("xyic,xyjc->xyij", bending_direction_field(chart, A), t)
     return FormField2(0.5 * (b + np.swapaxes(b, -1, -2)))
 
 
@@ -173,6 +170,23 @@ def project_out_rigid(chart, fld):
         bd = field_to_dof(b.values)
         v = v - (bd @ (w3 * v)) * bd
     return VectorField3(dof_to_field(v, chart.shape))
+
+
+def _rigid_complement(chart, basis):
+    """Basis combinations M-orthogonal to the rigid motions: the fields and
+    their dof columns."""
+    rigid = rigid_basis(chart)
+    P = np.stack([basis.matrix.T @ (basis.gram @ field_to_dof(r.values))
+                  for r in rigid], axis=1)
+    m = basis.matrix.shape[1]
+    Qfull, Rtri = np.linalg.qr(P, mode="complete")
+    diag = np.abs(np.diag(Rtri[:min(m, 6), :]))
+    rank = int(np.sum(diag > 1e-10 * max(diag.max(), 1e-300)))
+    Z = Qfull[:, rank:]
+    reduced = basis.matrix @ Z
+    fields = [VectorField3(dof_to_field(reduced[:, k], chart.shape))
+              for k in range(reduced.shape[1])]
+    return fields, reduced
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +257,10 @@ def sobolev_mass_matrix(chart):
     return 0.5 * (M + M.T)
 
 
-def _bending_rows_plain(chart, fields):
-    """Stack weighted frame bending coefficients, one row per mode."""
-    sw = np.sqrt(chart.quad_w.ravel())
-    rows = np.empty((len(fields), 3 * chart.n_nodes))
-    residuals = np.empty(len(fields))
-    for k, f in enumerate(fields):
-        A = extend_A(chart, f)
-        residuals[k] = A.skew_residual
-        F = geo.frame_form(chart, bending_form(chart, A))
-        rows[k] = np.concatenate([
-            sw * F[..., 0, 0].ravel(),
-            sw * F[..., 1, 1].ravel(),
-            np.sqrt(2.0) * sw * F[..., 0, 1].ravel()])
-    return rows, residuals
+def _bending_frames(chart, fields):
+    """Frame-converted bending forms of the given fields, stacked."""
+    return np.stack([geo.frame_form(chart, bending_form(chart, extend_A(chart, f)))
+                     for f in fields])
 
 
 def _skew_defect_rows(chart, fields):
@@ -272,9 +276,8 @@ def _skew_defect_rows(chart, fields):
 
 def bending_q2_gram(chart, fields, moduli):
     """Gram matrix of (1/24) integral Q2(bending form) over given fields."""
-    frames = np.stack([geo.frame_form(chart, bending_form(chart, extend_A(chart, f)))
-                       for f in fields])
-    rows = mat.q2_rows(frames, moduli, chart.quad_w / 24.0)
+    rows = mat.q2_rows(_bending_frames(chart, fields), moduli,
+                       chart.quad_w / 24.0)
     return rows @ rows.T
 
 
@@ -296,21 +299,19 @@ def _subnyquist_restriction(chart):
     return np.kron(np.eye(3 * n1), T2)
 
 
-def isometry_basis(chart, n_request=40, tol=1e-8, skew_tol=None):
+def isometry_basis(chart, n_request=40, tol=1e-8):
     """Spectral near-null basis of the membrane-strain form.
 
     Solves the generalized symmetric eigenproblem K v = rho M v on the
     resolvable (sub-Nyquist) nodal subspace, accepts eigenmodes with
     rho <= tol * rho_max, reorders the accepted cluster by the bending
     seminorm, and returns at most n_request modes.  Modes whose skew
-    extension has a symmetric defect above skew_tol (default 10 * tol)
-    are polluted by product aliasing near the grid's Nyquist frequency
-    and are dropped; cluster_size still reports the raw near-null count.
+    extension has a symmetric defect above 10 * tol are polluted by
+    product aliasing near the grid's Nyquist frequency and are dropped;
+    cluster_size still reports the raw near-null count.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if skew_tol is None:
-        skew_tol = 10.0 * tol
     R = membrane_strain_operator(chart)
     K = R.T @ R
     K = 0.5 * (K + K.T)
@@ -356,14 +357,14 @@ def isometry_basis(chart, n_request=40, tol=1e-8, skew_tol=None):
     s_vals, Qs = np.linalg.eigh(0.5 * (Gs + Gs.T))
     # bimodal spectrum: machine-zero defects vs order-one aliased modes;
     # the cut must sit above the Gram's own eigenvalue roundoff
-    s_cut = max(skew_tol**2, 1e-10 * float(max(s_vals[-1], 0.0)))
+    s_cut = max((10.0 * tol)**2, 1e-10 * float(max(s_vals[-1], 0.0)))
     resolved = s_vals <= s_cut
     cluster = cluster @ Qs[:, resolved]
 
     # deterministic smoothness ordering by the bending seminorm
     fields = [dof_to_field(cluster[:, k], chart.shape)
               for k in range(cluster.shape[1])]
-    rows, _ = _bending_rows_plain(chart, fields)
+    rows = geo.frame_rows(_bending_frames(chart, fields), chart.quad_w)
     Gb = rows @ rows.T
     bend_vals, Qb = np.linalg.eigh(0.5 * (Gb + Gb.T))
     cluster = cluster @ Qb
@@ -414,21 +415,11 @@ def coercivity_spectrum(chart, basis, moduli):
     """
     if basis.empty:
         raise ValueError("isometry basis is empty")
-    rigid = rigid_basis(chart)
-    P = np.stack([basis.matrix.T @ (basis.gram @ field_to_dof(r.values))
-                  for r in rigid], axis=1)          # (m, 6)
-    m = basis.matrix.shape[1]
-    Qfull, Rtri = np.linalg.qr(P, mode="complete")
-    diag = np.abs(np.diag(Rtri[:min(m, 6), :]))
-    rank = int(np.sum(diag > 1e-10 * max(diag.max(), 1e-300)))
-    Z = Qfull[:, rank:]
-    if Z.shape[1] == 0:
+    fields, _ = _rigid_complement(chart, basis)
+    if not fields:
         return CoercivityResult(smallest=np.nan, largest=np.nan,
                                 n_modes=0, empty=True)
-    fields = [VectorField3(dof_to_field(basis.matrix[:, k], chart.shape))
-              for k in range(m)]
     G = bending_q2_gram(chart, fields, moduli)
-    Gred = Z.T @ G @ Z
-    ev = np.linalg.eigvalsh(0.5 * (Gred + Gred.T))
+    ev = np.linalg.eigvalsh(0.5 * (G + G.T))
     return CoercivityResult(smallest=float(ev[0]), largest=float(ev[-1]),
-                            n_modes=Z.shape[1], empty=False)
+                            n_modes=len(fields), empty=False)

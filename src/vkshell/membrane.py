@@ -322,40 +322,40 @@ def _dictionary_strains(chart, degree):
     return strains, gens, names
 
 
-def _weighted_rows(chart, frame):
-    sw = np.sqrt(chart.quad_w.ravel())
-    return np.concatenate([sw * frame[..., 0, 0].ravel(),
-                           sw * frame[..., 1, 1].ravel(),
-                           np.sqrt(2.0) * sw * frame[..., 0, 1].ravel()])
+def _dictionary_columns(chart, strains, row_map):
+    """Columns row_map(frame strain) of the dictionary, filled one strain at
+    a time; identically zero columns are pruned.  Returns the kept columns
+    and their indices into strains."""
+    cols = None
+    for k, b in enumerate(strains):
+        col = row_map(geo.frame_form(chart, FormField2(b)))
+        if cols is None:
+            cols = np.empty((col.size, len(strains)))
+        cols[:, k] = col
+    norms = np.linalg.norm(cols, axis=0)
+    keep = norms > 1e-14 * max(norms.max(), 1e-300)
+    return cols[:, keep], np.flatnonzero(keep)
 
 
-def project_to_B(chart, target, degree=4, ridge=1e-12):
+def project_to_B(chart, target, degree=4):
     """Least-squares projection of a form onto a symmetric-gradient span.
 
     Solves min over coefficients of the weighted L2 frame distance between
-    the target and the span of the dictionary strains; returns the best
-    coefficients, the relative residual, and the realizing displacement.
-    Generators with identically zero strain are pruned; a rank-deficient
-    system is re-solved with a ridge and flagged.
+    the target and the span of the dictionary strains; returns the
+    minimum-norm best coefficients, the relative residual, and the
+    realizing displacement.  Generators with identically zero strain are
+    pruned; a rank-deficient system is flagged.
     """
     target = as_form_field(target)
     if target.shape != chart.shape:
         raise ValueError("target grid does not match chart grid")
     strains, gens, names = _dictionary_strains(chart, degree)
-    cols = np.stack([_weighted_rows(chart, geo.frame_form(chart, FormField2(b)))
-                     for b in strains], axis=1)
-    norms = np.linalg.norm(cols, axis=0)
-    keep = norms > 1e-14 * max(norms.max(), 1e-300)
-    cols = cols[:, keep]
-    kept_idx = np.flatnonzero(keep)
-    y = _weighted_rows(chart, geo.frame_form(chart, target))
+    cols, kept_idx = _dictionary_columns(
+        chart, strains, lambda F: geo.frame_rows(F, chart.quad_w))
+    y = geo.frame_rows(geo.frame_form(chart, target), chart.quad_w)
 
-    sol, res_, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
     flagged = rank < cols.shape[1]
-    if flagged:
-        G = cols.T @ cols
-        G[np.diag_indices_from(G)] += ridge * max(np.max(np.diag(G)), 1.0)
-        sol = np.linalg.solve(G, cols.T @ y)
     y_norm = np.linalg.norm(y)
     resid = np.linalg.norm(cols @ sol - y) / (y_norm if y_norm > 0 else 1.0)
 

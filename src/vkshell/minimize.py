@@ -18,11 +18,11 @@ import numpy as np
 import scipy.optimize
 
 from . import functional as fn
-from . import geometry as geo
 from . import isometry as iso
 from . import material as mat
 from . import membrane as mem
 from .geometry import FormField2, VectorField3
+from .isometry import _rigid_complement
 
 
 class MinimizationError(RuntimeError):
@@ -84,21 +84,6 @@ def wellposedness_check(load, candidates, tol=1e-9):
 # ---------------------------------------------------------------------------
 # shared assembly
 # ---------------------------------------------------------------------------
-
-def _rigid_complement(chart, basis):
-    rigid = iso.rigid_basis(chart)
-    P = np.stack([basis.matrix.T @ (basis.gram @ iso.field_to_dof(r.values))
-                  for r in rigid], axis=1)
-    m = basis.matrix.shape[1]
-    Qfull, Rtri = np.linalg.qr(P, mode="complete")
-    diag = np.abs(np.diag(Rtri[:min(m, 6), :]))
-    rank = int(np.sum(diag > 1e-10 * max(diag.max(), 1e-300)))
-    Z = Qfull[:, rank:]
-    reduced = basis.matrix @ Z
-    fields = [VectorField3(iso.dof_to_field(reduced[:, k], chart.shape))
-              for k in range(reduced.shape[1])]
-    return fields, reduced
-
 
 def _load_vector(chart, load, rotation, fields):
     return np.array([fn.load_work(chart, load, rotation, f) for f in fields])
@@ -252,12 +237,8 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     # weighted rows with |rows(F)|^2 = (1/2) integral Q2(F)
     strains, _, _ = mem._dictionary_strains(chart, dict_degree)
     w = 0.5 * chart.quad_w
-    cols = mat.q2_rows(np.stack([geo.frame_form(chart, FormField2(b))
-                                 for b in strains]), moduli, w).T
-    norms = np.linalg.norm(cols, axis=0)
-    keep = norms > 1e-14 * max(norms.max(), 1e-300)
-    cols = cols[:, keep]
-    kept_idx = np.flatnonzero(keep)
+    cols, kept_idx = mem._dictionary_columns(
+        chart, strains, lambda F: mat.q2_rows(F, moduli, w))
     colsq, colsr = np.linalg.qr(cols, mode="reduced")
 
     # split the pair rows into dictionary coordinates (which give the

@@ -107,6 +107,22 @@ def test_non_integer_grid_is_config_error(tmp_path):
     assert cli.parse_config(str(cfg)).grid == (8, 8)
 
 
+def test_bad_e_rule_is_config_error(tmp_path):
+    """An unreadable h^p exponent and an unknown rule name are config
+    errors on every command, caught before any output is written."""
+    cfg = tmp_path / "bad.cfg"
+    for rule in ("h^abc", "bogus"):
+        cfg.write_text("[surface]\nfamily = plate\ngrid = 16 16\n"
+                       "[scaling]\ne_rule = %s\n" % rule)
+        for command in ("gamma-check", "surface"):
+            assert cli.run([command, "--config", str(cfg),
+                            "--output-dir", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+    for rule in ("kappa2h4", "h5", "h^4.5"):
+        cfg.write_text("[scaling]\ne_rule = %s\n" % rule)
+        assert cli.parse_config(str(cfg)).e_rule == rule
+
+
 def test_surface_plate_report(tmp_path):
     cfg_path = write_cfg(tmp_path, PLATE_CFG)
     assert cli.run(["surface", "--config", cfg_path, "--verify"]) == 0

@@ -188,6 +188,29 @@ def test_rotation_set_reflected_moment():
         assert abs(np.trace(Q.T @ moment) - rs.m) < 1e-12
 
 
+def test_rotation_set_rank_one_moment():
+    """A rank-one moment has a circle of maximizers about its leading
+    axis, whichever sign det(UV^T) of its computed SVD takes."""
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(40):
+        moment = 2.5 * np.outer(rng.normal(size=3), rng.normal(size=3))
+        U, sig, Vt = np.linalg.svd(moment)
+        sign = np.sign(np.linalg.det(U @ Vt))
+        if sign in seen:
+            continue
+        seen.add(sign)
+        rs = fn.rotation_set(moment, sample_count=24)
+        assert rs.degenerate
+        assert abs(rs.m - sig[0]) <= 1e-12 * sig[0]
+        assert len(rs.candidates) == 24
+        for Q in rs.candidates:
+            assert np.linalg.norm(Q.T @ Q - np.eye(3)) < 1e-12
+            assert abs(np.linalg.det(Q) - 1.0) < 1e-12
+            assert abs(np.trace(Q.T @ moment) - rs.m) <= 1e-12 * rs.m
+    assert seen == {-1.0, 1.0}
+
+
 def test_rotation_set_zero_moment():
     rs = fn.rotation_set(np.zeros((3, 3)), sample_count=32)
     assert rs.m == 0.0 and rs.degenerate

@@ -10,7 +10,7 @@ from vkshell import membrane as mem
 from vkshell import presets
 from vkshell.geometry import FormField2, VectorField3
 
-from conftest import plate_sine_mode, random_rotation
+from conftest import isotropic_voigt, plate_sine_mode, random_rotation
 
 M11 = mat.ElasticModuli(1.0, 1.0)
 
@@ -38,6 +38,28 @@ def trivial_ansatz(chart):
 # ---------------------------------------------------------------------------
 # ansatz construction
 # ---------------------------------------------------------------------------
+
+def test_anisotropic_moduli_in_thin_limit_harness(cyl_small):
+    """The isotropic tensor written as a Voigt matrix reproduces the
+    isotropic ansatz, 3D energy and convergence table."""
+    V = presets.cylinder_inextensional_mode(cyl_small, 2)
+    ans = {}
+    for name, moduli in (("iso", M11), ("voigt", isotropic_voigt(1.0, 1.0))):
+        ans[name] = gc.build_ansatz(cyl_small, V, w=None, kappa=1.0,
+                                    moduli=moduli)
+        ans[name + "_study"] = gc.convergence_study(
+            ans[name], [0.1, 0.05, 0.025, 0.0125], moduli, t_quad=3)
+        ans[name + "_energy"] = gc.energy_3d(ans[name], 0.02, moduli)
+    for key in ("d0", "d1"):
+        a, b = getattr(ans["iso"], key), getattr(ans["voigt"], key)
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
+    assert abs(ans["voigt_energy"] - ans["iso_energy"]) \
+        <= 1e-12 * ans["iso_energy"]
+    ref, got = ans["iso_study"], ans["voigt_study"]
+    assert abs(got.limit - ref.limit) <= 1e-12 * abs(ref.limit)
+    np.testing.assert_allclose([r["energy"] for r in got.rows],
+                               [r["energy"] for r in ref.rows], rtol=1e-12)
+
 
 def test_trivial_ansatz_fields(plate32):
     ans = trivial_ansatz(plate32)

@@ -123,6 +123,18 @@ def test_frame_form_metric_maps_to_identity(cyl_small):
         assert np.max(np.abs(F - np.eye(2))) < 1e-12
 
 
+def test_frame_rows_square_to_weighted_frobenius(cyl_small):
+    rng = np.random.default_rng(2)
+    F = rng.normal(size=(4,) + cyl_small.shape + (2, 2))
+    F = F + np.swapaxes(F, -1, -2)
+    rows = geo.frame_rows(F, cyl_small.quad_w)
+    assert rows.shape == (4, 3 * cyl_small.n_nodes)
+    want = np.einsum("xy,kxyij,kxyij->k", cyl_small.quad_w, F, F)
+    np.testing.assert_allclose(np.sum(rows**2, axis=-1), want, rtol=1e-13)
+    single = geo.frame_rows(F[1], cyl_small.quad_w)
+    np.testing.assert_array_equal(single, rows[1])
+
+
 def test_frame_form_reparametrization_invariants():
     """A stretched chart of the same plate gives the same scalar invariants.
 

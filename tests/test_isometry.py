@@ -7,7 +7,8 @@ from vkshell import isometry as iso
 from vkshell import material as mat
 from vkshell import presets
 
-from conftest import plate_sine_mode, random_rotation, rotated_cylinder
+from conftest import (isotropic_voigt, plate_sine_mode, random_rotation,
+                      rotated_cylinder)
 
 M11 = mat.ElasticModuli(1.0, 1.0)
 
@@ -180,6 +181,17 @@ def test_coercivity_plate_and_cylinder(plate16, cyl_small):
     cb = iso.isometry_basis(cyl_small, n_request=30, tol=1e-8)
     cs2 = iso.coercivity_spectrum(cyl_small, cb, M11)
     assert cs2.smallest > 1e-6 * cs2.largest
+
+
+def test_coercivity_anisotropic_moduli(cyl_small):
+    """The isotropic tensor written as a Voigt matrix reproduces the
+    isotropic coercivity spectrum."""
+    cb = iso.isometry_basis(cyl_small, n_request=16, tol=1e-8)
+    ref = iso.coercivity_spectrum(cyl_small, cb, M11)
+    got = iso.coercivity_spectrum(cyl_small, cb, isotropic_voigt(1.0, 1.0))
+    assert got.n_modes == ref.n_modes == 10
+    assert abs(got.smallest - ref.smallest) <= 1e-12 * ref.smallest
+    assert abs(got.largest - ref.largest) <= 1e-12 * ref.largest
 
 
 def test_coercivity_rigid_only_flagged(cyl_small):
