@@ -159,6 +159,11 @@ def parse_config(path):
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("bad config value: %s" % (exc,)) from exc
+    for name, low in (("basis_size", 0), ("dictionary_degree", 0),
+                      ("sample_count", 1)):
+        if getattr(cfg, name) < low:
+            raise ConfigError("[solver] %s must be at least %d, got %d"
+                              % (name, low, getattr(cfg, name)))
     return cfg
 
 
@@ -174,13 +179,22 @@ def _moduli(cfg):
     return mat.ElasticModuli(cfg.mu, cfg.lam)
 
 
+def _node_csv(path, chart, columns):
+    """The (N, 3) rows of a node CSV with one header line."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read csv %r: %s" % (path, exc)) from exc
+    if rows.shape != (chart.n_nodes, 3):
+        raise ConfigError("csv %r must carry %d rows of %s"
+                          % (path, chart.n_nodes, columns))
+    return rows
+
+
 def _load(cfg, chart):
     if cfg.load_csv:
-        rows = np.loadtxt(cfg.load_csv, delimiter=",", skiprows=1)
-        if rows.shape != (chart.n_nodes, 3):
-            raise ConfigError("load csv must carry %d rows of fx,fy,fz"
-                              % chart.n_nodes)
-        vals = rows.reshape(chart.shape + (3,))
+        vals = _node_csv(cfg.load_csv, chart, "fx,fy,fz").reshape(
+            chart.shape + (3,))
     else:
         vals = presets.load_preset(chart, cfg.load_preset)
     return fn.make_load(chart, cfg.load_scale * vals,
@@ -302,9 +316,9 @@ def cmd_isometries(cfg, outdir, verify):
     if "csv" in cfg.formats:
         for k, mode in enumerate(basis.modes):
             write_field_csv(outdir / ("isometry_mode_%03d.csv" % k), chart, [
-                ("vx", mode.values[..., 0]),
-                ("vy", mode.values[..., 1]),
-                ("vz", mode.values[..., 2]),
+                ("vx", mode[..., 0]),
+                ("vy", mode[..., 1]),
+                ("vz", mode[..., 2]),
             ])
     return payload
 
@@ -326,9 +340,7 @@ def _membrane_target(preset, chart):
         b = -np.einsum("xyi,xyj->xyij", g, g)
         return FormField2(b)
     if preset.endswith(".csv"):
-        rows = np.loadtxt(preset, delimiter=",", skiprows=1)
-        if rows.shape != (chart.n_nodes, 3):
-            raise ConfigError("target csv must carry b11,b22,b12 per node")
+        rows = _node_csv(preset, chart, "b11,b22,b12")
         b = np.zeros(chart.shape + (2, 2))
         b[..., 0, 0] = rows[:, 0].reshape(chart.shape)
         b[..., 1, 1] = rows[:, 1].reshape(chart.shape)
@@ -359,7 +371,7 @@ def cmd_membrane(cfg, outdir, verify):
             ])
     proj = mem.project_to_B(chart, target, degree=cfg.dictionary_degree)
     payload["projection_residual"] = proj.residual
-    payload["projection_flagged"] = proj.flagged
+    payload["projection_rank"] = proj.rank
     payload["dictionary_degree"] = cfg.dictionary_degree
     if verify:
         _verify_chart(chart)

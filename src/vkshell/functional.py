@@ -112,11 +112,12 @@ def stretching_energy(chart, form, A, kappa, moduli):
 
 
 def load_work(chart, load, rotation, fld):
-    """Linear load term: integral of f . (Q V)."""
-    fld = as_vector_field(fld)
-    qv = np.einsum("cd,xyd->xyc", rotation, fld.values)
-    return float(geo.integrate(
-        chart, np.einsum("xyc,xyc->xy", load.f.values, qv)))
+    """Linear load term: integral of f . (Q V); a stack of fields
+    (m, N1, N2, 3) gives one value per field."""
+    V = getattr(fld, "values", fld)
+    V = as_vector_field(V).values if np.ndim(V) == 3 else np.asarray(V, float)
+    qv = np.einsum("cd,...xyd->...xyc", rotation, V)
+    return geo.integrate(chart, np.einsum("xyc,...xyc->...xy", load.f.values, qv))
 
 
 def _check_rotation(Q):

@@ -47,20 +47,23 @@ class VectorField3:
 
 @dataclass
 class FormField2:
-    """Symmetric 2x2 tensor field in chart coordinates, b_ij = t_i . B t_j."""
+    """Symmetric 2x2 tensor field in chart coordinates, b_ij = t_i . B t_j,
+    or a stack of such fields along one leading mode axis."""
 
     coeff: np.ndarray
 
     def __post_init__(self):
         self.coeff = np.asarray(self.coeff, dtype=float)
-        if self.coeff.ndim != 4 or self.coeff.shape[-2:] != (2, 2):
-            raise ValueError("FormField2 expects shape (N1, N2, 2, 2)")
+        if self.coeff.ndim not in (4, 5) or self.coeff.shape[-2:] != (2, 2):
+            raise ValueError("FormField2 expects shape (N1, N2, 2, 2) "
+                             "or (m, N1, N2, 2, 2)")
         # store exactly symmetric
         self.coeff = 0.5 * (self.coeff + np.swapaxes(self.coeff, -1, -2))
 
     @property
     def shape(self):
-        return self.coeff.shape[:2]
+        """(N1, N2), or (m, N1, N2) for a stack."""
+        return self.coeff.shape[:-2]
 
 
 def as_vector_field(obj):
@@ -111,19 +114,6 @@ class SurfaceChart:
             length = self.domain[1][1] - self.domain[1][0]
             return ops.spectral_apply(f, length, axis=1)
         return ops.fd1_periodic_apply(f, self.du[1], axis=1)
-
-    def d1_matrix(self):
-        n1 = self.shape[0]
-        return ops.fd1_matrix(n1, self.du[0])
-
-    def d2_matrix(self):
-        n2 = self.shape[1]
-        if not self.periodic2:
-            return ops.fd1_matrix(n2, self.du[1])
-        if self.theta_scheme == "spectral":
-            length = self.domain[1][1] - self.domain[1][0]
-            return ops.spectral_matrix(n2, length)
-        return ops.fd1_periodic_matrix(n2, self.du[1])
 
     @property
     def n_nodes(self):
@@ -397,16 +387,16 @@ def build_chart(family, params=None, grid=(32, 32)):
 # operations on fields
 # ---------------------------------------------------------------------------
 
-def _check_grid(chart, values):
-    if values.shape[:2] != chart.shape:
+def _check_grid(chart, grid):
+    if tuple(grid) != chart.shape:
         raise ValueError("field grid %s does not match chart grid %s"
-                         % (values.shape[:2], chart.shape))
+                         % (tuple(grid), chart.shape))
 
 
 def surface_gradient(chart, fld):
     """Per-node 3x2 Jacobian of a vector field w.r.t. chart coordinates."""
     fld = as_vector_field(fld)
-    _check_grid(chart, fld.values)
+    _check_grid(chart, fld.shape)
     return np.stack([chart.d1(fld.values), chart.d2(fld.values)], axis=-1)
 
 
@@ -423,20 +413,23 @@ def sym_grad(chart, fld):
 
 
 def integrate(chart, scalar):
-    """Surface integral of a nodal scalar field (trapezoid x sqrt(g))."""
+    """Surface integral of a nodal scalar field (trapezoid x sqrt(g)); a
+    stack (m, N1, N2) gives one integral per field."""
     scalar = np.asarray(scalar, dtype=float)
-    _check_grid(chart, scalar)
-    return float(np.sum(chart.quad_w * scalar))
+    _check_grid(chart, scalar.shape[-2:])
+    total = np.sum(chart.quad_w * scalar, axis=(-2, -1))
+    return float(total) if scalar.ndim == 2 else total
 
 
 def frame_form(chart, form):
     """Convert a chart-coefficient form to the orthonormal tangent frame.
 
     F = G^{-1/2} b G^{-1/2}; trace and Frobenius norm of F are invariant
-    under reparametrization of the same surface.
+    under reparametrization of the same surface.  A stack of forms gives a
+    stack of frames.
     """
     form = as_form_field(form)
-    _check_grid(chart, form.coeff)
+    _check_grid(chart, form.shape[-2:])
     if np.any(chart.sqrt_g <= 0) or not np.all(np.isfinite(chart.ginv_half)):
         raise ChartError("metric is not positive definite; chart is corrupted")
     return chart.ginv_half @ form.coeff @ chart.ginv_half
@@ -449,32 +442,18 @@ def frame_rows(F, weights):
     norm of each row is sum_nodes w |F|^2 (Frobenius).
     """
     F = np.asarray(F, dtype=float)
-    F = F.reshape(F.shape[:-4] + (-1, 2, 2))
+    F = F.reshape(F.shape[:-4] + (F.shape[-4] * F.shape[-3], 2, 2))
     sw = np.sqrt(np.ravel(weights))
     return np.concatenate([sw * F[..., 0, 0], sw * F[..., 1, 1],
                            np.sqrt(2.0) * sw * F[..., 0, 1]], axis=-1)
 
 
 def tangential_vector_from_covector(chart, w1, w2):
-    """3-vector v tangent to S with v . t_i = w_i (index raising)."""
-    comp = np.einsum("xyij,xyj->xyi", chart.metric_inv,
+    """3-vector v tangent to S with v . t_i = w_i (index raising); covector
+    stacks (m, N1, N2) give a stack of vectors."""
+    comp = np.einsum("xyij,...xyj->...xyi", chart.metric_inv,
                      np.stack([w1, w2], axis=-1))
     return comp[..., 0:1] * chart.t1 + comp[..., 1:2] * chart.t2
-
-
-def tangential_part(chart, fld):
-    """Split V into (V_tan, V.n)."""
-    fld = as_vector_field(fld)
-    vn = np.einsum("xyc,xyc->xy", fld.values, chart.normal)
-    return fld.values - vn[..., None] * chart.normal, vn
-
-
-def shape_operator_apply(chart, vtan):
-    """Apply the shape operator (derivative of the normal) to tangent vectors."""
-    rhs = np.stack([np.einsum("xyc,xyc->xy", vtan, chart.t1),
-                    np.einsum("xyc,xyc->xy", vtan, chart.t2)], axis=-1)
-    comp = np.einsum("xyij,xyj->xyi", chart.metric_inv, rhs)
-    return comp[..., 0:1] * chart.dn1 + comp[..., 1:2] * chart.dn2
 
 
 def gradient_matrix(chart, fld):

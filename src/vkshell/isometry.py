@@ -24,26 +24,29 @@ MAX_EIG_DOFS = 6000
 
 @dataclass
 class SkewField:
-    """Per-node 3x3 matrix field extending the displacement gradient."""
+    """Per-node 3x3 matrix field extending the displacement gradient, or a
+    stack of such fields along one leading mode axis."""
 
     values: np.ndarray
-    skew_residual: float = 0.0
+    skew_residual: float = 0.0  # one value per field for a stack
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 4 or self.values.shape[-2:] != (3, 3):
-            raise ValueError("SkewField expects shape (N1, N2, 3, 3)")
+        if self.values.ndim not in (4, 5) or self.values.shape[-2:] != (3, 3):
+            raise ValueError("SkewField expects shape (N1, N2, 3, 3) "
+                             "or (m, N1, N2, 3, 3)")
 
     @property
     def shape(self):
-        return self.values.shape[:2]
+        """(N1, N2), or (m, N1, N2) for a stack."""
+        return self.values.shape[:-2]
 
 
 @dataclass
 class IsometryBasis:
     """Near-null modes of the discrete membrane-strain form."""
 
-    modes: list
+    modes: np.ndarray           # (m, N1, N2, 3) mode fields
     matrix: np.ndarray          # dof-space basis, columns M-orthonormal
     rayleigh: np.ndarray
     bending_ritz: np.ndarray
@@ -53,7 +56,6 @@ class IsometryBasis:
     gap_ratio: float
     cluster_size: int
     skew_residuals: np.ndarray = None
-    grid_shape: tuple = None
 
     def __len__(self):
         return len(self.modes)
@@ -64,13 +66,35 @@ class IsometryBasis:
 
 
 def field_to_dof(values):
-    values = np.asarray(values, dtype=float)
-    return np.concatenate([values[..., c].ravel() for c in range(3)])
+    """Dofs (component-major, then nodes) of a field (N1, N2, 3), or the
+    dof matrix (3 N, m) of a stack (m, N1, N2, 3)."""
+    x = np.moveaxis(np.asarray(values, dtype=float), (-1, -3, -2), (0, 1, 2))
+    return x.reshape((-1,) + x.shape[3:])
+
 
 def dof_to_field(x, grid_shape):
-    n = grid_shape[0] * grid_shape[1]
-    return np.stack([x[c * n:(c + 1) * n].reshape(grid_shape) for c in range(3)],
-                    axis=-1)
+    """Inverse of field_to_dof: a dof vector to a field, a dof matrix
+    (3 N, m) to a stack (m, N1, N2, 3)."""
+    x = np.asarray(x, dtype=float)
+    f = x.reshape((3,) + tuple(grid_shape) + x.shape[1:])
+    return np.ascontiguousarray(np.moveaxis(f, (0, 1, 2), (-1, -3, -2)))
+
+
+def _field_stack(chart, fld):
+    """A field or a stack of fields as a stack (m, N1, N2, 3), and whether
+    it was a single field."""
+    single = isinstance(fld, VectorField3) or np.ndim(fld) == 3
+    V = as_vector_field(fld).values[None] if single else np.asarray(fld, float)
+    if V.shape[1:] != chart.shape + (3,):
+        raise ValueError("field grid %s does not match chart grid %s"
+                         % (V.shape[1:3], chart.shape))
+    return V, single
+
+
+def _derivatives(chart, stack):
+    """Chart derivatives (d1, d2) of nodal arrays with a leading mode axis."""
+    f = np.moveaxis(stack, 0, -1)
+    return np.moveaxis(chart.d1(f), -1, 0), np.moveaxis(chart.d2(f), -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -80,24 +104,29 @@ def dof_to_field(x, grid_shape):
 def extend_A(chart, fld):
     """Extend the tangential gradient of V to a 3x3 matrix field.
 
-    Per node, solves A [t1 | t2 | n] = [d1 V | d2 V | Pi V_tan - grad(V.n)].
-    For an exact infinitesimal isometry the result is skew; the maximal
-    symmetric defect is reported, never raised.
+    Per node, A [t1 | t2 | n] = [d1 V | d2 V | Pi V_tan - grad(V.n)], with
+    [t1 | t2 | n] inverted once.  fld is one field or a stack (m, N1, N2, 3)
+    evaluated in one batch, and A carries the same mode axis.  For an exact
+    infinitesimal isometry A is skew; the maximal symmetric defect is
+    reported per field, never raised.
     """
-    fld = as_vector_field(fld)
-    grad = geo.surface_gradient(chart, fld)
-    vtan, vn = geo.tangential_part(chart, fld)
-    pin_vtan = geo.shape_operator_apply(chart, vtan)
-    grad_vn = geo.tangential_vector_from_covector(
-        chart, chart.d1(vn), chart.d2(vn))
-    w = pin_vtan - grad_vn
-    T = np.stack([chart.t1, chart.t2, chart.normal], axis=-1)
-    rhs = np.concatenate([grad, w[..., None]], axis=-1)
-    # A T = rhs  =>  T^T A^T = rhs^T
-    At = np.linalg.solve(np.swapaxes(T, -1, -2), np.swapaxes(rhs, -1, -2))
-    A = np.swapaxes(At, -1, -2)
+    V, single = _field_stack(chart, fld)
+    n = chart.normal
+    vn = np.einsum("mxyc,xyc->mxy", V, n)
+    vtan = V - vn[..., None] * n
+    # shape operator on the tangential part: Pi v = g^ij (v . t_j) d_i n
+    vt = np.stack([np.einsum("mxyc,xyc->mxy", vtan, chart.t1),
+                   np.einsum("mxyc,xyc->mxy", vtan, chart.t2)], axis=-1)
+    comp = np.einsum("xyij,mxyj->mxyi", chart.metric_inv, vt)
+    pin_vtan = comp[..., 0:1] * chart.dn1 + comp[..., 1:2] * chart.dn2
+    w = pin_vtan - geo.tangential_vector_from_covector(
+        chart, *_derivatives(chart, vn))
+    rhs = np.stack(_derivatives(chart, V) + (w,), axis=-1)
+    A = rhs @ np.linalg.inv(np.stack([chart.t1, chart.t2, n], axis=-1))
     sym_defect = A + np.swapaxes(A, -1, -2)
-    residual = float(np.max(np.linalg.norm(sym_defect, axis=(-2, -1))))
+    residual = np.max(np.linalg.norm(sym_defect, axis=(-2, -1)), axis=(-2, -1))
+    if single:
+        return SkewField(values=A[0], skew_residual=float(residual[0]))
     return SkewField(values=A, skew_residual=residual)
 
 
@@ -105,25 +134,25 @@ def bending_form(chart, A):
     """First-order change of the shape operator under the displacement.
 
     b_ij = ((d_i A) n) . t_j, symmetrized; derivatives of A by the chart's
-    difference operators.
+    difference operators.  A stack of skew fields gives a stack of forms.
     """
-    if not isinstance(A, SkewField):
-        A = SkewField(np.asarray(A, float))
-    if A.shape != chart.shape:
+    A = A if isinstance(A, SkewField) else SkewField(A)
+    if A.shape[-2:] != chart.shape:
         raise ValueError("SkewField grid does not match chart grid")
     t = np.stack([chart.t1, chart.t2], axis=-2)
-    b = np.einsum("xyic,xyjc->xyij", bending_direction_field(chart, A), t)
+    b = np.einsum("...xyic,xyjc->...xyij", bending_direction_field(chart, A), t)
     return FormField2(0.5 * (b + np.swapaxes(b, -1, -2)))
 
 
 def bending_direction_field(chart, A):
     """Per-node vectors (d_i A) n used by both the bending form and the
-    3D recovery harness (kept identical so discretization bias cancels)."""
-    if not isinstance(A, SkewField):
-        A = SkewField(np.asarray(A, float))
-    return np.stack(
-        [np.einsum("xycd,xyd->xyc", chart.d1(A.values), chart.normal),
-         np.einsum("xycd,xyd->xyc", chart.d2(A.values), chart.normal)], axis=-2)
+    3D recovery harness (kept identical so discretization bias cancels).
+    One field or a stack, like A."""
+    A = A if isinstance(A, SkewField) else SkewField(A)
+    dA = _derivatives(chart, A.values if A.values.ndim == 5 else A.values[None])
+    dirs = np.stack([np.einsum("mxycd,xyd->mxyc", d, chart.normal)
+                     for d in dA], axis=-2)
+    return dirs.reshape(A.shape + (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -131,73 +160,58 @@ def bending_direction_field(chart, A):
 # ---------------------------------------------------------------------------
 
 def _rigid_fields(chart):
-    n1, n2 = chart.shape
-    pos = chart.pos
-    fields = []
-    for c in range(3):
-        f = np.zeros((n1, n2, 3))
-        f[..., c] = 1.0
-        fields.append(f)
-    for c in range(3):
-        axis = np.zeros(3)
-        axis[c] = 1.0
-        fields.append(np.cross(axis, pos))
-    return fields
+    """The 3 translations and 3 infinitesimal rotations, stacked."""
+    axes = np.eye(3)[:, None, None, :]
+    return np.concatenate([np.broadcast_to(axes, (3,) + chart.pos.shape),
+                           np.cross(axes, chart.pos)])
 
 
-def _l2_weight_dofs(chart):
-    w = chart.quad_w.ravel()
-    return np.concatenate([w, w, w])
+def _rigid_dofs(chart):
+    """L2-orthonormal dof columns spanning the 6 infinitesimal rigid motions."""
+    raw = field_to_dof(_rigid_fields(chart))
+    w3 = np.tile(chart.quad_w.ravel(), 3)
+    G = raw.T @ (w3[:, None] * raw)
+    L = np.linalg.cholesky(G)
+    return scipy.linalg.solve_triangular(L, raw.T, lower=True).T
 
 
 def rigid_basis(chart):
     """L2-orthonormalized span of the 6 infinitesimal rigid motions."""
-    raw = np.stack([field_to_dof(f) for f in _rigid_fields(chart)], axis=1)
-    w3 = _l2_weight_dofs(chart)
-    G = raw.T @ (w3[:, None] * raw)
-    L = np.linalg.cholesky(G)
-    ortho = scipy.linalg.solve_triangular(L, raw.T, lower=True).T
-    return [VectorField3(dof_to_field(ortho[:, k], chart.shape)) for k in range(6)]
+    return list(map(VectorField3, dof_to_field(_rigid_dofs(chart), chart.shape)))
 
 
 def project_out_rigid(chart, fld):
     """Remove the L2-projection onto the rigid-motion span."""
     fld = as_vector_field(fld)
-    basis = rigid_basis(chart)
-    w3 = _l2_weight_dofs(chart)
+    B = _rigid_dofs(chart)
     v = field_to_dof(fld.values)
-    for b in basis:
-        bd = field_to_dof(b.values)
-        v = v - (bd @ (w3 * v)) * bd
+    v = v - B @ (B.T @ (np.tile(chart.quad_w.ravel(), 3) * v))
     return VectorField3(dof_to_field(v, chart.shape))
 
 
 def _rigid_complement(chart, basis):
-    """Basis combinations M-orthogonal to the rigid motions: the fields and
-    their dof columns."""
-    rigid = rigid_basis(chart)
-    P = np.stack([basis.matrix.T @ (basis.gram @ field_to_dof(r.values))
-                  for r in rigid], axis=1)
-    m = basis.matrix.shape[1]
+    """Basis combinations M-orthogonal to the rigid motions: their fields,
+    stacked (m, N1, N2, 3), and their dof columns."""
+    # one matrix-vector product per rigid motion: a matrix product rounds
+    # differently and moves the bending-only minimum in its last digit
+    P = np.stack([basis.matrix.T @ (basis.gram @ r)
+                  for r in _rigid_dofs(chart).T], axis=1)
     Qfull, Rtri = np.linalg.qr(P, mode="complete")
-    diag = np.abs(np.diag(Rtri[:min(m, 6), :]))
+    diag = np.abs(np.diag(Rtri))
     rank = int(np.sum(diag > 1e-10 * max(diag.max(), 1e-300)))
-    Z = Qfull[:, rank:]
-    reduced = basis.matrix @ Z
-    fields = [VectorField3(dof_to_field(reduced[:, k], chart.shape))
-              for k in range(reduced.shape[1])]
-    return fields, reduced
+    reduced = basis.matrix @ Qfull[:, rank:]
+    return dof_to_field(reduced, chart.shape), reduced
 
 
 # ---------------------------------------------------------------------------
 # quadratic form assembly
 # ---------------------------------------------------------------------------
 
-def _kron_diff_matrices(chart):
-    n1, n2 = chart.shape
-    D1 = np.kron(chart.d1_matrix(), np.eye(n2))
-    D2 = np.kron(np.eye(n1), chart.d2_matrix())
-    return D1, D2
+def _diff_matrices(chart):
+    """Node matrices of the chart derivatives: d1 and d2 of every unit field."""
+    n = chart.n_nodes
+    unit = np.eye(n).reshape(chart.shape + (n,))
+    return chart.d1(unit).reshape(n, n), chart.d2(unit).reshape(n, n)
 
 
 def _frame_mix_coeffs(chart):
@@ -222,27 +236,22 @@ def membrane_strain_operator(chart):
         raise ValueError(
             "grid too large for dense strain assembly (%d dofs > %d); "
             "use a coarser grid" % (3 * n, MAX_EIG_DOFS))
-    D1, D2 = _kron_diff_matrices(chart)
-    t1 = chart.t1.reshape(n, 3)
-    t2 = chart.t2.reshape(n, 3)
-    b11 = np.hstack([t1[:, c:c + 1] * D1 for c in range(3)])
-    b22 = np.hstack([t2[:, c:c + 1] * D2 for c in range(3)])
-    b12 = 0.5 * (np.hstack([t1[:, c:c + 1] * D2 for c in range(3)])
-                 + np.hstack([t2[:, c:c + 1] * D1 for c in range(3)]))
-    mix = _frame_mix_coeffs(chart)
+    D1, D2 = _diff_matrices(chart)
+    t1, t2 = chart.t1.reshape(n, 3).T[..., None], chart.t2.reshape(n, 3).T[..., None]
+    # t_i . d_j V as matrices on the component-major dofs
+    b11, b22 = np.hstack(t1 * D1), np.hstack(t2 * D2)
+    b12 = 0.5 * (np.hstack(t1 * D2) + np.hstack(t2 * D1))
     sw = np.sqrt(chart.quad_w.ravel())
-    rows = []
-    for k, scale in zip(range(3), (1.0, 1.0, np.sqrt(2.0))):
-        m11, m22, m12 = mix[k]
-        rows.append((scale * sw)[:, None]
-                    * (m11[:, None] * b11 + m22[:, None] * b22 + m12[:, None] * b12))
-    return np.vstack(rows)
+    return np.vstack([
+        (scale * sw)[:, None]
+        * (m11[:, None] * b11 + m22[:, None] * b22 + m12[:, None] * b12)
+        for scale, (m11, m22, m12) in zip((1.0, 1.0, np.sqrt(2.0)),
+                                          _frame_mix_coeffs(chart))])
 
 
 def sobolev_mass_matrix(chart):
     """W^{1,2} mass matrix: values plus frame-gradient first differences."""
-    n = chart.n_nodes
-    D1, D2 = _kron_diff_matrices(chart)
+    D1, D2 = _diff_matrices(chart)
     gh = chart.ginv_half
     w = chart.quad_w.ravel()
     block = np.diag(w)
@@ -251,31 +260,24 @@ def sobolev_mass_matrix(chart):
         g2 = gh[..., 1, gamma].ravel()
         Dg = g1[:, None] * D1 + g2[:, None] * D2
         block += Dg.T @ (w[:, None] * Dg)
-    M = np.zeros((3 * n, 3 * n))
-    for c in range(3):
-        M[c * n:(c + 1) * n, c * n:(c + 1) * n] = block
+    M = scipy.linalg.block_diag(block, block, block)
     return 0.5 * (M + M.T)
 
 
 def _bending_frames(chart, fields):
-    """Frame-converted bending forms of the given fields, stacked."""
-    return np.stack([geo.frame_form(chart, bending_form(chart, extend_A(chart, f)))
-                     for f in fields])
+    """Frame-converted bending forms of a stack of fields."""
+    return geo.frame_form(chart, bending_form(chart, extend_A(chart, fields)))
 
 
 def _skew_defect_rows(chart, fields):
-    """Weighted symmetric-defect entries of the skew extension per mode."""
-    sw = np.sqrt(chart.quad_w.ravel())
-    rows = np.empty((len(fields), 9 * chart.n_nodes))
-    for k, f in enumerate(fields):
-        A = extend_A(chart, f).values
-        defect = A + np.swapaxes(A, -1, -2)
-        rows[k] = (defect.reshape(chart.n_nodes, 9) * sw[:, None]).ravel()
-    return rows
+    """Weighted symmetric-defect entries of the skew extension per field."""
+    A = extend_A(chart, fields).values
+    defect = (A + np.swapaxes(A, -1, -2)) * np.sqrt(chart.quad_w)[..., None, None]
+    return defect.reshape(len(A), 9 * chart.n_nodes)
 
 
 def bending_q2_gram(chart, fields, moduli):
-    """Gram matrix of (1/24) integral Q2(bending form) over given fields."""
+    """Gram matrix of (1/24) integral Q2(bending form) over a stack of fields."""
     rows = mat.q2_rows(_bending_frames(chart, fields), moduli,
                        chart.quad_w / 24.0)
     return rows @ rows.T
@@ -286,100 +288,96 @@ def bending_q2_gram(chart, fields, moduli):
 # ---------------------------------------------------------------------------
 
 def _subnyquist_restriction(chart):
-    """Orthonormal basis of nodal fields with no closed-direction Nyquist
-    content.  An even node count on a periodic axis carries one unpaired
-    alternating harmonic per grid line whose derivative samples to zero on
-    the grid; such ghost fields are unresolvable and are excluded from the
-    search space."""
-    n1, n2 = chart.shape
+    """Orthonormal basis T2 (n2 x (n2 - 1)) of grid-line samples without
+    the unpaired alternating harmonic that an even node count on a periodic
+    axis carries; its derivative samples to zero, so these ghost fields are
+    excluded from the search space T = I (x) T2.  None without one."""
+    n2 = chart.shape[1]
     if not chart.periodic2 or n2 % 2 != 0:
         return None
     alt = np.where(np.arange(n2) % 2 == 0, 1.0, -1.0) / np.sqrt(n2)
-    T2 = scipy.linalg.null_space(alt[None, :])
-    return np.kron(np.eye(3 * n1), T2)
+    return scipy.linalg.null_space(alt[None, :])
+
+
+def _per_line(X, B):
+    """X (I (x) B): B applied to each grid line of X's rows."""
+    return (X.reshape(X.shape[0], -1, B.shape[0]) @ B).reshape(X.shape[0], -1)
+
+
+def _pencil(R, M, T2):
+    """The pencil (R^T R, M) on the span of T = I (x) T2 (all dofs if T2 is
+    None); R^T R is a symmetric rank-k product, the restricted M is
+    symmetrized."""
+    if T2 is None:
+        return R.T @ R, M
+    RT = _per_line(R, T2)
+    Mr = _per_line(_per_line(M, T2).T, T2)
+    return RT.T @ RT, 0.5 * (Mr + Mr.T)
 
 
 def isometry_basis(chart, n_request=40, tol=1e-8):
     """Spectral near-null basis of the membrane-strain form.
 
     Solves the generalized symmetric eigenproblem K v = rho M v on the
-    resolvable (sub-Nyquist) nodal subspace, accepts eigenmodes with
-    rho <= tol * rho_max, reorders the accepted cluster by the bending
-    seminorm, and returns at most n_request modes.  Modes whose skew
-    extension has a symmetric defect above 10 * tol are polluted by
-    product aliasing near the grid's Nyquist frequency and are dropped;
-    cluster_size still reports the raw near-null count.
+    resolvable (sub-Nyquist) nodal subspace and accepts eigenmodes with
+    rho <= tol * rho_max.  Product aliasing near the grid's Nyquist
+    frequency pollutes some of them: a Rayleigh-Ritz step with the Gram of
+    the weighted symmetric defects of the skew extensions drops every
+    direction whose defect eigenvalue exceeds max((10 tol)^2, 1e-10 s_max),
+    s_max the largest one.  The rest is reordered by the bending seminorm
+    and at most n_request modes are returned; cluster_size still reports
+    the raw near-null count.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if n_request < 0:
+        raise ValueError("n_request must be non-negative")
     R = membrane_strain_operator(chart)
-    K = R.T @ R
-    K = 0.5 * (K + K.T)
     M = sobolev_mass_matrix(chart)
-    T = _subnyquist_restriction(chart)
-    if T is None:
-        Kr, Mr = K, M
-    else:
-        Kr = T.T @ K @ T
-        Kr = 0.5 * (Kr + Kr.T)
-        Mr = T.T @ M @ T
-        Mr = 0.5 * (Mr + Mr.T)
+    T2 = _subnyquist_restriction(chart)
     try:
-        ev, vec = scipy.linalg.eigh(Kr, Mr)
+        ev, vec = scipy.linalg.eigh(*_pencil(R, M, T2))
     except scipy.linalg.LinAlgError as exc:
         raise ArithmeticError("generalized eigen-solver failed on the "
                               "membrane-strain pencil") from exc
-    if T is not None:
-        vec = T @ vec
     rho_max = float(ev[-1])
     thresh = tol * rho_max
     accepted = np.flatnonzero(ev <= thresh)
     m = accepted.size
-    if m == 0:
-        return IsometryBasis(modes=[], matrix=np.zeros((K.shape[0], 0)),
-                             rayleigh=np.zeros(0), bending_ritz=np.zeros(0),
-                             tol=thresh, tol_rel=tol, gram=M,
-                             gap_ratio=np.inf, cluster_size=0,
-                             skew_residuals=np.zeros(0), grid_shape=chart.shape)
-    if m < ev.size:
+    gap_ratio = np.inf
+    if 0 < m < ev.size:
         denom = max(float(np.max(np.abs(ev[accepted]))), 1e-16 * rho_max)
         gap_ratio = float(ev[m] / denom)
-    else:
-        gap_ratio = np.inf
 
     cluster = vec[:, accepted]
+    if T2 is not None:
+        cluster = _per_line(cluster.T, T2.T).T
 
     # split off modes whose skew extension is polluted by grid aliasing:
     # Rayleigh-Ritz with the symmetric-defect form separates them exactly
-    fields = [dof_to_field(cluster[:, k], chart.shape) for k in range(m)]
-    srows = _skew_defect_rows(chart, fields)
+    srows = _skew_defect_rows(chart, dof_to_field(cluster, chart.shape))
     Gs = srows @ srows.T
     s_vals, Qs = np.linalg.eigh(0.5 * (Gs + Gs.T))
     # bimodal spectrum: machine-zero defects vs order-one aliased modes;
     # the cut must sit above the Gram's own eigenvalue roundoff
-    s_cut = max((10.0 * tol)**2, 1e-10 * float(max(s_vals[-1], 0.0)))
-    resolved = s_vals <= s_cut
-    cluster = cluster @ Qs[:, resolved]
+    s_cut = max((10.0 * tol)**2, 1e-10 * float(s_vals.max(initial=0.0)))
+    cluster = cluster @ Qs[:, s_vals <= s_cut]
 
     # deterministic smoothness ordering by the bending seminorm
-    fields = [dof_to_field(cluster[:, k], chart.shape)
-              for k in range(cluster.shape[1])]
-    rows = geo.frame_rows(_bending_frames(chart, fields), chart.quad_w)
+    rows = geo.frame_rows(
+        _bending_frames(chart, dof_to_field(cluster, chart.shape)), chart.quad_w)
     Gb = rows @ rows.T
     bend_vals, Qb = np.linalg.eigh(0.5 * (Gb + Gb.T))
-    cluster = cluster @ Qb
 
-    keep = min(n_request, cluster.shape[1])
-    cluster = cluster[:, :keep]
-    bend_vals = bend_vals[:keep]
-    rayleigh = np.einsum("jk,jl,lk->k", cluster, K, cluster)
-    fields = [dof_to_field(cluster[:, k], chart.shape) for k in range(keep)]
-    residuals = np.array([extend_A(chart, f).skew_residual for f in fields])
+    keep = min(n_request, bend_vals.size)
+    cluster = (cluster @ Qb)[:, :keep]
+    modes = dof_to_field(cluster, chart.shape)
     return IsometryBasis(
-        modes=[VectorField3(f) for f in fields], matrix=cluster,
-        rayleigh=rayleigh, bending_ritz=bend_vals, tol=thresh, tol_rel=tol,
+        modes=modes, matrix=cluster,
+        rayleigh=np.sum((R @ cluster)**2, axis=0),
+        bending_ritz=bend_vals[:keep], tol=thresh, tol_rel=tol,
         gram=M, gap_ratio=gap_ratio, cluster_size=m,
-        skew_residuals=residuals, grid_shape=chart.shape)
+        skew_residuals=extend_A(chart, modes).skew_residual)
 
 
 def project_onto_basis(basis, fld):
@@ -416,7 +414,7 @@ def coercivity_spectrum(chart, basis, moduli):
     if basis.empty:
         raise ValueError("isometry basis is empty")
     fields, _ = _rigid_complement(chart, basis)
-    if not fields:
+    if not len(fields):
         return CoercivityResult(smallest=np.nan, largest=np.nan,
                                 n_modes=0, empty=True)
     G = bending_q2_gram(chart, fields, moduli)

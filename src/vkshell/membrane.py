@@ -39,7 +39,7 @@ class ProjectionResult:
     coefficients: np.ndarray
     residual: float
     w: VectorField3
-    flagged: bool = False
+    rank: int = 0              # numerical rank of the dictionary columns
     n_generators: int = 0
 
 
@@ -343,8 +343,10 @@ def project_to_B(chart, target, degree=4):
     Solves min over coefficients of the weighted L2 frame distance between
     the target and the span of the dictionary strains; returns the
     minimum-norm best coefficients, the relative residual, and the
-    realizing displacement.  Generators with identically zero strain are
-    pruned; a rank-deficient system is flagged.
+    realizing displacement and the numerical rank of the dictionary.
+    Generators with identically zero strain are pruned; the infinitesimal
+    rotations are a dependency among the rest, so the rank falls short of
+    their count.
     """
     target = as_form_field(target)
     if target.shape != chart.shape:
@@ -355,7 +357,6 @@ def project_to_B(chart, target, degree=4):
     y = geo.frame_rows(geo.frame_form(chart, target), chart.quad_w)
 
     sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
-    flagged = rank < cols.shape[1]
     y_norm = np.linalg.norm(y)
     resid = np.linalg.norm(cols @ sol - y) / (y_norm if y_norm > 0 else 1.0)
 
@@ -366,5 +367,5 @@ def project_to_B(chart, target, degree=4):
         if cval != 0.0:
             w[..., c] += cval * f
     return ProjectionResult(coefficients=coeffs, residual=float(resid),
-                            w=VectorField3(w), flagged=bool(flagged),
+                            w=VectorField3(w), rank=int(rank),
                             n_generators=int(cols.shape[1]))

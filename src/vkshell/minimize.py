@@ -86,7 +86,8 @@ def wellposedness_check(load, candidates, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def _load_vector(chart, load, rotation, fields):
-    return np.array([fn.load_work(chart, load, rotation, f) for f in fields])
+    """Load work of each field of a stack (m, N1, N2, 3)."""
+    return fn.load_work(chart, load, rotation, fields)
 
 
 def _pair_frames(chart, fields, kappa):
@@ -98,8 +99,7 @@ def _pair_frames(chart, fields, kappa):
     every pair.  A is not assumed exactly skew.
     """
     p, n = len(fields), chart.n_nodes
-    A = np.stack([iso.extend_A(chart, f).values for f in fields])
-    A = A.reshape(p, n, 3, 3)
+    A = iso.extend_A(chart, fields).values.reshape(p, n, 3, 3)
     e = np.einsum("xydk,xyka->xyda", np.stack([chart.t1, chart.t2], axis=-1),
                   chart.ginv_half).reshape(n, 3, 2)
     Ae = np.einsum("pncd,nda->ncpa", A, e).reshape(n, 3, 2 * p)
@@ -171,7 +171,7 @@ def minimize_quadratic(chart, basis, load, candidates, moduli, opts=None):
     """
     opts = opts or SolverOptions()
     fields, reduced = _rigid_complement(chart, basis)
-    if not fields:
+    if not len(fields):
         raise ValueError("basis contains only rigid motions")
     G = iso.bending_q2_gram(chart, fields, moduli)
     G = 0.5 * (G + G.T)
@@ -228,7 +228,7 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
                          "use minimize_quadratic for the bending-only case")
     opts = opts or SolverOptions()
     fields, reduced = _rigid_complement(chart, basis)
-    if not fields:
+    if not len(fields):
         raise ValueError("basis contains only rigid motions")
     p = len(fields)
     G = iso.bending_q2_gram(chart, fields, moduli)

@@ -1,12 +1,11 @@
 """Derivative operators and quadrature weights on structured 1D/2D grids.
 
-Two realizations are provided for each first derivative: an "apply" form
-that acts on sampled arrays along a given axis (used on large grids), and
-an explicit dense matrix form (used by eigenproblem assembly on small
-grids).  Non-periodic axes use 2nd-order central differences with
-2nd-order one-sided stencils at the ends.  Periodic axes support either
-central differences with wraparound or FFT-based spectral differentiation
-(exact on bandlimited data).
+Each first derivative acts on sampled arrays along a given axis; a dense
+matrix form is the operator applied to the identity.  Non-periodic axes
+use 2nd-order central differences with 2nd-order one-sided stencils at
+the ends.  Periodic axes support either central differences with
+wraparound or FFT-based spectral differentiation (exact on bandlimited
+data).
 """
 
 import numpy as np
@@ -92,28 +91,9 @@ def fd2_apply(f, h, axis=0):
     return np.moveaxis(out, 0, axis)
 
 
-def fd1_matrix(n, h):
-    """Dense matrix of fd1_apply on n samples."""
-    return fd1_apply(np.eye(n), h, axis=0)
-
-
 def fd1_matrix_order4(n, h):
     """Dense matrix of fd1_apply_order4 on n samples."""
     return fd1_apply_order4(np.eye(n), h, axis=0)
-
-
-def fd1_periodic_matrix(n, h):
-    """Dense matrix of the central periodic first derivative."""
-    D = np.zeros((n, n))
-    idx = np.arange(n)
-    D[idx, (idx + 1) % n] = 0.5 / h
-    D[idx, (idx - 1) % n] = -0.5 / h
-    return D
-
-
-def spectral_matrix(n, period):
-    """Dense matrix of spectral_apply on n periodic samples."""
-    return spectral_apply(np.eye(n), period, axis=0)
 
 
 def trapezoid_weights(n, spacing, periodic):

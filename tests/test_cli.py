@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from vkshell import cli
 
@@ -273,3 +274,41 @@ def test_console_entry_point(tmp_path):
          "sys.exit(run(['surface', '--config', %r]))" % cfg_path],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+BAD_INPUTS = {
+    "negative_basis_size": (PLATE_CFG, [("basis_size = 12", "basis_size = -1")],
+                            ("isometries",)),
+    "negative_dictionary_degree": (
+        CYL_CFG, [("dictionary_degree = 4", "dictionary_degree = -1")],
+        ("membrane", "minimize")),
+    "zero_sample_count": (
+        CYL_CFG, [("preset = radial_cos2", "preset = normal_saddle"),
+                  ("sample_count = 8", "sample_count = 0")], ("energy",)),
+    "missing_load_csv": (PLATE_CFG, [("preset = normal_saddle", "csv = MISSING")],
+                         ("minimize",)),
+    "missing_target_csv": (
+        CYL_CFG, [("[solver]", "[solver]\ntarget_preset = MISSING")],
+        ("membrane",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_config_error(tmp_path, case):
+    """Each input exits 2 before any result is written."""
+    text, edits, commands = BAD_INPUTS[case]
+    for old, new in edits:
+        text = text.replace(old, new.replace("MISSING",
+                                             str(tmp_path / "missing.csv")))
+    cfg_path = write_cfg(tmp_path, text)
+    for command in commands:
+        assert cli.run([command, "--config", cfg_path]) == 2
+    assert not list((tmp_path / "out").glob("*_result.json"))
+
+
+def test_membrane_reports_projection_rank(tmp_path):
+    cfg_path = write_cfg(tmp_path, PLATE_CFG)
+    assert cli.run(["membrane", "--config", cfg_path]) == 0
+    data = json.loads((tmp_path / "out" / "membrane_result.json").read_text())
+    assert "projection_flagged" not in data
+    assert 0 < data["projection_rank"] < 3 * 15

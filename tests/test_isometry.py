@@ -214,3 +214,100 @@ def test_frame_invariance_of_spectra(cyl_small):
                          - np.sort(b2.bending_ritz))) < 1e-8
     assert abs(cs.smallest - cs2.smallest) < 1e-8 * max(cs.largest, 1.0)
     assert abs(cs.largest - cs2.largest) < 1e-8 * max(cs.largest, 1.0)
+
+
+STACK_CHARTS = (
+    ("plate", {}, (12, 10)),
+    ("cylinder", {"radius": 1.0, "height": 1.0}, (10, 16)),
+    ("revolution", {"profile": (1.0, 0.0, 0.3), "s_range": (-0.5, 0.5)},
+     (10, 12)),
+)
+
+
+@pytest.mark.parametrize("family,params,grid", STACK_CHARTS)
+def test_stacked_fields_match_single_calls(family, params, grid):
+    """extend_A, its residuals, the bending frames and the load work of a
+    stack equal one call per field."""
+    chart = vk.build_chart(family, params, grid)
+    rng = np.random.default_rng(5)
+    fields = rng.standard_normal((4,) + chart.shape + (3,))
+    stack = iso.extend_A(chart, fields)
+    frames = iso._bending_frames(chart, fields)
+    load = vk.make_load(chart, rng.standard_normal(chart.shape + (3,)))
+    Q = random_rotation(rng)
+    work = vk.functional.load_work(chart, load, Q, fields)
+    assert stack.values.shape == (4,) + chart.shape + (3, 3)
+    for k, f in enumerate(fields):
+        one = iso.extend_A(chart, f)
+        scale = np.max(np.abs(one.values))
+        assert np.max(np.abs(stack.values[k] - one.values)) <= 1e-14 * scale
+        assert abs(stack.skew_residual[k] - one.skew_residual) \
+            <= 1e-14 * one.skew_residual
+        F = iso._bending_frames(chart, f)
+        assert np.max(np.abs(frames[k] - F)) <= 1e-14 * np.max(np.abs(F))
+        w = vk.functional.load_work(chart, load, Q, f)
+        assert abs(work[k] - w) <= 1e-14 * np.sum(np.abs(load.f.values))
+
+
+def test_dof_field_round_trip(cyl_small):
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((3 * cyl_small.n_nodes, 5))
+    F = iso.dof_to_field(X, cyl_small.shape)
+    assert F.shape == (5,) + cyl_small.shape + (3,)
+    assert np.array_equal(iso.field_to_dof(F), X)
+    assert np.array_equal(F[3], iso.dof_to_field(X[:, 3], cyl_small.shape))
+    assert np.array_equal(iso.field_to_dof(F[3]), X[:, 3])
+
+
+@pytest.mark.parametrize("family,params,grid", [
+    ("cylinder", {"radius": 1.0, "height": 1.0}, (8, 16)),
+    ("revolution", {"profile": (1.0, 0.0, 0.3), "s_range": (-0.5, 0.5),
+                    "theta_scheme": "central"}, (10, 12)),
+    ("sphere_patch", {"polar_range": (0.5, 2.6)}, (10, 16)),
+])
+def test_per_line_restriction_matches_kronecker(family, params, grid):
+    """The per-line sub-Nyquist restriction equals the dense Kronecker
+    restriction T = I (x) T2 of the strain form, the mass and the lift."""
+    chart = vk.build_chart(family, params, grid)
+    R = iso.membrane_strain_operator(chart)
+    M = iso.sobolev_mass_matrix(chart)
+    T2 = iso._subnyquist_restriction(chart)
+    assert T2.shape == (grid[1], grid[1] - 1)
+    T = np.kron(np.eye(3 * grid[0]), T2)
+    RT = iso._per_line(R, T2)
+    Kref = T.T @ (R.T @ R) @ T
+    assert np.linalg.norm(RT.T @ RT - Kref) <= 1e-14 * np.linalg.norm(Kref)
+    Mref = T.T @ M @ T
+    Mr = iso._per_line(iso._per_line(M, T2).T, T2)
+    assert np.linalg.norm(Mr - Mref) <= 1e-14 * np.linalg.norm(Mref)
+    Y = np.random.default_rng(1).standard_normal((T.shape[1], 3))
+    lifted = iso._per_line(Y.T, T2.T).T
+    assert np.linalg.norm(lifted - T @ Y) <= 1e-14 * np.linalg.norm(T @ Y)
+
+
+def test_odd_or_open_grid_skips_restriction(plate16):
+    odd = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0}, (8, 15))
+    assert iso._subnyquist_restriction(odd) is None
+    assert iso._subnyquist_restriction(plate16) is None
+    basis = iso.isometry_basis(odd, n_request=8, tol=1e-8)
+    res = [iso.project_onto_basis(basis, r)[1] for r in iso.rigid_basis(odd)]
+    assert max(res) <= 1e-8
+
+
+def test_empty_stack_and_negative_request(plate16):
+    empty = iso.extend_A(plate16, np.zeros((0,) + plate16.shape + (3,)))
+    assert empty.values.shape == (0,) + plate16.shape + (3, 3)
+    assert empty.skew_residual.shape == (0,)
+    basis = iso.isometry_basis(plate16, n_request=0, tol=1e-8)
+    assert basis.modes.shape == (0,) + plate16.shape + (3,)
+    assert basis.rayleigh.size == basis.bending_ritz.size == 0
+    assert basis.skew_residuals.size == 0
+    with pytest.raises(ValueError):
+        iso.isometry_basis(plate16, n_request=-1, tol=1e-8)
+    # the skew-defect cut may leave no mode at all (sphere patches today)
+    sphere = vk.build_chart("sphere_patch", {"polar_range": (0.5, 2.6)},
+                            (10, 16))
+    sb = iso.isometry_basis(sphere, n_request=10, tol=1e-8)
+    assert len(sb) == sb.matrix.shape[1] == sb.bending_ritz.size \
+        == sb.rayleigh.size == sb.skew_residuals.size
+    assert sb.modes.shape == (len(sb),) + sphere.shape + (3,)

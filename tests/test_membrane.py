@@ -281,3 +281,11 @@ def test_projection_flags_rank_deficiency(plate16):
     # solve must stay finite
     assert np.all(np.isfinite(result.coefficients))
     assert result.residual <= 1e-12
+
+
+def test_projection_reports_rank(plate16):
+    """The rigid rotations are a dependency of every dictionary: on the
+    degree-1 plate dictionary the rank is one short of the generators."""
+    target = FormField2(np.zeros(plate16.shape + (2, 2)))
+    result = mem.project_to_B(plate16, target, degree=1)
+    assert result.rank == result.n_generators - 1
