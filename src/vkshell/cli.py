@@ -53,7 +53,6 @@ class RunConfig:
     load_preset: str = "normal_saddle"
     load_csv: str = ""
     remove_mean: bool = True
-    load_scale: float = 1.0
     tol: float = 1e-9
     max_iter: int = 200
     restarts: int = 2
@@ -68,13 +67,12 @@ class RunConfig:
     target_preset: str = ""  # empty: the family's DEFAULT_TARGETS entry
     sample_count: int = 64
     output_dir: str = "out"
-    formats: tuple = ("json", "csv")
 
     def echo(self):
         d = asdict(self)
         d["surface_params"] = {k: (list(v) if isinstance(v, tuple) else v)
                                for k, v in d["surface_params"].items()}
-        for key in ("grid", "h_ladder", "formats"):
+        for key in ("grid", "h_ladder"):
             d[key] = list(d[key])
         return d
 
@@ -132,7 +130,6 @@ def parse_config(path):
             cfg.load_preset = ld.get("preset", cfg.load_preset).strip()
             cfg.load_csv = ld.get("csv", cfg.load_csv).strip()
             cfg.remove_mean = ld.getboolean("remove_mean", cfg.remove_mean)
-            cfg.load_scale = ld.getfloat("scale", cfg.load_scale)
         if cp.has_section("solver"):
             sv = cp["solver"]
             cfg.tol = sv.getfloat("tol", cfg.tol)
@@ -153,8 +150,6 @@ def parse_config(path):
         if cp.has_section("output"):
             out = cp["output"]
             cfg.output_dir = out.get("directory", cfg.output_dir).strip()
-            if "formats" in out:
-                cfg.formats = tuple(out["formats"].split())
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -197,8 +192,7 @@ def _load(cfg, chart):
             chart.shape + (3,))
     else:
         vals = presets.load_preset(chart, cfg.load_preset)
-    return fn.make_load(chart, cfg.load_scale * vals,
-                        remove_mean=cfg.remove_mean)
+    return fn.make_load(chart, vals, remove_mean=cfg.remove_mean)
 
 
 def _mode_field(cfg, chart):
@@ -232,20 +226,32 @@ def write_json(path, payload):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def write_field_csv(path, chart, columns):
-    """One row per node: u1, u2, x, y, z, then named value columns."""
-    U1, U2 = np.meshgrid(chart.u1, chart.u2, indexing="ij")
-    header = ["u1", "u2", "x", "y", "z"] + [name for name, _ in columns]
+def _write_csv(path, header, table):
+    """A header line, then one line per row of a float table; the csv
+    module writes each Python float as its repr."""
+    table = np.asarray(table, float)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(chart.shape[0]):
-            for j in range(chart.shape[1]):
-                row = [repr(U1[i, j]), repr(U2[i, j]),
-                       repr(chart.pos[i, j, 0]), repr(chart.pos[i, j, 1]),
-                       repr(chart.pos[i, j, 2])]
-                row += [repr(float(arr[i, j])) for _, arr in columns]
-                writer.writerow(row)
+        # in blocks of rows, so that the Python floats of a large table
+        # are never all alive at once
+        for start in range(0, len(table), 1024):
+            writer.writerows(table[start:start + 1024].tolist())
+
+
+def write_field_csv(path, chart, columns):
+    """One row per node: u1, u2, x, y, z, then named value columns."""
+    U1, U2 = np.meshgrid(chart.u1, chart.u2, indexing="ij")
+    table = np.column_stack([U1.ravel(), U2.ravel(), chart.pos.reshape(-1, 3)]
+                            + [np.ravel(arr) for _, arr in columns])
+    _write_csv(path, ["u1", "u2", "x", "y", "z"]
+               + [name for name, _ in columns], table)
+
+
+def _write_vector_csv(path, chart, prefix, values):
+    """Node CSV of a vector field (N1, N2, 3) in columns <prefix>x/y/z."""
+    write_field_csv(path, chart, [(prefix + c, values[..., k])
+                                  for k, c in enumerate("xyz")])
 
 
 def _verify_chart(chart):
@@ -284,13 +290,12 @@ def cmd_surface(cfg, outdir, verify):
     if verify:
         payload["verify"] = _verify_chart(chart)
     write_json(outdir / "surface_result.json", payload)
-    if "csv" in cfg.formats:
-        write_field_csv(outdir / "surface_nodes.csv", chart, [
-            ("sqrt_g", chart.sqrt_g),
-            ("h11", chart.second_form[..., 0, 0]),
-            ("h12", chart.second_form[..., 0, 1]),
-            ("h22", chart.second_form[..., 1, 1]),
-        ])
+    write_field_csv(outdir / "surface_nodes.csv", chart, [
+        ("sqrt_g", chart.sqrt_g),
+        ("h11", chart.second_form[..., 0, 0]),
+        ("h12", chart.second_form[..., 0, 1]),
+        ("h22", chart.second_form[..., 1, 1]),
+    ])
     return payload
 
 
@@ -313,13 +318,9 @@ def cmd_isometries(cfg, outdir, verify):
         payload["rigid_residual"] = max(
             iso.project_onto_basis(basis, r)[1] for r in iso.rigid_basis(chart))
     write_json(outdir / "isometries_result.json", payload)
-    if "csv" in cfg.formats:
-        for k, mode in enumerate(basis.modes):
-            write_field_csv(outdir / ("isometry_mode_%03d.csv" % k), chart, [
-                ("vx", mode[..., 0]),
-                ("vy", mode[..., 1]),
-                ("vz", mode[..., 2]),
-            ])
+    for k, mode in enumerate(basis.modes):
+        _write_vector_csv(outdir / ("isometry_mode_%03d.csv" % k), chart, "v",
+                          mode)
     return payload
 
 
@@ -349,6 +350,16 @@ def _membrane_target(preset, chart):
     raise ConfigError("unknown membrane target %r" % (preset,))
 
 
+def _fourier_order(cfg, chart):
+    """[solver] fourier_order, checked against the circumferential grid."""
+    if not 0 <= cfg.fourier_order <= chart.shape[1] // 2:
+        raise ConfigError("[solver] fourier_order must lie in [0, %d] on a "
+                          "grid with %d circumferential nodes, got %d"
+                          % (chart.shape[1] // 2, chart.shape[1],
+                             cfg.fourier_order))
+    return cfg.fourier_order
+
+
 def cmd_membrane(cfg, outdir, verify):
     chart = _build_chart(cfg)
     preset = cfg.target_preset or DEFAULT_TARGETS.get(chart.family)
@@ -358,17 +369,12 @@ def cmd_membrane(cfg, outdir, verify):
     target = _membrane_target(preset, chart)
     payload = {"target_preset": preset}
     if chart.family in ("cylinder", "revolution"):
-        sol = mem.solve_revolution_membrane(chart, target,
-                                            fourier_order=cfg.fourier_order)
+        sol = mem.solve_revolution_membrane(
+            chart, target, fourier_order=_fourier_order(cfg, chart))
         payload.update({"residual": sol.residual,
                         "fourier_order": sol.fourier_order,
                         "flagged": sol.flagged})
-        if "csv" in cfg.formats:
-            write_field_csv(outdir / "membrane_w.csv", chart, [
-                ("wx", sol.w.values[..., 0]),
-                ("wy", sol.w.values[..., 1]),
-                ("wz", sol.w.values[..., 2]),
-            ])
+        _write_vector_csv(outdir / "membrane_w.csv", chart, "w", sol.w.values)
     proj = mem.project_to_B(chart, target, degree=cfg.dictionary_degree)
     payload["projection_residual"] = proj.residual
     payload["projection_rank"] = proj.rank
@@ -387,11 +393,12 @@ def cmd_energy(cfg, outdir, verify):
     breakdown = fn.total_I(chart, V, zero, cfg.kappa, moduli)
     load = _load(cfg, chart)
     rset = fn.rotation_set(load, sample_count=cfg.sample_count, seed=cfg.seed)
-    bestJ, bestQ = None, None
-    for Q in rset.candidates:
-        full = fn.total_J(chart, V, zero, cfg.kappa, moduli, load, Q)
-        if bestJ is None or full.total < bestJ.total:
-            bestJ, bestQ = full, Q
+    # J = I - load work per candidate (fn.total_J), with I computed once
+    work = [fn.load_work(chart, load, Q, V) for Q in rset.candidates]
+    k = int(np.argmin([breakdown.total - lw for lw in work]))
+    Q = rset.candidates[k]
+    best_J = {"stretching": breakdown.stretching, "bending": breakdown.bending,
+              "load": work[k], "total": breakdown.total - work[k]}
     payload = {
         "stretching": breakdown.stretching,
         "bending": breakdown.bending,
@@ -399,14 +406,13 @@ def cmd_energy(cfg, outdir, verify):
         "kappa": cfg.kappa,
         "load_m": rset.m,
         "degenerate_rotations": rset.degenerate,
-        "best_J": {"stretching": bestJ.stretching, "bending": bestJ.bending,
-                   "load": bestJ.load, "total": bestJ.total},
-        "best_rotation": [[float(x) for x in row] for row in bestQ],
+        "best_J": best_J,
+        "best_rotation": [[float(x) for x in row] for row in Q],
     }
     if verify:
         _verify_chart(chart)
-        s = bestJ.stretching + bestJ.bending - bestJ.load
-        if abs(s - bestJ.total) > 1e-12 * max(abs(bestJ.total), 1.0):
+        s = best_J["stretching"] + best_J["bending"] - best_J["load"]
+        if abs(s - best_J["total"]) > 1e-12 * max(abs(best_J["total"]), 1.0):
             raise ArithmeticError("energy breakdown is inconsistent")
     write_json(outdir / "energy_result.json", payload)
     return payload
@@ -445,12 +451,8 @@ def cmd_minimize(cfg, outdir, verify):
         "seed": cfg.seed,
     }
     write_json(outdir / "minimize_result.json", payload)
-    if "csv" in cfg.formats:
-        write_field_csv(outdir / "minimize_V.csv", chart, [
-            ("vx", result.V_star.values[..., 0]),
-            ("vy", result.V_star.values[..., 1]),
-            ("vz", result.V_star.values[..., 2]),
-        ])
+    _write_vector_csv(outdir / "minimize_V.csv", chart, "v",
+                      result.V_star.values)
     if verify:
         _verify_chart(chart)
         hist = result.objective_history
@@ -469,8 +471,8 @@ def cmd_gamma_check(cfg, outdir, verify):
         A = iso.extend_A(chart, V)
         target = fn.a_squared_tan(chart, A)
         target = FormField2(0.5 * cfg.kappa * target.coeff)
-        w = mem.solve_revolution_membrane(chart, target,
-                                          fourier_order=cfg.fourier_order).w
+        w = mem.solve_revolution_membrane(
+            chart, target, fourier_order=_fourier_order(cfg, chart)).w
     ansatz = gc.build_ansatz(chart, V, w=w, kappa=cfg.kappa, moduli=moduli,
                              e_rule=_e_rule(cfg.e_rule))
     table = gc.convergence_study(ansatz, cfg.h_ladder, moduli,
@@ -488,15 +490,9 @@ def cmd_gamma_check(cfg, outdir, verify):
     if verify:
         _verify_chart(chart)
     write_json(outdir / "gamma_check_result.json", payload)
-    if "csv" in cfg.formats:
-        with open(outdir / "gamma_check_table.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["h", "energy", "ratio", "error", "slope"])
-            for row in table.rows:
-                writer.writerow([repr(row["h"]), repr(row["energy"]),
-                                 repr(row["ratio"]), repr(row["error"]),
-                                 "" if np.isnan(row["slope"]) else repr(row["slope"])])
+    columns = ["h", "energy", "ratio", "error", "slope"]
+    _write_csv(outdir / "gamma_check_table.csv", columns,
+               [[row[k] for k in columns] for row in table.rows])
     return payload
 
 

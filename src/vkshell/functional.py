@@ -79,11 +79,15 @@ def a_squared_tan(chart, A):
         A = iso.SkewField(np.asarray(A, float))
     if A.shape != chart.shape:
         raise ValueError("SkewField grid does not match chart grid")
-    A2 = np.einsum("xycd,xyde->xyce", A.values, A.values)
-    t = np.stack([chart.t1, chart.t2], axis=-2)
-    b = np.einsum("xyce,xyie,xyjc->xyij", A2, t, t)
-    # A^2 is symmetric for skew A; enforce exactly
-    return FormField2(0.5 * (b + np.swapaxes(b, -1, -2)))
+    A2 = A.values @ A.values
+    # partial vectors A^2 t_i
+    P = np.stack([chart.t1, chart.t2], axis=-2) @ np.swapaxes(A2, -1, -2)
+    return geo.tangential_form(chart, P)
+
+
+def _bending(chart, A, moduli):
+    F = geo.frame_form(chart, iso.bending_form(chart, A))
+    return float(geo.integrate(chart, mat.q2_value(F, moduli)) / 24.0)
 
 
 def bending_energy(chart, fld, moduli):
@@ -92,9 +96,7 @@ def bending_energy(chart, fld, moduli):
     (1/24) integral of Q2 over the frame-converted bending form of the
     skew extension of V.
     """
-    A = iso.extend_A(chart, fld)
-    F = geo.frame_form(chart, iso.bending_form(chart, A))
-    return float(geo.integrate(chart, mat.q2_value(F, moduli)) / 24.0)
+    return _bending(chart, iso.extend_A(chart, fld), moduli)
 
 
 def stretching_energy(chart, form, A, kappa, moduli):
@@ -133,7 +135,7 @@ def total_I(chart, fld, form, kappa, moduli):
     fld = as_vector_field(fld)
     A = iso.extend_A(chart, fld)
     stretch = stretching_energy(chart, form, A, kappa, moduli)
-    bend = bending_energy(chart, fld, moduli)
+    bend = _bending(chart, A, moduli)
     return EnergyBreakdown(stretching=stretch, bending=bend, load=0.0,
                            total=stretch + bend, kappa=kappa)
 

@@ -33,16 +33,16 @@ class RecoveryAnsatz:
     d1: np.ndarray
     kappa: float
     e_rule: object
-    # cached node matrices / vectors for the gradient assembly
-    An: np.ndarray = None
-    grad_V: np.ndarray = None
-    grad_w: np.ndarray = None
-    grad_An: np.ndarray = None
-    wn_vec: np.ndarray = None
-    grad_wn: np.ndarray = None
-    grad_d0: np.ndarray = None
-    grad_d1: np.ndarray = None
-    shape_mat: np.ndarray = None
+    # node matrices and vectors of the gradient assembly
+    An: np.ndarray
+    grad_V: np.ndarray
+    grad_w: np.ndarray
+    grad_An: np.ndarray
+    wn_vec: np.ndarray
+    grad_wn: np.ndarray
+    grad_d0: np.ndarray
+    grad_d1: np.ndarray
+    shape_mat: np.ndarray
 
     def e(self, h):
         return float(self.e_rule(h))
@@ -67,11 +67,9 @@ class RotationFieldReport:
     reflected_nodes: list
 
 
-def _grad_matrix_from_partials(chart, p1, p2):
-    """Lift per-node partial vectors to the 3x3 tangential gradient."""
-    dual = chart.lift_dual()
-    grads = np.stack([p1, p2], axis=-2)
-    return np.einsum("xyic,xyid->xycd", grads, dual)
+def _partials(chart, values):
+    """Partial vectors (N1, N2, 2, 3) of a nodal vector field."""
+    return np.stack([chart.d1(values), chart.d2(values)], axis=-2)
 
 
 def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
@@ -88,18 +86,21 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
     if moduli is None:
         moduli = mat.ElasticModuli(1.0, 1.0)
     V = as_vector_field(V)
-    if kappa == 0.0:
-        w = None
-    if w is None:
+    if kappa == 0.0 or w is None:
         w = VectorField3(np.zeros(chart.shape + (3,)))
     else:
         w = as_vector_field(w)
+    if e_rule is None:
+        if kappa > 0:
+            e_rule = lambda h: (kappa * h * h) ** 2
+        else:
+            e_rule = lambda h: h ** 5
 
     A = iso.extend_A(chart, V)
     Avals = A.values
     n = chart.normal
-    An = np.einsum("xycd,xyd->xyc", Avals, n)
-    B = geo.sym_grad(chart, w)
+    dw = _partials(chart, w.values)
+    B = geo.tangential_form(chart, dw)
 
     # quadratic displacement effect
     a2 = fn.a_squared_tan(chart, A)
@@ -111,37 +112,26 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
     d0 = 2.0 * c0 + kappa * A2n - 0.5 * kappa * nA2n[..., None] * n
 
     bend_dirs = iso.bending_direction_field(chart, A)   # (d_i A) n
-    bform = iso.bending_form(chart, A)
+    bform = geo.tangential_form(chart, bend_dirs)        # bending_form(A)
     c1 = mat.q2_relax(geo.frame_form(chart, bform), moduli, n=n).c
     omega = -np.einsum("xyc,xyic->xyi", n, bend_dirs)
     d1 = 2.0 * c1 + geo.tangential_vector_from_covector(
         chart, omega[..., 0], omega[..., 1])
 
-    if e_rule is None:
-        if kappa > 0:
-            e_rule = lambda h: (kappa * h * h) ** 2
-        else:
-            e_rule = lambda h: h ** 5
-
-    ansatz = RecoveryAnsatz(chart=chart, V=V, w=w, A=A, B=B, d0=d0, d1=d1,
-                            kappa=kappa, e_rule=e_rule)
-    ansatz.An = An
-    ansatz.grad_V = geo.gradient_matrix(chart, V)
-    ansatz.grad_w = geo.gradient_matrix(chart, w)
+    dn = np.stack([chart.dn1, chart.dn2], axis=-2)
+    grad_w = geo.lift(chart, dw)
+    wn_vec = (n[..., None, :] @ grad_w)[..., 0, :]   # sum_i (n.d_i w) dual_i
     # d_i(A n) = (d_i A) n + A d_i n, consistent with the bending form
-    dAn1 = bend_dirs[..., 0, :] + np.einsum("xycd,xyd->xyc", Avals, chart.dn1)
-    dAn2 = bend_dirs[..., 1, :] + np.einsum("xycd,xyd->xyc", Avals, chart.dn2)
-    ansatz.grad_An = _grad_matrix_from_partials(chart, dAn1, dAn2)
-    gw = geo.surface_gradient(chart, w)
-    ansatz.wn_vec = geo.tangential_vector_from_covector(
-        chart,
-        np.einsum("xyc,xyc->xy", n, gw[..., 0]),
-        np.einsum("xyc,xyc->xy", n, gw[..., 1]))
-    ansatz.grad_wn = geo.gradient_matrix(chart, VectorField3(ansatz.wn_vec))
-    ansatz.grad_d0 = geo.gradient_matrix(chart, VectorField3(d0))
-    ansatz.grad_d1 = geo.gradient_matrix(chart, VectorField3(d1))
-    ansatz.shape_mat = geo.shape_operator_matrix(chart)
-    return ansatz
+    dAn = bend_dirs + dn @ np.swapaxes(Avals, -1, -2)
+    return RecoveryAnsatz(
+        chart=chart, V=V, w=w, A=A, B=B, d0=d0, d1=d1, kappa=kappa,
+        e_rule=e_rule, An=np.einsum("xycd,xyd->xyc", Avals, n),
+        grad_V=geo.lift(chart, _partials(chart, V.values)), grad_w=grad_w,
+        grad_An=geo.lift(chart, dAn), wn_vec=wn_vec,
+        grad_wn=geo.lift(chart, _partials(chart, wn_vec)),
+        grad_d0=geo.lift(chart, _partials(chart, d0)),
+        grad_d1=geo.lift(chart, _partials(chart, d1)),
+        shape_mat=geo.lift(chart, dn))
 
 
 def _max_curvature(chart):
@@ -271,13 +261,9 @@ def rotation_field_estimate(ansatz, h, moduli=None, t_quad=4, rotate=None):
         misfit += h * wt * geo.integrate(
             chart, np.einsum("xycd,xycd->xy", diff, diff) * detf)
 
-    dR1 = chart.d1(R)
-    dR2 = chart.d2(R)
-    ginv = chart.metric_inv
-    dens = (ginv[..., 0, 0] * np.einsum("xycd,xycd->xy", dR1, dR1)
-            + ginv[..., 1, 1] * np.einsum("xycd,xycd->xy", dR2, dR2)
-            + 2 * ginv[..., 0, 1] * np.einsum("xycd,xycd->xy", dR1, dR2))
-    variation = geo.integrate(chart, dens)
+    gradR = geo.lift(chart, np.stack([chart.d1(R), chart.d2(R)], axis=-3)
+                     .reshape(chart.shape + (2, 9)))
+    variation = geo.integrate(chart, np.sum(gradR**2, axis=(-2, -1)))
     return RotationFieldReport(R=R, shell_energy=float(energy),
                                misfit=float(misfit),
                                rotation_variation=float(variation),

@@ -1,10 +1,11 @@
 """Discrete charts for parametrized mid-surfaces.
 
 A chart caches, per grid node: position, tangents, unit normal, first and
-second fundamental forms, shape operator, an orthonormal tangent frame and
-quadrature weights.  Built-in families (plate, cylinder, surface of
-revolution, sphere patch) use analytic derivatives; custom charts fall
-back to finite differences of the supplied samples.
+second fundamental forms, shape operator, the dual frame, the orthonormal
+tangent frame in which forms are measured, and quadrature weights.
+Built-in families (plate, cylinder, surface of revolution, sphere patch)
+use analytic derivatives; custom charts fall back to finite differences
+of the supplied samples.
 
 Tangential derivatives of nodal fields use 2nd-order finite differences
 along non-periodic axes.  Along a closed (periodic) axis the default is
@@ -95,7 +96,8 @@ class SurfaceChart:
     shape_op: np.ndarray     # S^i_j = g^{ik} h_kj
     dn1: np.ndarray          # d n / d u1
     dn2: np.ndarray
-    frame_e1: np.ndarray
+    dual: np.ndarray         # (N1,N2,2,3) dual_i = g^{ij} t_j
+    frame_e1: np.ndarray     # e_a = sum_k t_k G^{-1/2}_ka
     frame_e2: np.ndarray
     ginv_half: np.ndarray    # G^{-1/2}, symmetric
     quad_w: np.ndarray       # (N1,N2) trapezoid x sqrt(g)
@@ -118,11 +120,6 @@ class SurfaceChart:
     @property
     def n_nodes(self):
         return self.shape[0] * self.shape[1]
-
-    def lift_dual(self):
-        """Tangent covector duals: dual_i = g^{ij} t_j, shape (N1,N2,2,3)."""
-        t = np.stack([self.t1, self.t2], axis=2)             # (N1,N2,2,3)
-        return np.einsum("xyij,xyjc->xyic", self.metric_inv, t)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +292,9 @@ def build_chart(family, params=None, grid=(32, 32)):
         family=family, domain=domain, shape=(n1, n2), periodic2=periodic2,
         u1=u1, u2=u2, pos=pos, t1=None, t2=None, normal=None, metric=None,
         metric_inv=None, sqrt_g=None, second_form=None, shape_op=None,
-        dn1=None, dn2=None, frame_e1=None, frame_e2=None, ginv_half=None,
-        quad_w=None, du=du, theta_scheme=theta_scheme, profile=profile,
+        dn1=None, dn2=None, dual=None, frame_e1=None, frame_e2=None,
+        ginv_half=None, quad_w=None, du=du, theta_scheme=theta_scheme,
+        profile=profile,
     )
 
     # tangents: analytic when available, else finite differences of samples
@@ -331,6 +329,8 @@ def build_chart(family, params=None, grid=(32, 32)):
     inv[..., 1, 1] = g11 / det
     inv[..., 0, 1] = inv[..., 1, 0] = -g12 / det
     chart.metric_inv = inv
+    t = np.stack([chart.t1, chart.t2], axis=2)
+    chart.dual = inv @ t
 
     # second fundamental form h_ij = (d_i n) . t_j = -n . d_ij r
     if family != "custom" or (d11f is not None and d12f is not None and d22f is not None):
@@ -350,16 +350,9 @@ def build_chart(family, params=None, grid=(32, 32)):
     chart.shape_op = np.einsum("xyik,xykj->xyij", chart.metric_inv, chart.second_form)
 
     # d_j n = S^i_j t_i  (tangency of the normal's derivative)
-    t = np.stack([chart.t1, chart.t2], axis=2)
     dn = np.einsum("xyij,xyic->xyjc", chart.shape_op, t)
     chart.dn1 = dn[:, :, 0, :]
     chart.dn2 = dn[:, :, 1, :]
-
-    # orthonormal tangent frame (Gram-Schmidt)
-    e1 = chart.t1 / np.linalg.norm(chart.t1, axis=-1, keepdims=True)
-    e2 = chart.t2 - np.einsum("xyc,xyc->xy", chart.t2, e1)[..., None] * e1
-    e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
-    chart.frame_e1, chart.frame_e2 = e1, e2
 
     # symmetric inverse square root of the 2x2 metric
     tr = g11 + g22
@@ -370,6 +363,9 @@ def build_chart(family, params=None, grid=(32, 32)):
     ginv_half[..., 1, 1] = (g11 + s) / (s * tau)
     ginv_half[..., 0, 1] = ginv_half[..., 1, 0] = -g12 / (s * tau)
     chart.ginv_half = ginv_half
+    # the polar frame in which frame_form expresses forms
+    e = np.swapaxes(t, -1, -2) @ ginv_half
+    chart.frame_e1, chart.frame_e2 = e[..., 0], e[..., 1]
 
     w1 = ops.trapezoid_weights(n1, du[0], periodic=False)
     w2 = ops.trapezoid_weights(n2, du[1], periodic=periodic2)
@@ -377,8 +373,8 @@ def build_chart(family, params=None, grid=(32, 32)):
 
     for arr in (chart.pos, chart.t1, chart.t2, chart.normal, chart.metric,
                 chart.metric_inv, chart.sqrt_g, chart.second_form,
-                chart.shape_op, chart.dn1, chart.dn2, chart.frame_e1,
-                chart.frame_e2, chart.ginv_half, chart.quad_w):
+                chart.shape_op, chart.dn1, chart.dn2, chart.dual,
+                chart.frame_e1, chart.frame_e2, chart.ginv_half, chart.quad_w):
         arr.setflags(write=False)
     return chart
 
@@ -405,11 +401,24 @@ def sym_grad(chart, fld):
 
     b_ij = (d_i V . t_j + d_j V . t_i) / 2.
     """
-    grad = surface_gradient(chart, fld)
-    t = np.stack([chart.t1, chart.t2], axis=-1)  # (N1,N2,3,2)
-    b = 0.5 * (np.einsum("xyci,xycj->xyij", grad, t)
-               + np.einsum("xycj,xyci->xyij", grad, t))
-    return FormField2(b)
+    return tangential_form(chart, np.swapaxes(surface_gradient(chart, fld),
+                                              -1, -2))
+
+
+def lift(chart, P):
+    """The 3x3 node matrices sum_i P_i (x) dual_i of partial vectors.
+
+    P (..., N1, N2, 2, k) holds P_i = d_i f of a k-vector field f, or any
+    per-node pair of k-vectors; the result (..., N1, N2, k, 3) maps t_i to
+    P_i and the normal to zero.  For k = 1 its one row is the tangent
+    vector sum_i P_i dual_i (index raising).
+    """
+    return np.swapaxes(P, -1, -2) @ chart.dual
+
+
+def tangential_form(chart, P):
+    """The form sym(P_i . t_j) of partial vectors P (..., N1, N2, 2, 3)."""
+    return FormField2(P @ np.stack([chart.t1, chart.t2], axis=-1))
 
 
 def integrate(chart, scalar):
@@ -451,24 +460,4 @@ def frame_rows(F, weights):
 def tangential_vector_from_covector(chart, w1, w2):
     """3-vector v tangent to S with v . t_i = w_i (index raising); covector
     stacks (m, N1, N2) give a stack of vectors."""
-    comp = np.einsum("xyij,...xyj->...xyi", chart.metric_inv,
-                     np.stack([w1, w2], axis=-1))
-    return comp[..., 0:1] * chart.t1 + comp[..., 1:2] * chart.t2
-
-
-def gradient_matrix(chart, fld):
-    """Lift the surface gradient of a vector field to a 3x3 node matrix.
-
-    The result maps tangent vectors to directional derivatives and kills
-    the normal: grad[V] t_i = d_i V, grad[V] n = 0.
-    """
-    grad = surface_gradient(chart, fld)            # (N1,N2,3,2) columns d_iV
-    dual = chart.lift_dual()                        # (N1,N2,2,3)
-    return np.einsum("xyci,xyid->xycd", grad, dual)
-
-
-def shape_operator_matrix(chart):
-    """3x3 lift of the shape operator: Pi t_i = d_i n, Pi n = 0."""
-    dn = np.stack([chart.dn1, chart.dn2], axis=2)   # (N1,N2,2,3)
-    dual = chart.lift_dual()
-    return np.einsum("xyic,xyid->xycd", dn, dual)
+    return lift(chart, np.stack([w1, w2], axis=-1)[..., None])[..., 0, :]

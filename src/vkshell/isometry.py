@@ -17,7 +17,7 @@ import scipy.linalg
 
 from . import geometry as geo
 from . import material as mat
-from .geometry import VectorField3, FormField2, as_vector_field
+from .geometry import VectorField3, as_vector_field
 
 MAX_EIG_DOFS = 6000
 
@@ -104,25 +104,21 @@ def _derivatives(chart, stack):
 def extend_A(chart, fld):
     """Extend the tangential gradient of V to a 3x3 matrix field.
 
-    Per node, A [t1 | t2 | n] = [d1 V | d2 V | Pi V_tan - grad(V.n)], with
-    [t1 | t2 | n] inverted once.  fld is one field or a stack (m, N1, N2, 3)
-    evaluated in one batch, and A carries the same mode axis.  For an exact
-    infinitesimal isometry A is skew; the maximal symmetric defect is
-    reported per field, never raised.
+    Per node, A t_i = d_i V and A n = Pi V - grad(V.n), that is
+    A = lift(dV) + (Pi V - grad(V.n)) (x) n with the shape operator
+    Pi V = sum_i (dual_i . V) d_i n.  fld is one field or a stack
+    (m, N1, N2, 3) evaluated in one batch, and A carries the same mode
+    axis.  For an exact infinitesimal isometry A is skew; the maximal
+    symmetric defect is reported per field, never raised.
     """
     V, single = _field_stack(chart, fld)
     n = chart.normal
-    vn = np.einsum("mxyc,xyc->mxy", V, n)
-    vtan = V - vn[..., None] * n
-    # shape operator on the tangential part: Pi v = g^ij (v . t_j) d_i n
-    vt = np.stack([np.einsum("mxyc,xyc->mxy", vtan, chart.t1),
-                   np.einsum("mxyc,xyc->mxy", vtan, chart.t2)], axis=-1)
-    comp = np.einsum("xyij,mxyj->mxyi", chart.metric_inv, vt)
-    pin_vtan = comp[..., 0:1] * chart.dn1 + comp[..., 1:2] * chart.dn2
-    w = pin_vtan - geo.tangential_vector_from_covector(
-        chart, *_derivatives(chart, vn))
-    rhs = np.stack(_derivatives(chart, V) + (w,), axis=-1)
-    A = rhs @ np.linalg.inv(np.stack([chart.t1, chart.t2, n], axis=-1))
+    dn = np.stack([chart.dn1, chart.dn2], axis=-1)
+    grad_vn = geo.tangential_vector_from_covector(
+        chart, *_derivatives(chart, np.einsum("mxyc,xyc->mxy", V, n)))
+    An = (dn @ (chart.dual @ V[..., None]))[..., 0] - grad_vn
+    A = (geo.lift(chart, np.stack(_derivatives(chart, V), axis=-2))
+         + An[..., None] * n[..., None, :])
     sym_defect = A + np.swapaxes(A, -1, -2)
     residual = np.max(np.linalg.norm(sym_defect, axis=(-2, -1)), axis=(-2, -1))
     if single:
@@ -139,9 +135,7 @@ def bending_form(chart, A):
     A = A if isinstance(A, SkewField) else SkewField(A)
     if A.shape[-2:] != chart.shape:
         raise ValueError("SkewField grid does not match chart grid")
-    t = np.stack([chart.t1, chart.t2], axis=-2)
-    b = np.einsum("...xyic,xyjc->...xyij", bending_direction_field(chart, A), t)
-    return FormField2(0.5 * (b + np.swapaxes(b, -1, -2)))
+    return geo.tangential_form(chart, bending_direction_field(chart, A))
 
 
 def bending_direction_field(chart, A):
@@ -326,7 +320,9 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     direction whose defect eigenvalue exceeds max((10 tol)^2, 1e-10 s_max),
     s_max the largest one.  The rest is reordered by the bending seminorm
     and at most n_request modes are returned; cluster_size still reports
-    the raw near-null count.
+    the raw near-null count.  gap_ratio is rho_m / (tol rho_max), the
+    factor by which the first rejected eigenvalue clears the threshold
+    (inf when every eigenvalue is accepted).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -344,10 +340,7 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     thresh = tol * rho_max
     accepted = np.flatnonzero(ev <= thresh)
     m = accepted.size
-    gap_ratio = np.inf
-    if 0 < m < ev.size:
-        denom = max(float(np.max(np.abs(ev[accepted]))), 1e-16 * rho_max)
-        gap_ratio = float(ev[m] / denom)
+    gap_ratio = float(ev[m] / thresh) if m < ev.size else np.inf
 
     cluster = vec[:, accepted]
     if T2 is not None:

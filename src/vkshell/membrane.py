@@ -113,11 +113,7 @@ def membrane_sym_grad(chart, fld):
     dsw = ops.fd1_apply_order4(fld.values, chart.du[0], axis=0)
     period = chart.domain[1][1] - chart.domain[1][0]
     dtw = ops.spectral_apply(fld.values, period, axis=1)
-    t = np.stack([chart.t1, chart.t2], axis=-1)
-    grad = np.stack([dsw, dtw], axis=-1)
-    b = 0.5 * (np.einsum("xyci,xycj->xyij", grad, t)
-               + np.einsum("xycj,xyci->xyij", grad, t))
-    return FormField2(b)
+    return geo.tangential_form(chart, np.stack([dsw, dtw], axis=-2))
 
 
 def form_rel_distance(chart, form_a, form_b):

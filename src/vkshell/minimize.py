@@ -93,15 +93,14 @@ def _load_vector(chart, load, rotation, fields):
 def _pair_frames(chart, fields, kappa):
     """Frame coefficients of (kappa/2) sym(A_i A_j)_tan on every mode pair.
 
-    With frame vectors e_a = sum_k t_k G^{-1/2}_ka, the frame entry of
-    A_i A_j is e_b . A_i A_j e_a = (A_i^T e_b) . (A_j e_a): both factors
-    are formed once per mode and one batched product over the nodes gives
-    every pair.  A is not assumed exactly skew.
+    With the chart's frame vectors e_a, the frame entry of A_i A_j is
+    e_b . A_i A_j e_a = (A_i^T e_b) . (A_j e_a): both factors are formed
+    once per mode and one batched product over the nodes gives every pair.
+    A is not assumed exactly skew.
     """
     p, n = len(fields), chart.n_nodes
     A = iso.extend_A(chart, fields).values.reshape(p, n, 3, 3)
-    e = np.einsum("xydk,xyka->xyda", np.stack([chart.t1, chart.t2], axis=-1),
-                  chart.ginv_half).reshape(n, 3, 2)
+    e = np.stack([chart.frame_e1, chart.frame_e2], axis=-1).reshape(n, 3, 2)
     Ae = np.einsum("pncd,nda->ncpa", A, e).reshape(n, 3, 2 * p)
     ATe = np.einsum("pndc,ndb->ncpb", A, e).reshape(n, 3, 2 * p)
     K = (np.swapaxes(ATe, 1, 2) @ Ae).reshape(n, p, 2, p, 2)

@@ -290,6 +290,10 @@ BAD_INPUTS = {
     "missing_target_csv": (
         CYL_CFG, [("[solver]", "[solver]\ntarget_preset = MISSING")],
         ("membrane",)),
+    "fourier_order_above_grid": (
+        CYL_CFG, [("grid = 16 32", "grid = 12 16"),
+                  ("fourier_order = 8", "fourier_order = 16")],
+        ("membrane", "gamma-check")),
 }
 
 
@@ -312,3 +316,31 @@ def test_membrane_reports_projection_rank(tmp_path):
     data = json.loads((tmp_path / "out" / "membrane_result.json").read_text())
     assert "projection_flagged" not in data
     assert 0 < data["projection_rank"] < 3 * 15
+
+
+def test_csv_dumps_are_numeric(tmp_path):
+    """Every CSV of a run loads as a float table; node dumps carry the
+    chart's coordinates and the gamma-check table the thickness ladder."""
+    import vkshell as vk
+    cfg_path = write_cfg(tmp_path, CYL_CFG)
+    for command in ("surface", "isometries", "membrane", "minimize",
+                    "gamma-check"):
+        assert cli.run([command, "--config", cfg_path]) == 0
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0},
+                           (16, 32))
+    U1, U2 = np.meshgrid(chart.u1, chart.u2, indexing="ij")
+    coords = np.column_stack([U1.ravel(), U2.ravel(),
+                              chart.pos.reshape(-1, 3)])
+    paths = sorted((tmp_path / "out").glob("*.csv"))
+    names = {p.name for p in paths}
+    assert {"surface_nodes.csv", "isometry_mode_000.csv", "membrane_w.csv",
+            "minimize_V.csv", "gamma_check_table.csv"} <= names
+    for path in paths:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if path.name == "gamma_check_table.csv":
+            np.testing.assert_array_equal(table[:, 0],
+                                          [0.1, 0.05, 0.025, 0.0125])
+            assert np.isnan(table[0, 4]) and np.all(np.isfinite(table[1:]))
+            continue
+        assert table.shape[0] == chart.n_nodes and table.shape[1] > 5
+        np.testing.assert_array_equal(table[:, :5], coords)

@@ -221,3 +221,57 @@ def test_field_validation():
         geo.VectorField3(np.full((8, 8, 3), np.nan))
     with pytest.raises(ValueError):
         geo.FormField2(np.zeros((8, 8, 3, 3)))
+
+
+TANGENTIAL_CHARTS = (
+    ("plate", {}, (12, 10)),
+    ("cylinder", {"radius": 1.0, "height": 1.0}, (10, 16)),
+    ("revolution", {"profile": (1.0, 0.0, 0.3), "s_range": (-0.5, 0.5)},
+     (10, 12)),
+    ("sphere_patch", {"polar_range": (0.5, 2.6)}, (10, 16)),
+)
+
+
+@pytest.mark.parametrize("family,params,grid", TANGENTIAL_CHARTS)
+def test_lift_and_tangential_form(family, params, grid):
+    """lift maps t_i to P_i and n to 0, on one field and on a stack, and
+    tangential_form of the partials of a field is its sym_grad."""
+    ch = vk.build_chart(family, params, grid)
+    rng = np.random.default_rng(7)
+    P = rng.standard_normal((3,) + ch.shape + (2, 3))
+    L = geo.lift(ch, P)
+    assert L.shape == (3,) + ch.shape + (3, 3)
+    for i, t in enumerate((ch.t1, ch.t2)):
+        np.testing.assert_allclose(np.einsum("mxycd,xyd->mxyc", L, t),
+                                   P[..., i, :], rtol=0, atol=1e-13)
+    assert np.max(np.abs(np.einsum("mxycd,xyd->mxyc", L, ch.normal))) < 1e-13
+    np.testing.assert_array_equal(geo.lift(ch, P[1]), L[1])
+
+    V = rng.standard_normal(ch.shape + (3,))
+    partials = np.stack([ch.d1(V), ch.d2(V)], axis=-2)
+    b = geo.tangential_form(ch, partials).coeff
+    ref = geo.sym_grad(ch, V).coeff
+    assert np.max(np.abs(b - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(b, np.swapaxes(b, -1, -2))
+
+
+def test_frame_vectors_express_frame_form():
+    """On a sheared chart frame_form(b)_ab = e_a . B e_b for the chart's
+    frame vectors, where b_ij = t_i . B t_j of a tangential matrix B."""
+
+    def sheared(U, V):
+        return np.stack([U + 0.6 * V, 0.8 * V, 0.3 * U * V], axis=-1)
+
+    ch = vk.build_chart("custom", {"position": sheared}, (12, 12))
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal(ch.shape + (3, 3))
+    B = B + np.swapaxes(B, -1, -2)
+    t = np.stack([ch.t1, ch.t2], axis=-2)
+    b = t @ B @ np.swapaxes(t, -1, -2)
+    F = geo.frame_form(ch, FormField2(b))
+    e = np.stack([ch.frame_e1, ch.frame_e2], axis=-2)
+    np.testing.assert_allclose(F, e @ B @ np.swapaxes(e, -1, -2),
+                               rtol=0, atol=1e-12 * np.max(np.abs(F)))
+    np.testing.assert_allclose(e @ np.swapaxes(e, -1, -2),
+                               np.broadcast_to(np.eye(2), F.shape),
+                               rtol=0, atol=1e-13)

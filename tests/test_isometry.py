@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import vkshell as vk
 from vkshell import geometry as geo
@@ -311,3 +312,50 @@ def test_empty_stack_and_negative_request(plate16):
     assert len(sb) == sb.matrix.shape[1] == sb.bending_ritz.size \
         == sb.rayleigh.size == sb.skew_residuals.size
     assert sb.modes.shape == (len(sb),) + sphere.shape + (3,)
+
+
+def _extend_A_by_inverse(chart, V):
+    """A from A [t1 | t2 | n] = [d1 V | d2 V | Pi V_tan - grad(V.n)], with
+    the node matrix [t1 | t2 | n] inverted explicitly."""
+    n = chart.normal
+    vn = np.einsum("xyc,xyc->xy", V, n)
+    vtan = V - vn[..., None] * n
+    vt = np.stack([np.einsum("xyc,xyc->xy", vtan, chart.t1),
+                   np.einsum("xyc,xyc->xy", vtan, chart.t2)], axis=-1)
+    comp = np.einsum("xyij,xyj->xyi", chart.metric_inv, vt)
+    pi_vtan = comp[..., 0:1] * chart.dn1 + comp[..., 1:2] * chart.dn2
+    gvn = np.einsum("xyij,xyj->xyi", chart.metric_inv,
+                    np.stack([chart.d1(vn), chart.d2(vn)], axis=-1))
+    grad_vn = gvn[..., 0:1] * chart.t1 + gvn[..., 1:2] * chart.t2
+    rhs = np.stack([chart.d1(V), chart.d2(V), pi_vtan - grad_vn], axis=-1)
+    return rhs @ np.linalg.inv(np.stack([chart.t1, chart.t2, n], axis=-1))
+
+
+@pytest.mark.parametrize("family,params,grid", STACK_CHARTS + (
+    ("sphere_patch", {"polar_range": (0.5, 2.6)}, (10, 16)),))
+def test_extend_A_matches_inverse_frame_formula(family, params, grid):
+    chart = vk.build_chart(family, params, grid)
+    V = np.random.default_rng(8).standard_normal(chart.shape + (3,))
+    ref = _extend_A_by_inverse(chart, V)
+    A = iso.extend_A(chart, V).values
+    assert np.max(np.abs(A - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_gap_ratio_against_dense_pencil():
+    """gap_ratio is the first rejected eigenvalue over the threshold, read
+    from an independent dense eigensolve of the restricted pencil."""
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0}, (8, 16))
+    tol = 1e-8
+    basis = iso.isometry_basis(chart, n_request=10, tol=tol)
+    R = iso.membrane_strain_operator(chart)
+    T = np.kron(np.eye(3 * 8), iso._subnyquist_restriction(chart))
+    RT = R @ T
+    Mr = T.T @ iso.sobolev_mass_matrix(chart) @ T
+    ev = scipy.linalg.eigh(RT.T @ RT, 0.5 * (Mr + Mr.T), eigvals_only=True)
+    thresh = tol * ev[-1]
+    m = int(np.sum(ev <= thresh))
+    assert basis.cluster_size == m
+    assert abs(basis.tol - thresh) <= 1e-12 * thresh
+    want = ev[m] / thresh
+    assert abs(basis.gap_ratio - want) <= 1e-8 * want
+    assert basis.gap_ratio > 1e3
