@@ -272,6 +272,19 @@ def _verify_chart(chart):
     return checks
 
 
+def _verify_basis(chart, basis):
+    """Full-grid checks of the returned modes, apart from the blocked solve:
+    strain Rayleigh quotients at most the threshold, M-orthonormality."""
+    strain = np.array([np.sum(geo.frame_rows(geo.frame_form(
+        chart, geo.sym_grad(chart, v)), chart.quad_w)**2) for v in basis.modes])
+    rows = iso._mass_rows(chart, basis.modes)
+    gram = rows @ rows.T
+    if np.any(strain > basis.tol * np.diag(gram)):
+        raise ArithmeticError("isometry mode Rayleigh quotient above threshold")
+    if np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) > 1e-10:
+        raise ArithmeticError("isometry modes are not M-orthonormal")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -315,6 +328,7 @@ def cmd_isometries(cfg, outdir, verify):
     }
     if verify:
         _verify_chart(chart)
+        _verify_basis(chart, basis)
         payload["rigid_residual"] = max(
             iso.project_onto_basis(basis, r)[1] for r in iso.rigid_basis(chart))
     write_json(outdir / "isometries_result.json", payload)
@@ -411,8 +425,8 @@ def cmd_energy(cfg, outdir, verify):
     }
     if verify:
         _verify_chart(chart)
-        s = best_J["stretching"] + best_J["bending"] - best_J["load"]
-        if abs(s - best_J["total"]) > 1e-12 * max(abs(best_J["total"]), 1.0):
+        J = fn.total_J(chart, V, zero, cfg.kappa, moduli, load, Q).total
+        if abs(J - best_J["total"]) > 1e-12 * abs(J):
             raise ArithmeticError("energy breakdown is inconsistent")
     write_json(outdir / "energy_result.json", payload)
     return payload

@@ -447,10 +447,10 @@ def frame_form(chart, form):
 def frame_rows(F, weights):
     """Weighted rows sqrt(w) (F11, F22, sqrt(2) F12) of frame fields.
 
-    For frames (..., N1, N2, 2, 2) and node weights (N1, N2) the squared
-    norm of each row is sum_nodes w |F|^2 (Frobenius).
+    For real or complex frames (..., N1, N2, 2, 2) and node weights (N1, N2)
+    the squared norm of each row is sum_nodes w |F|^2 (Frobenius).
     """
-    F = np.asarray(F, dtype=float)
+    F = np.asarray(F)
     F = F.reshape(F.shape[:-4] + (F.shape[-4] * F.shape[-3], 2, 2))
     sw = np.sqrt(np.ravel(weights))
     return np.concatenate([sw * F[..., 0, 0], sw * F[..., 1, 1],

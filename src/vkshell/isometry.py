@@ -1,13 +1,14 @@
 """Discrete infinitesimal-isometry spaces on a chart.
 
 The constraint functional K(V) = integral of |sym grad V|^2 (orthonormal
-frame, Frobenius) is assembled as a dense quadratic form on nodal
-displacements and thresholded spectrally against a W^{1,2} mass matrix:
-the near-null cluster of the generalized eigenproblem is the discrete
-isometry space.  Within the cluster, modes are reordered by a secondary
-Rayleigh-Ritz step with the bending seminorm, which makes the returned
-basis deterministic and smoothness-ordered (LAPACK otherwise returns an
-arbitrary rotation of the degenerate near-zero eigenspace).
+frame, Frobenius) is thresholded spectrally against a W^{1,2} mass form,
+both Gram matrices of weighted rows of the search fields: the near-null
+cluster of the generalized eigenproblem, solved in symmetry blocks (Fassler
+& Stiefel, Group Theoretical Methods and Their Applications, 1992), is the
+discrete isometry space.  Within the cluster, modes are reordered by a
+secondary Rayleigh-Ritz step with the bending seminorm, which makes the
+returned basis deterministic and smoothness-ordered (LAPACK otherwise
+returns an arbitrary rotation of the degenerate near-zero eigenspace).
 """
 
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ class IsometryBasis:
     bending_ritz: np.ndarray
     tol: float                  # absolute eigenvalue threshold used
     tol_rel: float
-    gram: np.ndarray            # W^{1,2} mass matrix
+    chart: object               # the chart; M inner products via _mass_rows
     gap_ratio: float
     cluster_size: int
     skew_residuals: np.ndarray = None
@@ -97,6 +98,11 @@ def _derivatives(chart, stack):
     return np.moveaxis(chart.d1(f), -1, 0), np.moveaxis(chart.d2(f), -1, 0)
 
 
+def _partials(chart, stack):
+    """Partial vectors (m, N1, N2, 2, k) of a stack of k-component fields."""
+    return np.stack(_derivatives(chart, stack), axis=-2)
+
+
 # ---------------------------------------------------------------------------
 # skew extension and bending tensor
 # ---------------------------------------------------------------------------
@@ -117,7 +123,7 @@ def extend_A(chart, fld):
     grad_vn = geo.tangential_vector_from_covector(
         chart, *_derivatives(chart, np.einsum("mxyc,xyc->mxy", V, n)))
     An = (dn @ (chart.dual @ V[..., None]))[..., 0] - grad_vn
-    A = (geo.lift(chart, np.stack(_derivatives(chart, V), axis=-2))
+    A = (geo.lift(chart, _partials(chart, V))
          + An[..., None] * n[..., None, :])
     sym_defect = A + np.swapaxes(A, -1, -2)
     residual = np.max(np.linalg.norm(sym_defect, axis=(-2, -1)), axis=(-2, -1))
@@ -186,10 +192,8 @@ def project_out_rigid(chart, fld):
 def _rigid_complement(chart, basis):
     """Basis combinations M-orthogonal to the rigid motions: their fields,
     stacked (m, N1, N2, 3), and their dof columns."""
-    # one matrix-vector product per rigid motion: a matrix product rounds
-    # differently and moves the bending-only minimum in its last digit
-    P = np.stack([basis.matrix.T @ (basis.gram @ r)
-                  for r in _rigid_dofs(chart).T], axis=1)
+    rigid = dof_to_field(_rigid_dofs(chart), chart.shape)
+    P = _mass_rows(chart, basis.modes) @ _mass_rows(chart, rigid).T
     Qfull, Rtri = np.linalg.qr(P, mode="complete")
     diag = np.abs(np.diag(Rtri))
     rank = int(np.sum(diag > 1e-10 * max(diag.max(), 1e-300)))
@@ -198,64 +202,28 @@ def _rigid_complement(chart, basis):
 
 
 # ---------------------------------------------------------------------------
-# quadratic form assembly
+# strain and mass rows
 # ---------------------------------------------------------------------------
 
-def _diff_matrices(chart):
-    """Node matrices of the chart derivatives: d1 and d2 of every unit field."""
-    n = chart.n_nodes
-    unit = np.eye(n).reshape(chart.shape + (n,))
-    return chart.d1(unit).reshape(n, n), chart.d2(unit).reshape(n, n)
+def _strain_rows(chart, P, cols=slice(None)):
+    """Rows sqrt(w) (F11, F22, sqrt(2) F12), F = G^{-1/2} sym(P_i . t_j)
+    G^{-1/2}, of fields with partials P_i = d_i V (m, N1, n, 2, 3) on the
+    grid columns cols: squared row norms are the strain form."""
+    b = P @ np.stack([chart.t1, chart.t2], axis=-1)[:, cols]
+    gh = chart.ginv_half[:, cols]
+    return geo.frame_rows(gh @ (0.5 * (b + np.swapaxes(b, -1, -2))) @ gh,
+                          chart.quad_w[:, cols])
 
 
-def _frame_mix_coeffs(chart):
-    gh = chart.ginv_half
-    a, b, c = gh[..., 0, 0].ravel(), gh[..., 0, 1].ravel(), gh[..., 1, 1].ravel()
-    # rows of the map (b11, b22, b12) -> (F11, F22, F12) for F = Gh b Gh
-    return (
-        (a * a, b * b, 2 * a * b),
-        (b * b, c * c, 2 * b * c),
-        (a * b, b * c, a * c + b * b),
-    )
-
-
-def membrane_strain_operator(chart):
-    """Rows of the weighted frame strain map on nodal displacements.
-
-    Returns R of shape (3 N, 3 N) such that |R v|^2 is the quadrature of
-    the squared Frobenius norm of the frame-converted symmetric gradient.
-    """
-    n = chart.n_nodes
-    if 3 * n > MAX_EIG_DOFS:
-        raise ValueError(
-            "grid too large for dense strain assembly (%d dofs > %d); "
-            "use a coarser grid" % (3 * n, MAX_EIG_DOFS))
-    D1, D2 = _diff_matrices(chart)
-    t1, t2 = chart.t1.reshape(n, 3).T[..., None], chart.t2.reshape(n, 3).T[..., None]
-    # t_i . d_j V as matrices on the component-major dofs
-    b11, b22 = np.hstack(t1 * D1), np.hstack(t2 * D2)
-    b12 = 0.5 * (np.hstack(t1 * D2) + np.hstack(t2 * D1))
-    sw = np.sqrt(chart.quad_w.ravel())
-    return np.vstack([
-        (scale * sw)[:, None]
-        * (m11[:, None] * b11 + m22[:, None] * b22 + m12[:, None] * b12)
-        for scale, (m11, m22, m12) in zip((1.0, 1.0, np.sqrt(2.0)),
-                                          _frame_mix_coeffs(chart))])
-
-
-def sobolev_mass_matrix(chart):
-    """W^{1,2} mass matrix: values plus frame-gradient first differences."""
-    D1, D2 = _diff_matrices(chart)
-    gh = chart.ginv_half
-    w = chart.quad_w.ravel()
-    block = np.diag(w)
-    for gamma in range(2):
-        g1 = gh[..., 0, gamma].ravel()
-        g2 = gh[..., 1, gamma].ravel()
-        Dg = g1[:, None] * D1 + g2[:, None] * D2
-        block += Dg.T @ (w[:, None] * Dg)
-    M = scipy.linalg.block_diag(block, block, block)
-    return 0.5 * (M + M.T)
+def _mass_rows(chart, V, P=None, cols=slice(None)):
+    """Rows sqrt(w) (V, G^{-1/2} grad V) of fields V (m, N1, n, k) with
+    partials P (m, N1, n, 2, k) on the grid columns cols (full grid if P is
+    None): their products are the W^{1,2} inner products (mass matrix)."""
+    P = _partials(chart, V) if P is None else P
+    sw = np.sqrt(chart.quad_w[:, cols])[..., None]
+    D = np.swapaxes(chart.ginv_half[:, cols], -1, -2) @ P
+    return np.concatenate([X.reshape(len(X), np.prod(X.shape[1:], dtype=int))
+                           for X in (sw * V, sw[..., None] * D)], axis=1)
 
 
 def _bending_frames(chart, fields):
@@ -281,70 +249,130 @@ def bending_q2_gram(chart, fields, moduli):
 # isometry basis
 # ---------------------------------------------------------------------------
 
-def _subnyquist_restriction(chart):
-    """Orthonormal basis T2 (n2 x (n2 - 1)) of grid-line samples without
-    the unpaired alternating harmonic that an even node count on a periodic
-    axis carries; its derivative samples to zero, so these ghost fields are
-    excluded from the search space T = I (x) T2.  None without one."""
-    n2 = chart.shape[1]
-    if not chart.periodic2 or n2 % 2 != 0:
-        return None
-    alt = np.where(np.arange(n2) % 2 == 0, 1.0, -1.0) / np.sqrt(n2)
-    return scipy.linalg.null_space(alt[None, :])
+def _rotation_invariant(chart):
+    """Whether shifting the closed axis by one node and rotating about e_z
+    by 2 pi / N2 maps the chart's nodes onto themselves."""
+    a = 2 * np.pi / chart.shape[1]
+    rot = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0],
+                    [0, 0, 1]])
+    return chart.periodic2 and np.allclose(
+        np.roll(chart.pos, -1, axis=1), chart.pos @ rot.T, rtol=0.0,
+        atol=1e-12 * np.max(np.abs(chart.pos)))
 
 
-def _per_line(X, B):
-    """X (I (x) B): B applied to each grid line of X's rows."""
-    return (X.reshape(X.shape[0], -1, B.shape[0]) @ B).reshape(X.shape[0], -1)
+def _character_pencil(chart, k):
+    """The pencil (K, M, lift) of character k of a rotation-invariant chart.
+
+    The search fields are profile unit vectors times e_z e^{ik theta}, e_+
+    e^{i(k+1) theta} and e_- e^{i(k-1) theta}, e_+- = (e_x -+ i e_y)/sqrt(2),
+    less every part of Cartesian harmonic N2/2.  Their rows at column j are
+    a phase (and a rotation) times those at column 0: K = N2 S0^H S0 and
+    M = N2 M0^H M0.  If 2k = 0 mod N2 the e_+- parts are combined into real
+    fields; else lift phases each column to a real largest entry and returns
+    sqrt(2) Re and sqrt(2) Im of its field (which cover character N2 - k).
+    """
+    n1, n2 = chart.shape
+    harm = np.array([k, k + 1, k - 1])
+    keep = (harm - n2 / 2) % n2 != 0
+    unit = np.array([[0, 0, np.sqrt(2)], [1, -1j, 0], [1, 1j, 0]]) / np.sqrt(2)
+    G = unit[keep, None] * np.exp(
+        2j * np.pi / n2 * np.outer(harm[keep], np.arange(n2)))[..., None]
+    real = (2 * k) % n2 == 0
+    if real:
+        G = np.concatenate([G[:-2], np.tensordot(
+            [[1, 1], [-1j, 1j]], G[-2:], axes=1) / np.sqrt(2)]).real
+    dG = chart.d2(G) if real else chart.d2(G.real) + 1j * chart.d2(G.imag)
+    eye = np.eye(n1)   # unit profile fields: values, d1 and d2 on column 0
+    V = np.einsum("ab,pc->pabc", eye, G[:, 0]).reshape(-1, n1, 1, 3)
+    dunit = np.stack([chart.d1(eye[:, None, :])[:, 0].T, eye], -1)
+    P = np.einsum("abd,pdc->pabdc", dunit, np.stack([G[:, 0], dG[:, 0]], 1))
+    P = P.reshape(-1, n1, 1, 2, 3)
+    S = _strain_rows(chart, P, slice(0, 1))
+    Mr = _mass_rows(chart, V, P, slice(0, 1))
+
+    def lift(x):
+        if not real:
+            x = x * np.exp(-1j * np.angle(
+                x[np.argmax(np.abs(x), axis=0), np.arange(x.shape[1])]))
+        F = np.einsum("pim,pjc->mijc", x.reshape(len(G), n1, -1), G)
+        return F if real else np.sqrt(2) * np.concatenate([F.real, F.imag])
+
+    return n2 * (S.conj() @ S.T), n2 * (Mr.conj() @ Mr.T), lift
 
 
-def _pencil(R, M, T2):
-    """The pencil (R^T R, M) on the span of T = I (x) T2 (all dofs if T2 is
-    None); R^T R is a symmetric rank-k product, the restricted M is
-    symmetrized."""
-    if T2 is None:
-        return R.T @ R, M
-    RT = _per_line(R, T2)
-    Mr = _per_line(_per_line(M, T2).T, T2)
-    return RT.T @ RT, 0.5 * (Mr + Mr.T)
+def _nodal_pencil(chart):
+    """The pencil (K, M, lift) on the fields e phi, and the fields that need
+    no solve.  phi is a nodal unit field, along a closed axis times the real
+    Fourier basis without harmonic N2/2, and e a Cartesian axis; with a
+    constant normal n, e is in-plane and the fields w n, whose strain rows
+    vanish, are returned M-orthonormalized."""
+    n1, n2 = chart.shape
+    normal = chart.normal.reshape(-1, 3)
+    flat = np.allclose(normal, normal[0], rtol=0.0, atol=1e-12)
+    if not flat and 3 * chart.n_nodes > MAX_EIG_DOFS:
+        raise ValueError("grid too large for a dense strain pencil (%d dofs "
+                         "> %d)" % (3 * chart.n_nodes, MAX_EIG_DOFS))
+    T = np.eye(n2)
+    if chart.periodic2:
+        th = np.outer(np.arange(n2), np.arange(1, (n2 + 1) // 2)) * 2 * np.pi / n2
+        T = np.hstack([np.ones((n2, 1)), np.sqrt(2) * np.cos(th),
+                       np.sqrt(2) * np.sin(th)]) / np.sqrt(n2)
+    phi = np.einsum("ab,jq->aqbj", np.eye(n1), T).reshape(-1, n1, n2, 1)
+    dphi = _partials(chart, phi)
+    rows = _mass_rows(chart, phi, dphi)
+    B = rows @ rows.T
+
+    def fields(x, axes):
+        W = phi.reshape(len(phi), -1).T @ x.reshape(len(axes), len(phi), -1)
+        return np.einsum("anm,ac->mnc", W, axes).reshape(
+            (-1,) + chart.shape + (3,))
+
+    axes, free = np.eye(3), np.zeros((0,) + chart.shape + (3,))
+    if flat:
+        n, t = normal[0], chart.t1[0, 0] / np.linalg.norm(chart.t1[0, 0])
+        axes = np.array([t, np.cross(n, t)])
+        free = fields(np.linalg.inv(np.linalg.cholesky(B)).T, n[None])
+    S = np.concatenate([_strain_rows(chart, dphi * e) for e in axes])
+    K, M = S @ S.T, np.kron(np.eye(len(axes)), B)
+    return [(K, M, lambda x: fields(x, axes))], free
 
 
 def isometry_basis(chart, n_request=40, tol=1e-8):
     """Spectral near-null basis of the membrane-strain form.
 
-    Solves the generalized symmetric eigenproblem K v = rho M v on the
-    resolvable (sub-Nyquist) nodal subspace and accepts eigenmodes with
-    rho <= tol * rho_max.  Product aliasing near the grid's Nyquist
-    frequency pollutes some of them: a Rayleigh-Ritz step with the Gram of
-    the weighted symmetric defects of the skew extensions drops every
-    direction whose defect eigenvalue exceeds max((10 tol)^2, 1e-10 s_max),
-    s_max the largest one.  The rest is reordered by the bending seminorm
-    and at most n_request modes are returned; cluster_size still reports
-    the raw near-null count.  gap_ratio is rho_m / (tol rho_max), the
-    factor by which the first rejected eigenvalue clears the threshold
-    (inf when every eigenvalue is accepted).
+    Solves the generalized eigenproblem K v = rho M v on the resolvable
+    (sub-Nyquist) nodal fields in blocks, one per character on
+    rotation-invariant charts, else one (_nodal_pencil, capped by MAX_EIG_DOFS
+    unless the normal is constant), and accepts eigenmodes with rho <= tol *
+    rho_max over all blocks.  Product aliasing near the grid's Nyquist
+    frequency pollutes some of them: a Rayleigh-Ritz step with the Gram of the
+    weighted symmetric defects of the skew extensions drops every direction
+    whose defect eigenvalue exceeds max((10 tol)^2, 1e-10 s_max), s_max the
+    largest one.  The rest is reordered by the bending seminorm and at most
+    n_request modes are returned; cluster_size still reports the raw near-null
+    count.  gap_ratio is rho_m / (tol rho_max), rho_m the smallest rejected
+    eigenvalue of any block (inf when every eigenvalue is accepted).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if n_request < 0:
         raise ValueError("n_request must be non-negative")
-    R = membrane_strain_operator(chart)
-    M = sobolev_mass_matrix(chart)
-    T2 = _subnyquist_restriction(chart)
+    if _rotation_invariant(chart):
+        blocks = [_character_pencil(chart, k)
+                  for k in range(chart.shape[1] // 2 + 1)]
+        cluster = np.zeros((0,) + chart.shape + (3,))
+    else:
+        blocks, cluster = _nodal_pencil(chart)
     try:
-        ev, vec = scipy.linalg.eigh(*_pencil(R, M, T2))
+        solved = [scipy.linalg.eigh(K, M) + (lift,) for K, M, lift in blocks]
     except scipy.linalg.LinAlgError as exc:
         raise ArithmeticError("generalized eigen-solver failed on the "
                               "membrane-strain pencil") from exc
-    rho_max = float(ev[-1])
-    thresh = tol * rho_max
-    accepted = np.flatnonzero(ev <= thresh)
-    m = accepted.size
-    gap_ratio = float(ev[m] / thresh) if m < ev.size else np.inf
-
-    cluster = vec[:, accepted]
-    if T2 is not None:
-        cluster = _per_line(cluster.T, T2.T).T
+    thresh = tol * max(float(ev[-1]) for ev, _, _ in solved)
+    cluster = field_to_dof(np.concatenate(
+        [cluster] + [lift(vec[:, ev <= thresh]) for ev, vec, lift in solved]))
+    m = cluster.shape[1]
+    rho_m = min(ev[ev > thresh].min(initial=np.inf) for ev, _, _ in solved)
 
     # split off modes whose skew extension is polluted by grid aliasing:
     # Rayleigh-Ritz with the symmetric-defect form separates them exactly
@@ -367,27 +395,25 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     modes = dof_to_field(cluster, chart.shape)
     return IsometryBasis(
         modes=modes, matrix=cluster,
-        rayleigh=np.sum((R @ cluster)**2, axis=0),
+        rayleigh=np.sum(_strain_rows(chart, _partials(chart, modes))**2, axis=1),
         bending_ritz=bend_vals[:keep], tol=thresh, tol_rel=tol,
-        gram=M, gap_ratio=gap_ratio, cluster_size=m,
+        chart=chart, gap_ratio=float(rho_m / thresh), cluster_size=m,
         skew_residuals=extend_A(chart, modes).skew_residual)
 
 
 def project_onto_basis(basis, fld):
     """M-orthogonal projection onto the basis span; returns (coeffs, residual).
 
-    The residual is relative in the norm of the stored Gram matrix.
+    The residual is relative in the W^{1,2} norm of the basis chart.
     """
-    fld = as_vector_field(fld)
-    v = field_to_dof(fld.values)
-    Mv = basis.gram @ v
-    coeffs = basis.matrix.T @ Mv
-    norm2 = float(v @ Mv)
+    v = _mass_rows(basis.chart, as_vector_field(fld).values[None])[0]
+    rows = _mass_rows(basis.chart, basis.modes)
+    coeffs = rows @ v
+    norm2 = float(v @ v)
     if norm2 <= 0:
         return coeffs, 0.0
-    res = v - basis.matrix @ coeffs
-    res2 = float(res @ (basis.gram @ res))
-    return coeffs, float(np.sqrt(max(res2, 0.0) / norm2))
+    res = v - coeffs @ rows
+    return coeffs, float(np.sqrt(float(res @ res) / norm2))
 
 
 @dataclass

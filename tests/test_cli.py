@@ -1,11 +1,16 @@
+import dataclasses
 import json
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+import vkshell as vk
 from vkshell import cli
+from vkshell import functional as fn
+from vkshell import isometry as iso
 
 
 PLATE_CFG = """
@@ -146,6 +151,51 @@ def test_isometries_subcommand(tmp_path):
     assert (tmp_path / "out" / "isometry_mode_000.csv").exists()
 
 
+@pytest.mark.parametrize("text", [PLATE_CFG, CYL_CFG],
+                         ids=["plate", "cylinder"])
+def test_isometries_result_is_byte_identical(tmp_path, text):
+    cfg_path = write_cfg(tmp_path, text)
+    runs = []
+    for out in ("r1", "r2"):
+        assert cli.run(["isometries", "--config", cfg_path, "--verify",
+                        "--output-dir", str(tmp_path / out)]) == 0
+        runs.append((tmp_path / out / "isometries_result.json").read_bytes())
+    assert runs[0] == runs[1]
+
+
+def test_isometries_verify_catches_corrupt_basis(tmp_path, monkeypatch):
+    """--verify recomputes the strain Rayleigh quotients and the W^{1,2}
+    Gram of the returned modes on the full grid."""
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0},
+                           (16, 32))
+    basis = iso.isometry_basis(chart, n_request=12)
+    cli._verify_basis(chart, basis)
+    # a unit stretch field M-orthogonal to the other modes
+    others = basis.modes[1:]
+    coeffs = (iso._mass_rows(chart, others)
+              @ iso._mass_rows(chart, chart.pos[None])[0])
+    v = chart.pos - np.tensordot(coeffs, others, axes=1)
+    v /= np.linalg.norm(iso._mass_rows(chart, v[None]))
+    stretched = dataclasses.replace(basis,
+                                    modes=np.concatenate([v[None], others]))
+    with pytest.raises(ArithmeticError, match="Rayleigh"):
+        cli._verify_basis(chart, stretched)
+    scaled = dataclasses.replace(basis, modes=basis.modes * (1.0 + 1e-6))
+    with pytest.raises(ArithmeticError, match="orthonormal"):
+        cli._verify_basis(chart, scaled)
+
+    solve = iso.isometry_basis
+
+    def scaled_solve(chart, **kwargs):
+        basis = solve(chart, **kwargs)
+        return dataclasses.replace(basis, modes=basis.modes * (1.0 + 1e-6))
+
+    monkeypatch.setattr(iso, "isometry_basis", scaled_solve)
+    cfg_path = write_cfg(tmp_path, CYL_CFG)
+    assert cli.run(["isometries", "--config", cfg_path]) == 0
+    assert cli.run(["isometries", "--config", cfg_path, "--verify"]) == 3
+
+
 def test_membrane_subcommand(tmp_path):
     cfg_path = write_cfg(tmp_path, CYL_CFG)
     assert cli.run(["membrane", "--config", cfg_path]) == 0
@@ -163,6 +213,17 @@ def test_energy_subcommand(tmp_path):
     total = data["best_J"]
     assert abs(total["total"] - (total["stretching"] + total["bending"]
                                  - total["load"])) < 1e-10
+
+
+def test_energy_verify_catches_inconsistent_breakdown(tmp_path, monkeypatch):
+    """--verify recomputes J with functional.total_J, so a load term that
+    disagrees with it is caught."""
+    cfg_path = write_cfg(tmp_path, CYL_CFG)
+    skewed = types.SimpleNamespace(**vars(fn))
+    skewed.load_work = lambda *args: fn.load_work(*args) + 1e-6
+    monkeypatch.setattr(cli, "fn", skewed)
+    assert cli.run(["energy", "--config", cfg_path]) == 0
+    assert cli.run(["energy", "--config", cfg_path, "--verify"]) == 3
 
 
 def test_minimize_subcommand_and_determinism(tmp_path):
