@@ -417,6 +417,26 @@ def test_blocked_pencil_matches_dense_reference(name):
         assert max(res) <= 1e-8
 
 
+def test_gap_ratio_against_dense_pencil():
+    """gap_ratio is the first rejected eigenvalue over the threshold, read
+    from an independent dense eigensolve of the restricted pencil."""
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0}, (8, 16))
+    tol = 1e-8
+    basis = iso.isometry_basis(chart, n_request=10, tol=tol)
+    R = membrane_strain_operator(chart)
+    T = _kronecker_restriction(chart)
+    RT = R @ T
+    Mr = T.T @ sobolev_mass_matrix(chart) @ T
+    ev = scipy.linalg.eigh(RT.T @ RT, 0.5 * (Mr + Mr.T), eigvals_only=True)
+    thresh = tol * ev[-1]
+    m = int(np.sum(ev <= thresh))
+    assert basis.cluster_size == m
+    assert abs(basis.tol - thresh) <= 1e-12 * thresh
+    want = ev[m] / thresh
+    assert abs(basis.gap_ratio - want) <= 1e-8 * want
+    assert basis.gap_ratio > 1e3
+
+
 def test_cylinder_above_dense_cap():
     """Rotation-invariant charts are not limited by MAX_EIG_DOFS: the
     cylinder 48x96 keeps the cluster count 4 (N2/2 - 2) + 3 (59 at 12x32,
