@@ -81,7 +81,9 @@ def _floats(text):
     return tuple(float(x) for x in text.replace(",", " ").split())
 
 
-def parse_config(path):
+def parse_config(path, overrides=None):
+    """Read an INI run config, apply the non-None ``overrides`` (command
+    line values by RunConfig field name) and check the values."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
     if not read:
@@ -154,11 +156,24 @@ def parse_config(path):
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("bad config value: %s" % (exc,)) from exc
+    for name, value in (overrides or {}).items():
+        if value is not None:
+            setattr(cfg, name, value)
+    if cfg.kappa < 0:
+        raise ConfigError("kappa must be at least 0, got %g" % cfg.kappa)
     for name, low in (("basis_size", 0), ("dictionary_degree", 0),
                       ("sample_count", 1)):
         if getattr(cfg, name) < low:
             raise ConfigError("[solver] %s must be at least %d, got %d"
                               % (name, low, getattr(cfg, name)))
+    if not 2 <= cfg.t_quad <= 8:
+        raise ConfigError("[solver] t_quad must lie in [2, 8], got %d"
+                          % cfg.t_quad)
+    hs = cfg.h_ladder
+    if (len(hs) < 4 or not all(0 < h <= 0.5 for h in hs)
+            or any(b >= a for a, b in zip(hs, hs[1:]))):
+        raise ConfigError("[solver] h_ladder needs at least 4 strictly "
+                          "decreasing values in (0, 0.5], got %s" % (hs,))
     return cfg
 
 
@@ -538,15 +553,9 @@ def run(argv):
 
     t0 = time.perf_counter()
     try:
-        cfg = parse_config(args.config)
-        for name in ("kappa", "tol", "restarts", "seed"):
-            val = getattr(args, name)
-            if val is not None:
-                setattr(cfg, name, val)
-        if args.max_iter is not None:
-            cfg.max_iter = args.max_iter
-        if args.output_dir is not None:
-            cfg.output_dir = args.output_dir
+        cfg = parse_config(args.config, {
+            name: getattr(args, name) for name in (
+                "kappa", "tol", "max_iter", "restarts", "seed", "output_dir")})
         outdir = Path(cfg.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:

@@ -6,6 +6,12 @@ energy of the rescaled deformation over a thickness ladder, and compares
 the scaled energies against the limit functional.  The same discrete
 derivative fields feed both the 3D assembly and the limit energy, so
 discretization bias largely cancels in the comparison.
+
+The gradient at thickness level t is written on the shifted shell frame
+g_j = t_j + t h d_j n = sum_i M_ij t_i, M = I + t h S with S the chart's
+2x2 shape operator: F = col (x) n + sum_j (g_j + P_j) (x) g^j, where the
+dual vectors g^j = sum_k (M^-1)_jk dual_k come from adj(M) / det M and
+det M = det(I + t h Pi) is the volume factor.
 """
 
 from dataclasses import dataclass
@@ -19,8 +25,6 @@ from . import material as mat
 from . import operators as ops
 from .geometry import FormField2, VectorField3, as_vector_field
 
-H0 = 1.0
-
 
 @dataclass
 class RecoveryAnsatz:
@@ -33,16 +37,15 @@ class RecoveryAnsatz:
     d1: np.ndarray
     kappa: float
     e_rule: object
-    # node matrices and vectors of the gradient assembly
+    # node vectors and partial vectors (N1, N2, 2, 3) of the gradient
     An: np.ndarray
-    grad_V: np.ndarray
-    grad_w: np.ndarray
-    grad_An: np.ndarray
     wn_vec: np.ndarray
-    grad_wn: np.ndarray
-    grad_d0: np.ndarray
-    grad_d1: np.ndarray
-    shape_mat: np.ndarray
+    dV: np.ndarray
+    dw: np.ndarray
+    dAn: np.ndarray
+    dwn: np.ndarray
+    dd0: np.ndarray
+    dd1: np.ndarray
 
     def e(self, h):
         return float(self.e_rule(h))
@@ -65,11 +68,6 @@ class RotationFieldReport:
     misfit: float             # squared L2 distance of the gradient to R
     rotation_variation: float  # quadrature of |grad R|^2
     reflected_nodes: list
-
-
-def _partials(chart, values):
-    """Partial vectors (N1, N2, 2, 3) of a nodal vector field."""
-    return np.stack([chart.d1(values), chart.d2(values)], axis=-2)
 
 
 def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
@@ -99,7 +97,7 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
     A = iso.extend_A(chart, V)
     Avals = A.values
     n = chart.normal
-    dw = _partials(chart, w.values)
+    dw = iso._partials(chart, w.values[None])[0]
     B = geo.tangential_form(chart, dw)
 
     # quadratic displacement effect
@@ -119,50 +117,61 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
         chart, omega[..., 0], omega[..., 1])
 
     dn = np.stack([chart.dn1, chart.dn2], axis=-2)
-    grad_w = geo.lift(chart, dw)
-    wn_vec = (n[..., None, :] @ grad_w)[..., 0, :]   # sum_i (n.d_i w) dual_i
+    wn_vec = geo.lift(chart, dw @ n[..., None])[..., 0, :]  # (n.d_i w) dual_i
+    dV, dwn, dd0, dd1 = iso._partials(chart, np.stack([V.values, wn_vec,
+                                                       d0, d1]))
     # d_i(A n) = (d_i A) n + A d_i n, consistent with the bending form
     dAn = bend_dirs + dn @ np.swapaxes(Avals, -1, -2)
     return RecoveryAnsatz(
         chart=chart, V=V, w=w, A=A, B=B, d0=d0, d1=d1, kappa=kappa,
         e_rule=e_rule, An=np.einsum("xycd,xyd->xyc", Avals, n),
-        grad_V=geo.lift(chart, _partials(chart, V.values)), grad_w=grad_w,
-        grad_An=geo.lift(chart, dAn), wn_vec=wn_vec,
-        grad_wn=geo.lift(chart, _partials(chart, wn_vec)),
-        grad_d0=geo.lift(chart, _partials(chart, d0)),
-        grad_d1=geo.lift(chart, _partials(chart, d1)),
-        shape_mat=geo.lift(chart, dn))
+        wn_vec=wn_vec, dV=dV, dw=dw, dAn=dAn, dwn=dwn, dd0=dd0, dd1=dd1)
 
 
-def _max_curvature(chart):
-    eigs = np.linalg.eigvals(chart.shape_op.reshape(-1, 2, 2))
-    return float(np.max(np.abs(eigs.real))) if eigs.size else 0.0
+def _shell_level(ansatz, h, t, rotate=None):
+    """Rescaled gradient F and volume factor det M at thickness level t;
+    P_j are the partials of the deformation besides the shift t h d_j n."""
+    chart = ansatz.chart
+    s = t * h
+    se = np.sqrt(ansatz.e(h))
+    M = np.eye(2) + s * chart.shape_op
+    vol = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    adj = (M[..., 0, 0] + M[..., 1, 1])[..., None, None] * np.eye(2) - M
+    dual = (adj @ chart.dual) / vol[..., None, None]          # g^j
+    frame = np.stack([chart.t1 + s * chart.dn1, chart.t2 + s * chart.dn2],
+                     axis=-2)                                   # g_j
+    n = chart.normal
+    col = (n + (se / h) * ansatz.An - se * ansatz.wn_vec
+           + se * ansatz.d0 + t * se * ansatz.d1)
+    P = ((se / h) * ansatz.dV + se * ansatz.dw + t * se * ansatz.dAn
+         - s * se * ansatz.dwn + s * se * ansatz.dd0
+         + (t * t / 2) * h * se * ansatz.dd1)
+    F = (col[..., :, None] * n[..., None, :]
+         + np.swapaxes(frame + P, -1, -2) @ dual)
+    if rotate is not None:
+        F = np.asarray(rotate, float) @ F
+    return F, vol
 
 
 def rescaled_gradient(ansatz, h, t, rotate=None):
     """Exact rescaled deformation gradient of the recovery family at level t."""
-    chart = ansatz.chart
-    n = chart.normal
-    se = np.sqrt(ansatz.e(h))
-    eye = np.eye(3)
+    return _shell_level(ansatz, h, t, rotate)[0]
 
-    col = (n + (se / h) * ansatz.An - se * ansatz.wn_vec
-           + se * ansatz.d0 + (t / H0) * se * ansatz.d1)
-    bracket = (eye
-               + (se / h) * ansatz.grad_V
-               + se * ansatz.grad_w
-               + (t * h / H0) * ansatz.shape_mat
-               + (t / H0) * se * ansatz.grad_An
-               - (t * h / H0) * se * ansatz.grad_wn
-               + (t * h / H0) * se * ansatz.grad_d0
-               + (t * t / (2 * H0 * H0)) * h * se * ansatz.grad_d1)
-    geom = eye + (t * h / H0) * ansatz.shape_mat
-    ptan = eye - np.einsum("xyc,xyd->xycd", n, n)
-    F = (np.einsum("xyc,xyd->xycd", col, n)
-         + np.einsum("xyce,xyef,xyfd->xycd", bracket, np.linalg.inv(geom), ptan))
-    if rotate is not None:
-        F = np.einsum("ce,xyed->xycd", np.asarray(rotate, float), F)
-    return F
+
+def _levels(ansatz, h, t_quad, rotate):
+    """(Gauss weight, gradient, volume factor) at each thickness level of
+    the centred unit interval, after checking h, t_quad and the chart's
+    tubular neighbourhood."""
+    if not (0 < h <= 0.5):
+        raise ValueError("thickness must satisfy 0 < h <= 1/2")
+    if not (2 <= t_quad <= 8):
+        raise ValueError("t_quad must be between 2 and 8")
+    curv = np.linalg.eigvals(ansatz.chart.shape_op).real
+    if 0.5 * h * np.max(np.abs(curv), initial=0.0) >= 0.5:
+        raise ValueError("thickness too large for the tubular neighborhood "
+                         "of this chart")
+    for t, wt in zip(*ops.gauss_legendre(t_quad)):
+        yield (wt,) + _shell_level(ansatz, h, t, rotate)
 
 
 def energy_3d(ansatz, h, moduli=None, t_quad=4, rotate=None):
@@ -173,22 +182,9 @@ def energy_3d(ansatz, h, moduli=None, t_quad=4, rotate=None):
     """
     if moduli is None:
         moduli = mat.ElasticModuli(1.0, 1.0)
-    if not (0 < h <= H0 / 2):
-        raise ValueError("thickness must satisfy 0 < h <= h0/2")
-    if not (2 <= t_quad <= 8):
-        raise ValueError("t_quad must be between 2 and 8")
-    chart = ansatz.chart
-    if 0.5 * h * _max_curvature(chart) >= 0.5:
-        raise ValueError("thickness too large for the tubular neighborhood "
-                         "of this chart")
-    ts, tw = ops.gauss_legendre(t_quad, -H0 / 2, H0 / 2)
-    total = 0.0
-    for t, wt in zip(ts, tw):
-        F = rescaled_gradient(ansatz, h, t, rotate=rotate)
-        geom = np.eye(3) + (t * h / H0) * ansatz.shape_mat
-        detf = np.linalg.det(geom)
-        total += wt * geo.integrate(chart, mat.w_density(F, moduli) * detf)
-    return float(total / H0)
+    return float(sum(
+        wt * geo.integrate(ansatz.chart, mat.w_density(F, moduli) * vol)
+        for wt, F, vol in _levels(ansatz, h, t_quad, rotate)))
 
 
 def convergence_study(ansatz, h_list, moduli=None, t_quad=4):
@@ -230,22 +226,15 @@ def rotation_field_estimate(ansatz, h, moduli=None, t_quad=4, rotate=None):
     Reports the squared-distance energy to rotations over the shell, the
     misfit of the gradient to the per-node rotation, and the quadrature of
     the rotation field's surface gradient.  Values are diagnostics; no
-    constants are asserted.
+    constants are asserted; ``moduli`` is not used.
     """
-    if moduli is None:
-        moduli = mat.ElasticModuli(1.0, 1.0)
     chart = ansatz.chart
-    ts, tw = ops.gauss_legendre(t_quad, -H0 / 2, H0 / 2)
-    Fs, dets = [], []
-    Favg = 0.0
-    for t, wt in zip(ts, tw):
-        F = rescaled_gradient(ansatz, h, t, rotate=rotate)
-        Fs.append(F)
-        geom = np.eye(3) + (t * h / H0) * ansatz.shape_mat
-        dets.append(np.linalg.det(geom))
-        Favg = Favg + wt * F
+    levels = list(_levels(ansatz, h, t_quad, rotate))
+    Favg = sum(wt * F for wt, F, _ in levels)
     U, sig, Vt = np.linalg.svd(Favg)
-    detuv = np.linalg.det(np.einsum("xyab,xybc->xyac", U, Vt))
+    W = U @ Vt
+    detuv = np.einsum("xyc,xyc->xy", np.cross(W[..., 0, :], W[..., 1, :]),
+                      W[..., 2, :])   # det W = +-1: orientation of U Vt
     flip = np.ones_like(sig)
     flip[..., 2] = np.sign(detuv)
     R = np.einsum("xyab,xyb,xybc->xyac", U, flip, Vt)
@@ -253,13 +242,13 @@ def rotation_field_estimate(ansatz, h, moduli=None, t_quad=4, rotate=None):
 
     energy = 0.0
     misfit = 0.0
-    for (t, wt), F, detf in zip(zip(ts, tw), Fs, dets):
+    for wt, F, vol in levels:
         sv = np.linalg.svd(F, compute_uv=False)
         dist2 = np.sum((sv - 1.0) ** 2, axis=-1)
-        energy += h * wt * geo.integrate(chart, dist2 * detf)
+        energy += h * wt * geo.integrate(chart, dist2 * vol)
         diff = F - R
         misfit += h * wt * geo.integrate(
-            chart, np.einsum("xycd,xycd->xy", diff, diff) * detf)
+            chart, np.einsum("xycd,xycd->xy", diff, diff) * vol)
 
     gradR = geo.lift(chart, np.stack([chart.d1(R), chart.d2(R)], axis=-3)
                      .reshape(chart.shape + (2, 9)))

@@ -355,6 +355,17 @@ BAD_INPUTS = {
         CYL_CFG, [("grid = 16 32", "grid = 12 16"),
                   ("fourier_order = 8", "fourier_order = 16")],
         ("membrane", "gamma-check")),
+    "t_quad_above_8": (CYL_CFG, [("fourier_order = 8",
+                                  "fourier_order = 8\nt_quad = 12")],
+                       ("gamma-check",)),
+    "h_ladder_not_decreasing": (
+        CYL_CFG, [("h_ladder = 0.1 0.05 0.025 0.0125",
+                   "h_ladder = 0.1 0.2 0.05 0.01")], ("gamma-check",)),
+    "h_ladder_above_half": (
+        CYL_CFG, [("h_ladder = 0.1 0.05 0.025 0.0125",
+                   "h_ladder = 0.9 0.5 0.2 0.1")], ("gamma-check",)),
+    "negative_kappa": (PLATE_CFG, [("kappa = 0.0", "kappa = -1")],
+                       ("minimize", "gamma-check")),
 }
 
 
@@ -369,6 +380,15 @@ def test_bad_input_is_config_error(tmp_path, case):
     for command in commands:
         assert cli.run([command, "--config", cfg_path]) == 2
     assert not list((tmp_path / "out").glob("*_result.json"))
+
+
+def test_negative_kappa_flag_is_config_error(tmp_path):
+    """The command-line kappa is checked like the config value, after it
+    overrides it, and before the output directory is made."""
+    cfg_path = write_cfg(tmp_path, PLATE_CFG)
+    for command in ("minimize", "gamma-check"):
+        assert cli.run([command, "--config", cfg_path, "--kappa", "-1"]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_membrane_reports_projection_rank(tmp_path):

@@ -4,9 +4,11 @@ import pytest
 import vkshell as vk
 from vkshell import functional as fn
 from vkshell import gammacheck as gc
+from vkshell import geometry as geo
 from vkshell import isometry as iso
 from vkshell import material as mat
 from vkshell import membrane as mem
+from vkshell import operators as ops
 from vkshell import presets
 from vkshell.geometry import FormField2, VectorField3
 
@@ -119,6 +121,97 @@ def test_kappa_zero_drops_second_order_terms(cyl_mid):
 
 
 # ---------------------------------------------------------------------------
+# shifted-frame gradient against the inverse-based reference
+# ---------------------------------------------------------------------------
+
+def _gradient_by_inverse(ans, h, t, rotate=None):
+    """Reference: the gradient as bracket (I + t h Pi)^-1 P_tan of lifted
+    3x3 node matrices, and the volume factor det(I + t h Pi)."""
+    chart = ans.chart
+    n = chart.normal
+    se = np.sqrt(ans.e(h))
+    eye = np.eye(3)
+    lift = lambda P: geo.lift(chart, P)
+    shape_mat = lift(np.stack([chart.dn1, chart.dn2], axis=-2))
+    col = (n + (se / h) * ans.An - se * ans.wn_vec + se * ans.d0
+           + t * se * ans.d1)
+    bracket = (eye + (se / h) * lift(ans.dV) + se * lift(ans.dw)
+               + t * h * shape_mat + t * se * lift(ans.dAn)
+               - t * h * se * lift(ans.dwn) + t * h * se * lift(ans.dd0)
+               + (t * t / 2) * h * se * lift(ans.dd1))
+    geom = eye + t * h * shape_mat
+    ptan = eye - np.einsum("xyc,xyd->xycd", n, n)
+    F = (np.einsum("xyc,xyd->xycd", col, n)
+         + np.einsum("xyce,xyef,xyfd->xycd", bracket, np.linalg.inv(geom),
+                     ptan))
+    if rotate is not None:
+        F = np.einsum("ce,xyed->xycd", rotate, F)
+    return F, np.linalg.det(geom)
+
+
+def _reference_energy_and_rotation(ans, h, rotate, t_quad=4):
+    """energy_3d and the rotation_field_estimate numbers on the reference
+    gradient."""
+    chart = ans.chart
+    ts, tw = ops.gauss_legendre(t_quad)
+    levels = [(wt,) + _gradient_by_inverse(ans, h, t, rotate)
+              for t, wt in zip(ts, tw)]
+    energy = sum(wt * geo.integrate(chart, mat.w_density(F, M11) * det)
+                 for wt, F, det in levels)
+    U, sig, Vt = np.linalg.svd(sum(wt * F for wt, F, _ in levels))
+    flip = np.ones_like(sig)
+    flip[..., 2] = np.sign(np.linalg.det(U @ Vt))
+    R = np.einsum("xyab,xyb,xybc->xyac", U, flip, Vt)
+    shell = misfit = 0.0
+    for wt, F, det in levels:
+        sv = np.linalg.svd(F, compute_uv=False)
+        shell += h * wt * geo.integrate(
+            chart, np.sum((sv - 1.0) ** 2, axis=-1) * det)
+        misfit += h * wt * geo.integrate(
+            chart, np.sum((F - R) ** 2, axis=(-2, -1)) * det)
+    gradR = geo.lift(chart, np.stack([chart.d1(R), chart.d2(R)], axis=-3)
+                     .reshape(chart.shape + (2, 9)))
+    variation = geo.integrate(chart, np.sum(gradR**2, axis=(-2, -1)))
+    return energy, (shell, misfit, variation)
+
+
+REFERENCE_CHARTS = {
+    "plate": ("plate", {}, (12, 12)),
+    "cylinder": ("cylinder", {"radius": 1.0, "height": 1.0}, (10, 16)),
+    "revolution": ("revolution", {"profile": [1.0, 0.3, -0.2]}, (10, 16)),
+    "sphere_patch": ("sphere_patch", {"radius": 0.4,
+                                      "polar_range": (0.5, 1.2)}, (8, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CHARTS))
+def test_shifted_frame_gradient_matches_inverse_reference(name):
+    """The closed-form dual frame and volume factor reproduce the 3x3
+    inverse and determinant; revolution and sphere_patch have det S != 0
+    and so exercise the (t h)^2 det S term of the volume factor."""
+    family, params, grid = REFERENCE_CHARTS[name]
+    chart = vk.build_chart(family, params, grid)
+    x = chart.pos
+    V = 0.3 * np.sin(2.0 * x) + 0.2 * np.cos(x[..., ::-1])
+    w = VectorField3(0.1 * np.cos(3.0 * x) + 0.05 * x)
+    ans = gc.build_ansatz(chart, V, w=w, kappa=1.0, moduli=M11)
+    Q = random_rotation(np.random.default_rng(3))
+    h = 0.1
+    for rotate in (None, Q):
+        for t in ops.gauss_legendre(4)[0]:
+            ref, _ = _gradient_by_inverse(ans, h, t, rotate)
+            got = gc.rescaled_gradient(ans, h, t, rotate=rotate)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        energy, rot = _reference_energy_and_rotation(ans, h, rotate)
+        assert abs(gc.energy_3d(ans, h, M11, rotate=rotate) - energy) \
+            <= 1e-12 * energy
+        rep = gc.rotation_field_estimate(ans, h, M11, rotate=rotate)
+        np.testing.assert_allclose(
+            [rep.shell_energy, rep.misfit, rep.rotation_variation], rot,
+            rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
 # 3D energy
 # ---------------------------------------------------------------------------
 
@@ -154,6 +247,19 @@ def test_thickness_validation(plate_ansatz):
     ans = trivial_ansatz(sph)
     with pytest.raises(ValueError, match="tubular"):
         gc.energy_3d(ans, 0.45, M11)  # 0.5*h*curvature = 0.56 > 0.5
+
+
+@pytest.mark.parametrize("h, t_quad", [(0.9, 4), (-0.1, 4), (0.05, 1),
+                                       (0.05, 12), (0.45, 4)])
+def test_energy_and_rotation_field_reject_the_same_inputs(h, t_quad):
+    """Both entry points check the thickness, the Gauss order and the
+    tubular neighbourhood (0.5 h max|kappa| < 1/2) of the chart."""
+    sph = vk.build_chart("sphere_patch", {"radius": 0.4,
+                                          "polar_range": (0.5, 1.2)}, (8, 16))
+    ans = trivial_ansatz(sph)
+    for entry in (gc.energy_3d, gc.rotation_field_estimate):
+        with pytest.raises(ValueError):
+            entry(ans, h, M11, t_quad=t_quad)
 
 
 def test_quadrature_stability(cyl_ansatz):
