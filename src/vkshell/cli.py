@@ -85,7 +85,10 @@ def parse_config(path, overrides=None):
     """Read an INI run config, apply the non-None ``overrides`` (command
     line values by RunConfig field name) and check the values."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError("malformed config %r: %s" % (path, exc)) from exc
     if not read:
         raise ConfigError("config file %r not found or unreadable" % (path,))
     cfg = RunConfig()
@@ -152,7 +155,7 @@ def parse_config(path, overrides=None):
         if cp.has_section("output"):
             out = cp["output"]
             cfg.output_dir = out.get("directory", cfg.output_dir).strip()
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError("bad config value: %s" % (exc,)) from exc
@@ -182,7 +185,10 @@ def parse_config(path, overrides=None):
 # ---------------------------------------------------------------------------
 
 def _build_chart(cfg):
-    return geo.build_chart(cfg.family, cfg.surface_params, cfg.grid)
+    try:
+        return geo.build_chart(cfg.family, cfg.surface_params, cfg.grid)
+    except ChartError as exc:
+        raise ConfigError("[surface] %s" % (exc,)) from exc
 
 
 def _moduli(cfg):
@@ -206,7 +212,10 @@ def _load(cfg, chart):
         vals = _node_csv(cfg.load_csv, chart, "fx,fy,fz").reshape(
             chart.shape + (3,))
     else:
-        vals = presets.load_preset(chart, cfg.load_preset)
+        try:
+            vals = presets.load_preset(chart, cfg.load_preset)
+        except KeyError:
+            raise ConfigError("unknown load preset %r" % (cfg.load_preset,))
     return fn.make_load(chart, vals, remove_mean=cfg.remove_mean)
 
 

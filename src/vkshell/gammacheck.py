@@ -220,13 +220,13 @@ def convergence_study(ansatz, h_list, moduli=None, t_quad=4):
     return ConvergenceTable(rows=rows, limit=limit, energy_slope=energy_slope)
 
 
-def rotation_field_estimate(ansatz, h, moduli=None, t_quad=4, rotate=None):
+def rotation_field_estimate(ansatz, h, t_quad=4, rotate=None):
     """Nearest-rotation field of the t-averaged gradient with diagnostics.
 
     Reports the squared-distance energy to rotations over the shell, the
     misfit of the gradient to the per-node rotation, and the quadrature of
     the rotation field's surface gradient.  Values are diagnostics; no
-    constants are asserted; ``moduli`` is not used.
+    constants are asserted, and no material enters them.
     """
     chart = ansatz.chart
     levels = list(_levels(ansatz, h, t_quad, rotate))

@@ -272,96 +272,86 @@ def robustness_classify(chart):
 # dictionary projection
 # ---------------------------------------------------------------------------
 
-def _dictionary_strains(chart, degree):
-    """Analytic symmetric gradients of tensor-product generator fields.
+def _dictionary_generators(chart, degree):
+    """Stacks (3, n, N1, N2) of the generator fields f, d1 f and d2 f.
 
-    Non-periodic charts use bivariate monomials up to total degree;
-    periodic charts use axial monomials times circumferential harmonics up
-    to the given order.  Each generator populates one Cartesian component.
+    Each is an outer product a(u1) b(u2) of sampled 1-D factors: bivariate
+    monomials up to total degree on open charts, axial monomials times
+    circumferential harmonics up to that order on periodic charts.
     """
-    n1, n2 = chart.shape
-    U1, U2 = np.meshgrid(chart.u1, chart.u2, indexing="ij")
-    bases = []   # (f, df/du1, df/du2) sampled
-    labels = []
+    u1, u2 = chart.u1, chart.u2
+    deg = range(degree + 1)
+    pw1 = np.array([u1**p for p in deg])
+    dpw1 = np.array([p * u1 ** max(p - 1, 0) if p > 0 else np.zeros_like(u1)
+                     for p in deg])
     if chart.periodic2:
-        for p in range(degree + 1):
-            sp = U1**p
-            dsp = p * U1 ** max(p - 1, 0) if p > 0 else np.zeros_like(U1)
-            for k in range(degree + 1):
-                trigs = [(np.cos(k * U2), -k * np.sin(k * U2), "cos")]
-                if k > 0:
-                    trigs.append((np.sin(k * U2), k * np.cos(k * U2), "sin"))
-                for tval, tder, name in trigs:
-                    bases.append((sp * tval, dsp * tval, sp * tder))
-                    labels.append("s^%d %s(%d t)" % (p, name, k))
+        harm = np.array([[(np.cos(k * u2), -k * np.sin(k * u2)),
+                          (np.sin(k * u2), k * np.cos(k * u2))] for k in deg])
+        # cos, sin of k = 0, 1, ... in turn, without the zero sin(0 u2)
+        harm = harm.reshape(-1, 2, u2.size)[np.arange(2 * degree + 2) != 1]
+        P, K = np.divmod(np.arange((degree + 1) * len(harm)), len(harm))
+        a = np.stack([pw1[P], dpw1[P], pw1[P]])
+        b = harm[K].transpose(1, 0, 2)[[0, 0, 1]]
     else:
-        for p in range(degree + 1):
-            for q in range(degree + 1 - p):
-                f = U1**p * U2**q
-                f1 = p * U1 ** max(p - 1, 0) * U2**q if p > 0 else np.zeros_like(U1)
-                f2 = q * U1**p * U2 ** max(q - 1, 0) if q > 0 else np.zeros_like(U1)
-                bases.append((f, f1, f2))
-                labels.append("u1^%d u2^%d" % (p, q))
-    strains = []
-    gens = []
-    names = []
-    for c in range(3):
-        for (f, f1, f2), lab in zip(bases, labels):
-            b11 = f1 * chart.t1[..., c]
-            b22 = f2 * chart.t2[..., c]
-            b12 = 0.5 * (f2 * chart.t1[..., c] + f1 * chart.t2[..., c])
-            b = np.stack([np.stack([b11, b12], axis=-1),
-                          np.stack([b12, b22], axis=-1)], axis=-2)
-            strains.append(b)
-            gens.append((c, f))
-            names.append("e%d * %s" % (c, lab))
-    return strains, gens, names
+        P, Q = np.array([(p, q) for p in deg for q in range(degree + 1 - p)]).T
+        pw2 = np.array([u2**q for q in deg])
+        a = np.stack([pw1[P], dpw1[P], Q[:, None] * pw1[P]])
+        b = np.stack([pw2[Q], pw2[Q], pw2[np.maximum(Q - 1, 0)]])
+    return a[..., :, None] * b[..., None, :]
 
 
-def _dictionary_columns(chart, strains, row_map):
-    """Columns row_map(frame strain) of the dictionary, filled one strain at
-    a time; identically zero columns are pruned.  Returns the kept columns
-    and their indices into strains."""
+def _dictionary_columns(chart, gens, row_map):
+    """Columns row_map(frame strain) of the dictionary, one batched pass per
+    Cartesian axis c over the strains sym(grad f (x) e_c) of all generators;
+    columns are component-major and identically zero ones are pruned.
+    Returns the kept columns and their indices into the 3 n strains."""
+    _, f1, f2 = gens
+    n = len(f1)
     cols = None
-    for k, b in enumerate(strains):
-        col = row_map(geo.frame_form(chart, FormField2(b)))
+    for c in range(3):
+        t1c, t2c = chart.t1[..., c], chart.t2[..., c]
+        b12 = 0.5 * (f2 * t1c + f1 * t2c)
+        rows = row_map(geo.frame_form(chart, FormField2(
+            np.stack([f1 * t1c, b12, b12, f2 * t2c], axis=-1)
+            .reshape(f1.shape + (2, 2)))))
         if cols is None:
-            cols = np.empty((col.size, len(strains)))
-        cols[:, k] = col
+            cols = np.empty((rows.shape[1], 3 * n))
+        cols[:, c * n:(c + 1) * n] = rows.T
+        del b12, rows        # one axis's strain stack alive at a time
     norms = np.linalg.norm(cols, axis=0)
     keep = norms > 1e-14 * max(norms.max(), 1e-300)
     return cols[:, keep], np.flatnonzero(keep)
 
 
-def project_to_B(chart, target, degree=4):
-    """Least-squares projection of a form onto a symmetric-gradient span.
+def _dictionary_field(chart, gens, kept_idx, sol):
+    """Coefficients (3 n,) of a solution sol on the kept columns, the
+    displacement w = sum coeff f e_c and its strain, by one contraction
+    over the generator axis."""
+    coeffs = np.zeros(3 * gens.shape[1])
+    coeffs[kept_idx] = sol
+    fields = np.tensordot(gens, coeffs.reshape(3, -1), axes=(1, 1))
+    return (coeffs, VectorField3(fields[0]),
+            geo.tangential_form(chart, np.moveaxis(fields[1:], 0, -2)))
 
-    Solves min over coefficients of the weighted L2 frame distance between
-    the target and the span of the dictionary strains; returns the
-    minimum-norm best coefficients, the relative residual, and the
-    realizing displacement and the numerical rank of the dictionary.
-    Generators with identically zero strain are pruned; the infinitesimal
-    rotations are a dependency among the rest, so the rank falls short of
-    their count.
-    """
+
+def project_to_B(chart, target, degree=4):
+    """Least-squares projection of a form onto the dictionary span in the
+    weighted L2 frame distance.  Returns the minimum-norm coefficients, the
+    relative residual, the realizing displacement and the numerical rank
+    of the kept columns; the infinitesimal rotations are a dependency among
+    them, so the rank falls short of their count."""
     target = as_form_field(target)
     if target.shape != chart.shape:
         raise ValueError("target grid does not match chart grid")
-    strains, gens, names = _dictionary_strains(chart, degree)
+    gens = _dictionary_generators(chart, degree)
     cols, kept_idx = _dictionary_columns(
-        chart, strains, lambda F: geo.frame_rows(F, chart.quad_w))
+        chart, gens, lambda F: geo.frame_rows(F, chart.quad_w))
     y = geo.frame_rows(geo.frame_form(chart, target), chart.quad_w)
 
     sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
     y_norm = np.linalg.norm(y)
     resid = np.linalg.norm(cols @ sol - y) / (y_norm if y_norm > 0 else 1.0)
 
-    coeffs = np.zeros(len(strains))
-    coeffs[kept_idx] = sol
-    w = np.zeros(chart.shape + (3,))
-    for cval, (c, f) in zip(coeffs, gens):
-        if cval != 0.0:
-            w[..., c] += cval * f
-    return ProjectionResult(coefficients=coeffs, residual=float(resid),
-                            w=VectorField3(w), rank=int(rank),
-                            n_generators=int(cols.shape[1]))
+    coeffs, w, _ = _dictionary_field(chart, gens, kept_idx, sol)
+    return ProjectionResult(coefficients=coeffs, residual=float(resid), w=w,
+                            rank=int(rank), n_generators=int(cols.shape[1]))

@@ -234,10 +234,10 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     G = 0.5 * (G + G.T)
 
     # weighted rows with |rows(F)|^2 = (1/2) integral Q2(F)
-    strains, _, _ = mem._dictionary_strains(chart, dict_degree)
+    gens = mem._dictionary_generators(chart, dict_degree)
     w = 0.5 * chart.quad_w
     cols, kept_idx = mem._dictionary_columns(
-        chart, strains, lambda F: mat.q2_rows(F, moduli, w))
+        chart, gens, lambda F: mat.q2_rows(F, moduli, w))
     colsq, colsr = np.linalg.qr(cols, mode="reduced")
 
     # split the pair rows into dictionary coordinates (which give the
@@ -265,12 +265,10 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
 
     k, (xi, value, grad_norm, iters, history, reason) = best
     beta = np.linalg.solve(colsr, np.einsum("i,j,ijk->k", xi, xi, pair_dict))
-    coeffs = np.zeros(len(strains))
-    coeffs[kept_idx] = beta
+    coeffs, _, B_field = mem._dictionary_field(chart, gens, kept_idx, beta)
     vfield = VectorField3(iso.dof_to_field(reduced @ xi, chart.shape))
     return MinimizationResult(
-        V_star=vfield, B_coeffs=coeffs,
-        B_field=FormField2(np.tensordot(coeffs, np.asarray(strains), axes=1)),
+        V_star=vfield, B_coeffs=coeffs, B_field=B_field,
         rotation=np.asarray(candidates[k], float), value=value,
         gradient_norm=grad_norm, iterations=iters, table=table,
         objective_history=history, flagged=reason == "max_iter",

@@ -66,6 +66,41 @@ def rotated_plate(R, grid):
         "d22": zero, "domain": ((0.0, 1.0), (0.0, 1.0))}, grid)
 
 
+def reference_dictionary_strains(chart, degree):
+    """Reference for the strain dictionary: nested loops over generators on
+    the 2-D node grid give one full strain (N1, N2, 2, 2) per generator and
+    Cartesian axis (component-major), and the list of generator fields."""
+    U1, U2 = np.meshgrid(chart.u1, chart.u2, indexing="ij")
+    bases = []
+    if chart.periodic2:
+        for p in range(degree + 1):
+            sp = U1**p
+            dsp = p * U1 ** max(p - 1, 0) if p > 0 else np.zeros_like(U1)
+            for k in range(degree + 1):
+                trigs = [(np.cos(k * U2), -k * np.sin(k * U2))]
+                if k > 0:
+                    trigs.append((np.sin(k * U2), k * np.cos(k * U2)))
+                for tval, tder in trigs:
+                    bases.append((sp * tval, dsp * tval, sp * tder))
+    else:
+        for p in range(degree + 1):
+            for q in range(degree + 1 - p):
+                f = U1**p * U2**q
+                zero = np.zeros_like(U1)
+                f1 = p * U1 ** max(p - 1, 0) * U2**q if p > 0 else zero
+                f2 = q * U1**p * U2 ** max(q - 1, 0) if q > 0 else zero
+                bases.append((f, f1, f2))
+    strains = []
+    for c in range(3):
+        for f, f1, f2 in bases:
+            b11 = f1 * chart.t1[..., c]
+            b22 = f2 * chart.t2[..., c]
+            b12 = 0.5 * (f2 * chart.t1[..., c] + f1 * chart.t2[..., c])
+            strains.append(np.stack([np.stack([b11, b12], axis=-1),
+                                     np.stack([b12, b22], axis=-1)], axis=-2))
+    return strains, [f for f, _, _ in bases]
+
+
 def revolution_form_and_field(chart, a_funcs, b_funcs, c_funcs):
     """Assemble the strain form of w = a gamma + b gamma' + c e3 from
     analytic frame components (f, df/ds, df/dtheta) and return (B, w)."""

@@ -90,11 +90,11 @@ def test_missing_config_exit_code(tmp_path):
     assert cli.run(["surface", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
-def test_bad_grid_is_numerical_failure(tmp_path):
+def test_non_utf8_config_is_config_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[surface]\nfamily = plate\ngrid = 4 4\n")
+    cfg.write_bytes(b"[surface]\nfamily = plate\n# caf\xe9\n")
     assert cli.run(["surface", "--config", str(cfg),
-                    "--output-dir", str(tmp_path / "o")]) == 3
+                    "--output-dir", str(tmp_path / "o")]) == 2
 
 
 def test_bad_value_is_config_error(tmp_path):
@@ -366,6 +366,26 @@ BAD_INPUTS = {
                    "h_ladder = 0.9 0.5 0.2 0.1")], ("gamma-check",)),
     "negative_kappa": (PLATE_CFG, [("kappa = 0.0", "kappa = -1")],
                        ("minimize", "gamma-check")),
+    "unknown_load_preset": (PLATE_CFG, [("preset = normal_saddle",
+                                         "preset = bogus")],
+                            ("energy", "minimize")),
+    "line_before_first_section": (PLATE_CFG, [("[surface]",
+                                               "grid = 16 16\n[surface]")],
+                                  ("surface",)),
+    "duplicate_option": (PLATE_CFG, [("grid = 16 16",
+                                      "grid = 16 16\ngrid = 16 16")],
+                         ("surface",)),
+    "bad_interpolation": (PLATE_CFG, [("kappa = 0.0", "kappa = 0.0%")],
+                          ("minimize",)),
+    "unknown_family": (PLATE_CFG, [("family = plate", "family = torus")],
+                       ("surface", "isometries")),
+    "grid_below_8": (PLATE_CFG, [("grid = 16 16", "grid = 4 4")],
+                     ("surface", "energy")),
+    "negative_radius": (CYL_CFG, [("radius = 1.0", "radius = -1")],
+                        ("surface", "membrane")),
+    "unknown_theta_scheme": (CYL_CFG, [("radius = 1.0", "radius = 1.0\n"
+                                        "theta_scheme = fancy")],
+                             ("surface",)),
 }
 
 
@@ -380,6 +400,21 @@ def test_bad_input_is_config_error(tmp_path, case):
     for command in commands:
         assert cli.run([command, "--config", cfg_path]) == 2
     assert not list((tmp_path / "out").glob("*_result.json"))
+
+
+def test_late_chart_error_is_numerical_failure(tmp_path, monkeypatch):
+    """A chart that passes the build but is corrupted later still exits 3
+    (numerical failure), not 2."""
+    build = cli._build_chart
+
+    def corrupted(cfg):
+        chart = build(cfg)
+        chart.sqrt_g[0, 0] = -1.0
+        return chart
+
+    monkeypatch.setattr(cli, "_build_chart", corrupted)
+    cfg_path = write_cfg(tmp_path, PLATE_CFG)
+    assert cli.run(["membrane", "--config", cfg_path]) == 3
 
 
 def test_negative_kappa_flag_is_config_error(tmp_path):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -205,7 +207,7 @@ def test_shifted_frame_gradient_matches_inverse_reference(name):
         energy, rot = _reference_energy_and_rotation(ans, h, rotate)
         assert abs(gc.energy_3d(ans, h, M11, rotate=rotate) - energy) \
             <= 1e-12 * energy
-        rep = gc.rotation_field_estimate(ans, h, M11, rotate=rotate)
+        rep = gc.rotation_field_estimate(ans, h, rotate=rotate)
         np.testing.assert_allclose(
             [rep.shell_energy, rep.misfit, rep.rotation_variation], rot,
             rtol=1e-12, atol=0)
@@ -257,9 +259,10 @@ def test_energy_and_rotation_field_reject_the_same_inputs(h, t_quad):
     sph = vk.build_chart("sphere_patch", {"radius": 0.4,
                                           "polar_range": (0.5, 1.2)}, (8, 16))
     ans = trivial_ansatz(sph)
-    for entry in (gc.energy_3d, gc.rotation_field_estimate):
+    for entry in (functools.partial(gc.energy_3d, moduli=M11),
+                  gc.rotation_field_estimate):
         with pytest.raises(ValueError):
-            entry(ans, h, M11, t_quad=t_quad)
+            entry(ans, h, t_quad=t_quad)
 
 
 def test_quadrature_stability(cyl_ansatz):
@@ -327,7 +330,7 @@ def test_study_input_validation(plate_ansatz):
 
 def test_rotation_field_trivial(plate32):
     ans = trivial_ansatz(plate32)
-    rep = gc.rotation_field_estimate(ans, 0.05, M11)
+    rep = gc.rotation_field_estimate(ans, 0.05)
     assert np.max(np.abs(rep.R - np.eye(3))) < 1e-13
     assert rep.shell_energy < 1e-28
     assert rep.misfit < 1e-28
@@ -339,7 +342,7 @@ def test_rotation_field_rigid(cyl_mid):
     ans = trivial_ansatz(cyl_mid)
     rng = np.random.default_rng(2)
     Q = random_rotation(rng)
-    rep = gc.rotation_field_estimate(ans, 0.05, M11, rotate=Q)
+    rep = gc.rotation_field_estimate(ans, 0.05, rotate=Q)
     assert np.max(np.abs(rep.R - Q)) < 1e-12
     assert rep.shell_energy < 1e-26
 
@@ -347,7 +350,7 @@ def test_rotation_field_rigid(cyl_mid):
 def test_rotation_field_scaling(plate_ansatz):
     """The squared-distance shell energy over h^3 decreases with h, in line
     with the higher-than-h^2 energy scaling."""
-    r1 = gc.rotation_field_estimate(plate_ansatz, 0.08, M11)
-    r2 = gc.rotation_field_estimate(plate_ansatz, 0.04, M11)
+    r1 = gc.rotation_field_estimate(plate_ansatz, 0.08)
+    r2 = gc.rotation_field_estimate(plate_ansatz, 0.04)
     assert r2.shell_energy / 0.04**3 < r1.shell_energy / 0.08**3
     assert r1.misfit >= 0 and r1.rotation_variation >= 0

@@ -5,11 +5,13 @@ import vkshell as vk
 from vkshell import functional as fn
 from vkshell import geometry as geo
 from vkshell import isometry as iso
+from vkshell import material as mat
 from vkshell import membrane as mem
 from vkshell import presets
 from vkshell.geometry import FormField2
 
-from conftest import BANDLIMITED_ABC, revolution_form_and_field, plate_sine_mode
+from conftest import (BANDLIMITED_ABC, isotropic_voigt, plate_sine_mode,
+                      reference_dictionary_strains, revolution_form_and_field)
 
 
 def revolution_chart(n, coeffs=(1.0, 0.0, 0.3), s_range=(-0.5, 0.5)):
@@ -289,3 +291,72 @@ def test_projection_reports_rank(plate16):
     target = FormField2(np.zeros(plate16.shape + (2, 2)))
     result = mem.project_to_B(plate16, target, degree=1)
     assert result.rank == result.n_generators - 1
+
+
+# ---------------------------------------------------------------------------
+# dictionary assembly against the per-strain reference
+# ---------------------------------------------------------------------------
+
+def _reference_dictionary_columns(chart, strains, row_map):
+    """One frame_form and one row_map call per strain, then the zero prune."""
+    cols = np.stack([row_map(geo.frame_form(chart, FormField2(b)))
+                     for b in strains], axis=1)
+    norms = np.linalg.norm(cols, axis=0)
+    keep = norms > 1e-14 * max(norms.max(), 1e-300)
+    return cols[:, keep], np.flatnonzero(keep)
+
+
+DICTIONARY_CHARTS = {
+    "plate 20x20": ("plate", {}, (20, 20)),
+    "plate 9x13 shifted": ("plate", {"bounds": ((-1.0, 2.0), (0.5, 3.0))},
+                           (9, 13)),
+    "cylinder 12x32": ("cylinder", {"radius": 1.0, "height": 1.0}, (12, 32)),
+    "revolution 16x32": ("revolution", {"profile": [1.0, 0.0, 0.3],
+                                        "s_range": (-0.5, 0.5)}, (16, 32)),
+    "sphere_patch 10x16": ("sphere_patch", {}, (10, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DICTIONARY_CHARTS))
+def test_dictionary_columns_match_per_strain_reference(name):
+    """The per-axis batched assembly from generator factors reproduces the
+    per-strain columns and kept indices bit for bit, for the Frobenius
+    rows, the isotropic Q2 rows and the Cholesky Q2 rows."""
+    from conftest import isotropic_voigt
+    family, params, grid = DICTIONARY_CHARTS[name]
+    chart = vk.build_chart(family, params, grid)
+    bits = lambda a: a.view(np.int64)       # signed zeros must match too
+    C = np.diag([3.0, 2.0, 1.5, 0.8, 0.9, 0.7])
+    C[0, 1] = C[1, 0] = 0.6
+    w = 0.5 * chart.quad_w
+    row_maps = [lambda F: geo.frame_rows(F, chart.quad_w)] + [
+        lambda F, m=m: mat.q2_rows(F, m, w)
+        for m in (mat.ElasticModuli(1.0, 1.0), isotropic_voigt(1.3, 0.6),
+                  mat.AnisotropicModuli(C))]
+    for degree in (0, 1, 4, 6):
+        gens = mem._dictionary_generators(chart, degree)
+        strains, fields = reference_dictionary_strains(chart, degree)
+        assert np.array_equal(bits(gens[0]), bits(np.array(fields)))
+        for row_map in row_maps:
+            cols, kept = mem._dictionary_columns(chart, gens, row_map)
+            ref_cols, ref_kept = _reference_dictionary_columns(
+                chart, strains, row_map)
+            assert np.array_equal(kept, ref_kept)
+            assert np.array_equal(bits(cols), bits(ref_cols))
+
+
+def test_projection_displacement_realizes_target(plate32):
+    """The returned w of an exactly representable target differs from the
+    true displacement by a rigid motion only."""
+    U1, U2 = np.meshgrid(plate32.u1, plate32.u2, indexing="ij")
+    w_true = np.zeros(plate32.shape + (3,))
+    w_true[..., 0] = 0.7 * U1**2 * U2 - U2**3
+    w_true[..., 1] = U1 * U2 + 0.4 * U1**3
+    b = np.zeros(plate32.shape + (2, 2))
+    b[..., 0, 0] = 1.4 * U1 * U2
+    b[..., 1, 1] = U1
+    b[..., 0, 1] = b[..., 1, 0] = 0.5 * (0.7 * U1**2 - 3 * U2**2 + U2
+                                         + 1.2 * U1**2)
+    result = mem.project_to_B(plate32, FormField2(b), degree=3)
+    rest = iso.project_out_rigid(plate32, result.w.values - w_true).values
+    assert np.max(np.abs(rest)) <= 1e-12

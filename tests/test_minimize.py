@@ -9,6 +9,8 @@ from vkshell import material as mat
 from vkshell import minimize as mz
 from vkshell import presets
 
+from conftest import reference_dictionary_strains
+
 M11 = mat.ElasticModuli(1.0, 1.0)
 
 
@@ -172,6 +174,18 @@ def test_b_step_reduces_stretching(cyl_problem):
     stretch = fn.stretching_energy(chart, res.B_field, A, 1.0, M11)
     bend = fn.bending_energy(chart, res.V_star, M11)
     assert stretch <= 1e-6 * max(bend, 1e-12)
+
+
+def test_b_field_is_the_coefficient_combination(cyl_problem):
+    """B_field is the strain sum of B_coeffs times the dictionary strains."""
+    chart, basis, load = cyl_problem
+    opts = mz.SolverOptions(tol=1e-10, max_iter=300, restarts=1, seed=0)
+    res = mz.minimize_J(chart, basis, load, [np.eye(3)], 1.0, M11,
+                        dict_degree=3, opts=opts)
+    strains, _ = reference_dictionary_strains(chart, 3)
+    ref = sum(c * b for c, b in zip(res.B_coeffs, strains))
+    assert np.max(np.abs(res.B_field.coeff - ref)) \
+        <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_quartic_derivatives_match_central_differences():
