@@ -165,10 +165,18 @@ def parse_config(path, overrides=None):
     if cfg.kappa < 0:
         raise ConfigError("kappa must be at least 0, got %g" % cfg.kappa)
     for name, low in (("basis_size", 0), ("dictionary_degree", 0),
-                      ("sample_count", 1)):
+                      ("sample_count", 1), ("max_iter", 1), ("restarts", 1)):
         if getattr(cfg, name) < low:
             raise ConfigError("[solver] %s must be at least %d, got %d"
                               % (name, low, getattr(cfg, name)))
+    for name in ("tol", "basis_tol"):
+        if not getattr(cfg, name) > 0:
+            raise ConfigError("[solver] %s must be positive, got %g"
+                              % (name, getattr(cfg, name)))
+    try:
+        _moduli(cfg)
+    except ValueError as exc:
+        raise ConfigError("[moduli] %s" % (exc,)) from exc
     if not 2 <= cfg.t_quad <= 8:
         raise ConfigError("[solver] t_quad must lie in [2, 8], got %d"
                           % cfg.t_quad)
@@ -488,15 +496,21 @@ def cmd_minimize(cfg, outdir, verify):
         "rotation": [[float(x) for x in row] for row in result.rotation],
         "seed": cfg.seed,
     }
-    write_json(outdir / "minimize_result.json", payload)
-    _write_vector_csv(outdir / "minimize_V.csv", chart, "v",
-                      result.V_star.values)
     if verify:
         _verify_chart(chart)
         hist = result.objective_history
-        if any(b - a > 1e-10 * max(abs(hist[0]), 1.0)
-               for a, b in zip(hist, hist[1:])):
+        if cfg.kappa == 0:
+            # the exact minimum is attained: recompute it independently
+            J = fn.total_J(chart, result.V_star, result.B_field, cfg.kappa,
+                           moduli, load, result.rotation).total
+            if abs(J - result.value) > 1e-12 * abs(J):
+                raise ArithmeticError("minimum disagrees with total_J")
+        elif any(b - a > 1e-10 * max(abs(hist[0]), 1.0)
+                 for a, b in zip(hist, hist[1:])):
             raise ArithmeticError("objective sequence increased")
+    write_json(outdir / "minimize_result.json", payload)
+    _write_vector_csv(outdir / "minimize_V.csv", chart, "v",
+                      result.V_star.values)
     return payload
 
 

@@ -87,7 +87,8 @@ def a_squared_tan(chart, A):
 
 def _bending(chart, A, moduli):
     F = geo.frame_form(chart, iso.bending_form(chart, A))
-    return float(geo.integrate(chart, mat.q2_value(F, moduli)) / 24.0)
+    q2 = mat.q2_value(F, moduli, chart.frame)
+    return float(geo.integrate(chart, q2) / 24.0)
 
 
 def bending_energy(chart, fld, moduli):
@@ -109,8 +110,8 @@ def stretching_energy(chart, form, A, kappa, moduli):
         arg = FormField2(form.coeff - 0.5 * kappa * corr.coeff)
     else:
         arg = form
-    F = geo.frame_form(chart, arg)
-    return float(0.5 * geo.integrate(chart, mat.q2_value(F, moduli)))
+    q2 = mat.q2_value(geo.frame_form(chart, arg), moduli, chart.frame)
+    return float(0.5 * geo.integrate(chart, q2))
 
 
 def load_work(chart, load, rotation, fld):

@@ -106,12 +106,12 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
     nA2n = np.einsum("xyc,xyc->xy", n, A2n)
 
     arg0 = FormField2(B.coeff - 0.5 * kappa * a2.coeff)
-    c0 = mat.q2_relax(geo.frame_form(chart, arg0), moduli, n=n).c
+    c0 = mat.q2_relax(geo.frame_form(chart, arg0), moduli, chart.frame).c
     d0 = 2.0 * c0 + kappa * A2n - 0.5 * kappa * nA2n[..., None] * n
 
     bend_dirs = iso.bending_direction_field(chart, A)   # (d_i A) n
     bform = geo.tangential_form(chart, bend_dirs)        # bending_form(A)
-    c1 = mat.q2_relax(geo.frame_form(chart, bform), moduli, n=n).c
+    c1 = mat.q2_relax(geo.frame_form(chart, bform), moduli, chart.frame).c
     omega = -np.einsum("xyc,xyic->xyi", n, bend_dirs)
     d1 = 2.0 * c1 + geo.tangential_vector_from_covector(
         chart, omega[..., 0], omega[..., 1])

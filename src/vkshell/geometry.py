@@ -118,6 +118,12 @@ class SurfaceChart:
         return ops.fd1_periodic_apply(f, self.du[1], axis=1)
 
     @property
+    def frame(self):
+        """(N1, N2, 3, 3) rows frame_e1, frame_e2, normal: the orthonormal
+        frame in which the relaxed form Q2 is taken."""
+        return np.stack([self.frame_e1, self.frame_e2, self.normal], axis=-2)
+
+    @property
     def n_nodes(self):
         return self.shape[0] * self.shape[1]
 

@@ -241,7 +241,7 @@ def _skew_defect_rows(chart, fields):
 def bending_q2_gram(chart, fields, moduli):
     """Gram matrix of (1/24) integral Q2(bending form) over a stack of fields."""
     rows = mat.q2_rows(_bending_frames(chart, fields), moduli,
-                       chart.quad_w / 24.0)
+                       chart.quad_w / 24.0, chart.frame)
     return rows @ rows.T
 
 

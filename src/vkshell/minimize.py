@@ -235,14 +235,14 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
 
     # weighted rows with |rows(F)|^2 = (1/2) integral Q2(F)
     gens = mem._dictionary_generators(chart, dict_degree)
-    w = 0.5 * chart.quad_w
+    w, frame = 0.5 * chart.quad_w, chart.frame
     cols, kept_idx = mem._dictionary_columns(
-        chart, gens, lambda F: mat.q2_rows(F, moduli, w))
+        chart, gens, lambda F: mat.q2_rows(F, moduli, w, frame))
     colsq, colsr = np.linalg.qr(cols, mode="reduced")
 
     # split the pair rows into dictionary coordinates (which give the
     # optimal strain) and the complement (which enters the objective)
-    pair = mat.q2_rows(_pair_frames(chart, fields, kappa), moduli, w)
+    pair = mat.q2_rows(_pair_frames(chart, fields, kappa), moduli, w, frame)
     pair_dict = pair @ colsq
     pair -= pair_dict @ colsq.T
 

@@ -27,6 +27,22 @@ def isotropic_voigt(mu, lam):
     return mat.AnisotropicModuli(C)
 
 
+def anisotropic_voigt(rng):
+    """A generic positive definite anisotropic material."""
+    A = rng.normal(size=(6, 6))
+    return mat.AnisotropicModuli(A @ A.T + 6.0 * np.eye(6))
+
+
+def rotated_voigt(moduli, R):
+    """The material rotated by R: its q3 at R S R^T equals q3 at S."""
+    units = np.zeros((6, 3, 3))
+    for k, (a, b) in enumerate(((0, 0), (1, 1), (2, 2), (1, 2), (0, 2),
+                                (0, 1))):
+        units[k, a, b] = units[k, b, a] = 1.0 if a == b else 0.5
+    T = mat._voigt(R.T @ units @ R)
+    return mat.AnisotropicModuli(T @ moduli.voigt @ T.T)
+
+
 def rotated_cylinder(R, grid, radius=1.0, height=1.0):
     """Unit-type cylinder chart rigidly rotated through analytic callables."""
     R = np.asarray(R, float)

@@ -226,6 +226,27 @@ def test_energy_verify_catches_inconsistent_breakdown(tmp_path, monkeypatch):
     assert cli.run(["energy", "--config", cfg_path, "--verify"]) == 3
 
 
+def test_minimize_verify_recomputes_bending_minimum(tmp_path, monkeypatch):
+    """For kappa = 0, --verify recomputes J at the returned minimizer with
+    functional.total_J, so a reported value shifted by 1e-6 is caught."""
+    cfg_path = write_cfg(tmp_path, PLATE_CFG)
+    assert cli.run(["minimize", "--config", cfg_path, "--verify"]) == 0
+    exact = cli.mz.minimize_quadratic
+
+    def shifted_minimum(*args):
+        result = exact(*args)
+        return dataclasses.replace(result, value=result.value + 1e-6)
+
+    shifted = types.SimpleNamespace(**vars(cli.mz))
+    shifted.minimize_quadratic = shifted_minimum
+    monkeypatch.setattr(cli, "mz", shifted)
+    assert cli.run(["minimize", "--config", cfg_path,
+                    "--output-dir", str(tmp_path / "o")]) == 0
+    assert cli.run(["minimize", "--config", cfg_path, "--verify",
+                    "--output-dir", str(tmp_path / "v")]) == 3
+    assert not (tmp_path / "v" / "minimize_result.json").exists()
+
+
 def test_minimize_subcommand_and_determinism(tmp_path):
     cfg_path = write_cfg(tmp_path, CYL_CFG)
     assert cli.run(["minimize", "--config", cfg_path,
@@ -387,6 +408,18 @@ BAD_INPUTS = {
                                         "theta_scheme = fancy")],
                              ("surface",)),
 }
+for _key, _value, _commands in (
+        ("mu", "-1", ("energy", "minimize")), ("mu", "0", ("energy",)),
+        ("lambda", "-0.5", ("energy", "minimize")),
+        ("basis_tol", "0", ("isometries", "minimize")),
+        ("basis_tol", "-1", ("isometries",)),
+        ("tol", "0", ("minimize",)), ("tol", "-1", ("minimize",)),
+        ("max_iter", "0", ("minimize",)), ("max_iter", "-5", ("minimize",)),
+        ("restarts", "0", ("minimize",)), ("restarts", "-3", ("minimize",))):
+    _edit = (("%s = 1.0" % _key, "%s = %s" % (_key, _value))
+             if _key in ("mu", "lambda")
+             else ("seed = 3", "seed = 3\n%s = %s" % (_key, _value)))
+    BAD_INPUTS["%s_%s" % (_key, _value)] = (PLATE_CFG, [_edit], _commands)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import vkshell as vk
 from vkshell import material as mat
 
-from conftest import isotropic_voigt, random_rotation
+from conftest import anisotropic_voigt, isotropic_voigt, random_rotation
 
 M11 = mat.ElasticModuli(1.0, 1.0)
 
@@ -160,7 +161,7 @@ def test_anisotropic_matches_isotropic():
                - mat.w_density(np.eye(3) + 0.05 * G, iso)) < 1e-12
     A = rng.normal(size=(2, 2))
     F = 0.5 * (A + A.T)
-    # q2_relax dispatches to the numeric route for anisotropic input
+    # both read the Schur complement of their Voigt matrix in the plate frame
     r_ani = mat.q2_relax(F, moduli)
     r_iso = mat.q2_relax(F, iso)
     assert abs(r_ani.value - r_iso.value) < 1e-10
@@ -201,8 +202,42 @@ def test_q2_frame_matrix_represents_relaxed_form():
     C = np.diag([3.0, 2.0, 1.5, 0.8, 0.9, 0.7])
     C[0, 2] = C[2, 0] = 0.4
     for moduli in (M11, isotropic_voigt(1.3, 0.6), mat.AnisotropicModuli(C)):
-        Q = mat.q2_frame_matrix(moduli)
+        Q, K = mat.q2_frame_matrix(moduli)
         assert np.allclose(Q, Q.T, rtol=0, atol=1e-14)
-        want = mat.q2_relax(F, moduli).value
+        want = mat.q2_numeric(F, moduli)
         got = np.einsum("nk,kl,nl->n", v, Q, v)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        assert np.max(np.abs(got - want.value)) <= 1e-12 * np.max(want.value)
+        # the plate frame is the identity, so K v is c in Cartesian components
+        assert np.max(np.abs(v @ K.T - want.c)) <= 1e-12
+
+
+def test_anisotropic_q2_in_chart_frame():
+    """On a cylinder the axial stretch e1 (x) e1 = e_z (x) e_z of a material
+    ten times stiffer along e_z relaxes to 10 at every node, on every
+    route that is given the chart frame."""
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0}, (8, 16))
+    moduli = mat.AnisotropicModuli(np.diag([1.0, 1.0, 10.0, 1.0, 1.0, 1.0]))
+    F = np.zeros(chart.shape + (2, 2))
+    F[..., 0, 0] = 1.0
+    rows = mat.q2_rows(F, moduli, np.ones(chart.shape), chart.frame)
+    for value in (mat.q2_value(F, moduli, chart.frame),
+                  mat.q2_relax(F, moduli, chart.frame).value,
+                  np.sum(rows.reshape((3,) + chart.shape) ** 2, axis=0),
+                  mat.q2_numeric(F, moduli, chart.frame).value):
+        assert value.shape == chart.shape
+        assert np.max(np.abs(value - 10.0)) <= 1e-12
+
+
+def test_q2_oracle_sweep_in_random_frames():
+    """The Schur complement of q2_relax and the normal equations of
+    q2_numeric agree, value and completion, in random per-node frames."""
+    rng = np.random.default_rng(13)
+    frames = np.stack([random_rotation(rng) for _ in range(50)])
+    F = rng.normal(size=(50, 2, 2))
+    for moduli in (anisotropic_voigt(rng), anisotropic_voigt(rng),
+                   mat.ElasticModuli(1.3, 0.6)):
+        closed = mat.q2_relax(F, moduli, frames)
+        numeric = mat.q2_numeric(F, moduli, frames)
+        assert np.max(np.abs(closed.value - numeric.value)
+                      / numeric.value) <= 1e-10
+        assert np.max(np.abs(closed.c - numeric.c)) <= 1e-10

@@ -321,7 +321,8 @@ DICTIONARY_CHARTS = {
 def test_dictionary_columns_match_per_strain_reference(name):
     """The per-axis batched assembly from generator factors reproduces the
     per-strain columns and kept indices bit for bit, for the Frobenius
-    rows, the isotropic Q2 rows and the Cholesky Q2 rows."""
+    rows and the Q2 rows in the chart frame, with one Cholesky factor
+    (isotropic moduli) and one per node (anisotropic Voigt matrices)."""
     from conftest import isotropic_voigt
     family, params, grid = DICTIONARY_CHARTS[name]
     chart = vk.build_chart(family, params, grid)
@@ -330,7 +331,7 @@ def test_dictionary_columns_match_per_strain_reference(name):
     C[0, 1] = C[1, 0] = 0.6
     w = 0.5 * chart.quad_w
     row_maps = [lambda F: geo.frame_rows(F, chart.quad_w)] + [
-        lambda F, m=m: mat.q2_rows(F, m, w)
+        lambda F, m=m: mat.q2_rows(F, m, w, chart.frame)
         for m in (mat.ElasticModuli(1.0, 1.0), isotropic_voigt(1.3, 0.6),
                   mat.AnisotropicModuli(C))]
     for degree in (0, 1, 4, 6):

@@ -1,15 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import vkshell as vk
 from vkshell import functional as fn
+from vkshell import gammacheck as gc
 from vkshell import geometry as geo
 from vkshell import isometry as iso
 from vkshell import material as mat
 from vkshell import minimize as mz
 from vkshell import presets
 
-from conftest import reference_dictionary_strains
+from conftest import (anisotropic_voigt, random_rotation,
+                      reference_dictionary_strains, rotated_cylinder,
+                      rotated_voigt)
 
 M11 = mat.ElasticModuli(1.0, 1.0)
 
@@ -260,6 +265,58 @@ def test_anisotropic_moduli_in_both_minimizers(cyl_problem):
     assert full.stop_reason == "converged"
     hist = full.objective_history
     assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+
+def test_bending_minimum_matches_total_J_for_anisotropic_moduli(cyl_problem):
+    """On a curved chart the row path of minimize_quadratic (per-node
+    Cholesky factors of Q) and the pointwise path of total_J (q2_value)
+    give the same kappa = 0 minimum."""
+    chart, basis, load = cyl_problem
+    moduli = anisotropic_voigt(np.random.default_rng(4))
+    res = mz.minimize_quadratic(chart, basis, load, [np.eye(3)], moduli)
+    J = fn.total_J(chart, res.V_star, res.B_field, 0.0, moduli, load,
+                   res.rotation).total
+    assert abs(J - res.value) <= 1e-12 * abs(J)
+
+
+def test_anisotropic_results_are_frame_invariant():
+    """Rotating the chart and the material by the same R leaves the
+    energies, the coercivity spectrum, the bending minimum and the 3D
+    recovery energy of an anisotropic material unchanged."""
+    rng = np.random.default_rng(21)
+    moduli = anisotropic_voigt(rng)
+    base = rotated_cylinder(np.eye(3), (10, 16))
+    basis = iso.isometry_basis(base, n_request=16, tol=1e-8)
+    V = np.sin(base.pos) + 0.3 * base.pos[..., ::-1] ** 2
+    B = geo.sym_grad(base, geo.VectorField3(0.1 * np.cos(base.pos)))
+    f = presets.load_preset(base, "radial_cos2")
+    candidates = fn.rotation_set(fn.make_load(base, f, remove_mean=True),
+                                 sample_count=8, seed=0).candidates
+
+    def results(R):
+        chart = rotated_cylinder(R, base.shape)
+        rot_moduli = rotated_voigt(moduli, R)
+        rot = lambda X: np.einsum("cd,...d->...c", R, X)
+        V2 = geo.VectorField3(rot(V))
+        modes = rot(basis.modes)
+        basis2 = dataclasses.replace(basis, modes=modes, chart=chart,
+                                     matrix=iso.field_to_dof(modes))
+        load = fn.make_load(chart, rot(f), remove_mean=True)
+        cs = iso.coercivity_spectrum(chart, basis2, rot_moduli)
+        ansatz = gc.build_ansatz(chart, V2, kappa=1.0, moduli=rot_moduli)
+        return np.array([
+            fn.bending_energy(chart, V2, rot_moduli),
+            fn.stretching_energy(chart, B, iso.extend_A(chart, V2), 1.0,
+                                 rot_moduli),
+            cs.smallest, cs.largest,
+            mz.minimize_quadratic(chart, basis2, load,
+                                  [R @ Q @ R.T for Q in candidates],
+                                  rot_moduli).value,
+            gc.energy_3d(ansatz, 0.05, rot_moduli)])
+
+    want = results(np.eye(3))
+    for R in (random_rotation(rng), random_rotation(rng)):
+        assert np.max(np.abs(results(R) - want) / np.abs(want)) <= 1e-12
 
 
 @pytest.mark.parametrize("grad, outcome", [(1e-9, "message"), (1e-3, "raise")])
