@@ -289,13 +289,9 @@ def _write_vector_csv(path, chart, prefix, values):
 def _verify_chart(chart):
     n_err = float(np.max(np.abs(
         np.linalg.norm(chart.normal, axis=-1) - 1.0)))
-    orth = max(
-        float(np.max(np.abs(np.einsum("xyc,xyc->xy", chart.frame_e1,
-                                      chart.frame_e2)))),
-        float(np.max(np.abs(np.einsum("xyc,xyc->xy", chart.frame_e1,
-                                      chart.normal)))),
-        float(np.max(np.abs(np.einsum("xyc,xyc->xy", chart.frame_e2,
-                                      chart.normal)))))
+    frame = chart.frame
+    orth = float(np.max(np.abs(frame @ np.swapaxes(frame, -1, -2)
+                               - np.eye(3))))
     spd = bool(np.all(chart.sqrt_g > 0))
     checks = {"unit_normal": n_err <= 1e-12, "frame_orthonormal": orth <= 1e-12,
               "metric_spd": spd}
@@ -315,6 +311,20 @@ def _verify_basis(chart, basis):
         raise ArithmeticError("isometry mode Rayleigh quotient above threshold")
     if np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) > 1e-10:
         raise ArithmeticError("isometry modes are not M-orthonormal")
+
+
+def _verify_projection(chart, target, proj, degree):
+    """Full-grid check of the projection, apart from its solve: the strain
+    of the returned coefficients lies at the reported residual from the
+    target."""
+    gens = mem._dictionary_generators(chart, degree)
+    _, _, strain = mem._dictionary_field(
+        chart, gens, np.arange(proj.coefficients.size), proj.coefficients)
+    dist = mem.form_rel_distance(chart, strain, target)
+    if abs(dist - proj.residual) > 1e-8 * proj.residual + 1e-12:
+        raise ArithmeticError("projection residual %r disagrees with the "
+                              "distance %r of its coefficients' strain"
+                              % (proj.residual, dist))
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +437,7 @@ def cmd_membrane(cfg, outdir, verify):
     payload["dictionary_degree"] = cfg.dictionary_degree
     if verify:
         _verify_chart(chart)
+        _verify_projection(chart, target, proj, cfg.dictionary_degree)
     write_json(outdir / "membrane_result.json", payload)
     return payload
 

@@ -386,6 +386,30 @@ def build_chart(family, params=None, grid=(32, 32)):
 
 
 # ---------------------------------------------------------------------------
+# rotation symmetry
+# ---------------------------------------------------------------------------
+
+# e_z, e_+ = (e_x - i e_y)/sqrt(2) and e_- = (e_x + i e_y)/sqrt(2): a rotation
+# by a about e_z multiplies them by 1, e^{ia} and e^{-ia}, so on a
+# rotation-invariant chart the field e^{i (k + s) u2} SPIN_UNITS[q],
+# s = SPIN_SHIFTS[q], has character k: its strain rows at grid column j are
+# e^{2 pi i k j / N2} times those at column 0.
+SPIN_UNITS = np.array([[0, 0, np.sqrt(2)], [1, -1j, 0], [1, 1j, 0]]) / np.sqrt(2)
+SPIN_SHIFTS = np.array([0, 1, -1])
+
+
+def rotation_invariant(chart):
+    """Whether shifting the closed axis by one node and rotating about e_z
+    by 2 pi / N2 maps the chart's nodes onto themselves."""
+    a = 2 * np.pi / chart.shape[1]
+    rot = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0],
+                    [0, 0, 1]])
+    return chart.periodic2 and np.allclose(
+        np.roll(chart.pos, -1, axis=1), chart.pos @ rot.T, rtol=0.0,
+        atol=1e-12 * np.max(np.abs(chart.pos)))
+
+
+# ---------------------------------------------------------------------------
 # operations on fields
 # ---------------------------------------------------------------------------
 
@@ -448,6 +472,17 @@ def frame_form(chart, form):
     if np.any(chart.sqrt_g <= 0) or not np.all(np.isfinite(chart.ginv_half)):
         raise ChartError("metric is not positive definite; chart is corrupted")
     return chart.ginv_half @ form.coeff @ chart.ginv_half
+
+
+def strain_rows(chart, P, cols=slice(None)):
+    """Rows sqrt(w) (F11, F22, sqrt(2) F12), F = G^{-1/2} sym(P_i . t_j)
+    G^{-1/2}, of fields with partials P_i = d_i V (m, N1, n, 2, 3) on the
+    grid columns cols: squared row norms are the strain form.  Complex P
+    gives the rows of complex fields."""
+    b = P @ np.stack([chart.t1, chart.t2], axis=-1)[:, cols]
+    gh = chart.ginv_half[:, cols]
+    return frame_rows(gh @ (0.5 * (b + np.swapaxes(b, -1, -2))) @ gh,
+                      chart.quad_w[:, cols])
 
 
 def frame_rows(F, weights):

@@ -205,16 +205,6 @@ def _rigid_complement(chart, basis):
 # strain and mass rows
 # ---------------------------------------------------------------------------
 
-def _strain_rows(chart, P, cols=slice(None)):
-    """Rows sqrt(w) (F11, F22, sqrt(2) F12), F = G^{-1/2} sym(P_i . t_j)
-    G^{-1/2}, of fields with partials P_i = d_i V (m, N1, n, 2, 3) on the
-    grid columns cols: squared row norms are the strain form."""
-    b = P @ np.stack([chart.t1, chart.t2], axis=-1)[:, cols]
-    gh = chart.ginv_half[:, cols]
-    return geo.frame_rows(gh @ (0.5 * (b + np.swapaxes(b, -1, -2))) @ gh,
-                          chart.quad_w[:, cols])
-
-
 def _mass_rows(chart, V, P=None, cols=slice(None)):
     """Rows sqrt(w) (V, G^{-1/2} grad V) of fields V (m, N1, n, k) with
     partials P (m, N1, n, 2, k) on the grid columns cols (full grid if P is
@@ -249,33 +239,21 @@ def bending_q2_gram(chart, fields, moduli):
 # isometry basis
 # ---------------------------------------------------------------------------
 
-def _rotation_invariant(chart):
-    """Whether shifting the closed axis by one node and rotating about e_z
-    by 2 pi / N2 maps the chart's nodes onto themselves."""
-    a = 2 * np.pi / chart.shape[1]
-    rot = np.array([[np.cos(a), -np.sin(a), 0], [np.sin(a), np.cos(a), 0],
-                    [0, 0, 1]])
-    return chart.periodic2 and np.allclose(
-        np.roll(chart.pos, -1, axis=1), chart.pos @ rot.T, rtol=0.0,
-        atol=1e-12 * np.max(np.abs(chart.pos)))
-
-
 def _character_pencil(chart, k):
     """The pencil (K, M, lift) of character k of a rotation-invariant chart.
 
     The search fields are profile unit vectors times e_z e^{ik theta}, e_+
-    e^{i(k+1) theta} and e_- e^{i(k-1) theta}, e_+- = (e_x -+ i e_y)/sqrt(2),
-    less every part of Cartesian harmonic N2/2.  Their rows at column j are
-    a phase (and a rotation) times those at column 0: K = N2 S0^H S0 and
-    M = N2 M0^H M0.  If 2k = 0 mod N2 the e_+- parts are combined into real
+    e^{i(k+1) theta} and e_- e^{i(k-1) theta} (geometry.SPIN_UNITS, with
+    e_+- = (e_x -+ i e_y)/sqrt(2)), less every part of Cartesian harmonic
+    N2/2.  Their rows at column j are a phase (and a rotation) times those
+    at column 0: K = N2 S0^H S0 and M = N2 M0^H M0.  If 2k = 0 mod N2 the e_+- parts are combined into real
     fields; else lift phases each column to a real largest entry and returns
     sqrt(2) Re and sqrt(2) Im of its field (which cover character N2 - k).
     """
     n1, n2 = chart.shape
-    harm = np.array([k, k + 1, k - 1])
+    harm = k + geo.SPIN_SHIFTS
     keep = (harm - n2 / 2) % n2 != 0
-    unit = np.array([[0, 0, np.sqrt(2)], [1, -1j, 0], [1, 1j, 0]]) / np.sqrt(2)
-    G = unit[keep, None] * np.exp(
+    G = geo.SPIN_UNITS[keep, None] * np.exp(
         2j * np.pi / n2 * np.outer(harm[keep], np.arange(n2)))[..., None]
     real = (2 * k) % n2 == 0
     if real:
@@ -287,7 +265,7 @@ def _character_pencil(chart, k):
     dunit = np.stack([chart.d1(eye[:, None, :])[:, 0].T, eye], -1)
     P = np.einsum("abd,pdc->pabdc", dunit, np.stack([G[:, 0], dG[:, 0]], 1))
     P = P.reshape(-1, n1, 1, 2, 3)
-    S = _strain_rows(chart, P, slice(0, 1))
+    S = geo.strain_rows(chart, P, slice(0, 1))
     Mr = _mass_rows(chart, V, P, slice(0, 1))
 
     def lift(x):
@@ -332,7 +310,7 @@ def _nodal_pencil(chart):
         n, t = normal[0], chart.t1[0, 0] / np.linalg.norm(chart.t1[0, 0])
         axes = np.array([t, np.cross(n, t)])
         free = fields(np.linalg.inv(np.linalg.cholesky(B)).T, n[None])
-    S = np.concatenate([_strain_rows(chart, dphi * e) for e in axes])
+    S = np.concatenate([geo.strain_rows(chart, dphi * e) for e in axes])
     K, M = S @ S.T, np.kron(np.eye(len(axes)), B)
     return [(K, M, lambda x: fields(x, axes))], free
 
@@ -357,7 +335,7 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
         raise ValueError("tol must be positive")
     if n_request < 0:
         raise ValueError("n_request must be non-negative")
-    if _rotation_invariant(chart):
+    if geo.rotation_invariant(chart):
         blocks = [_character_pencil(chart, k)
                   for k in range(chart.shape[1] // 2 + 1)]
         cluster = np.zeros((0,) + chart.shape + (3,))
@@ -395,7 +373,8 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     modes = dof_to_field(cluster, chart.shape)
     return IsometryBasis(
         modes=modes, matrix=cluster,
-        rayleigh=np.sum(_strain_rows(chart, _partials(chart, modes))**2, axis=1),
+        rayleigh=np.sum(geo.strain_rows(chart, _partials(chart, modes))**2,
+                        axis=1),
         bending_ritz=bend_vals[:keep], tol=thresh, tol_rel=tol,
         chart=chart, gap_ratio=float(rho_m / thresh), cluster_size=m,
         skew_residuals=extend_A(chart, modes).skew_residual)

@@ -272,18 +272,26 @@ def robustness_classify(chart):
 # dictionary projection
 # ---------------------------------------------------------------------------
 
+def _axial_factors(u1, degree):
+    """The axial factors u1^p and their derivatives p u1^(p-1), p <= degree."""
+    deg = range(degree + 1)
+    pw1 = np.array([u1**p for p in deg])
+    dpw1 = np.array([p * u1 ** max(p - 1, 0) if p > 0 else np.zeros_like(u1)
+                     for p in deg])
+    return pw1, dpw1
+
+
 def _dictionary_generators(chart, degree):
     """Stacks (3, n, N1, N2) of the generator fields f, d1 f and d2 f.
 
     Each is an outer product a(u1) b(u2) of sampled 1-D factors: bivariate
     monomials up to total degree on open charts, axial monomials times
-    circumferential harmonics up to that order on periodic charts.
+    circumferential harmonics up to that order on periodic charts (in the
+    order cos 0, cos u2, sin u2, cos 2 u2, ...).
     """
     u1, u2 = chart.u1, chart.u2
     deg = range(degree + 1)
-    pw1 = np.array([u1**p for p in deg])
-    dpw1 = np.array([p * u1 ** max(p - 1, 0) if p > 0 else np.zeros_like(u1)
-                     for p in deg])
+    pw1, dpw1 = _axial_factors(u1, degree)
     if chart.periodic2:
         harm = np.array([[(np.cos(k * u2), -k * np.sin(k * u2)),
                           (np.sin(k * u2), k * np.cos(k * u2))] for k in deg])
@@ -334,24 +342,100 @@ def _dictionary_field(chart, gens, kept_idx, sol):
             geo.tangential_form(chart, np.moveaxis(fields[1:], 0, -2)))
 
 
+def _character_blocked(chart, degree):
+    """Whether project_to_B solves one block per rotation character: on a
+    built-in rotation-invariant chart (its closed axis spans 2 pi from
+    u2 = 0) whose dictionary characters -(degree + 1) .. degree + 1 are
+    distinct modulo N2."""
+    return (chart.family != "custom" and 2 * (degree + 1) < chart.shape[1]
+            and geo.rotation_invariant(chart))
+
+
+def _character_lstsq(chart, degree, y):
+    """Minimum-norm least squares of the frame rows y on the periodic
+    dictionary of a rotation-invariant chart, one block per character.
+
+    The generators u1^p {cos, sin}(k u2) e_c span the fields
+    s_h u1^p e^{i h u2} SPIN_UNITS[q], s_h = 1/sqrt(2) for h != 0, by a
+    unitary change of coefficients, and the one with shift SPIN_SHIFTS[q]
+    has character m = h - SPIN_SHIFTS[q].  After a unitary DFT of y along
+    u2, character m holds sqrt(N2) times the column-0 strain rows of its
+    fields; m >= 1 stands for m and its conjugate N2 - m, and characters
+    beyond degree + 1 have no columns.  Per-block SVD solutions form the
+    dense minimum-norm one.  Returns the solution on the nonzero real
+    columns, their indices into the 3 n generators, the residual norm and
+    the rank under lstsq's cut.
+    """
+    n1, n2 = chart.shape
+    nh = 2 * degree + 1
+    pw1, dpw1 = _axial_factors(chart.u1, degree)
+    Y = np.fft.fft(y.reshape(3, n1, n2), axis=-1, norm="ortho")
+    blocks = []
+    for m in range(degree + 2):
+        h = m + geo.SPIN_SHIFTS
+        q = np.flatnonzero(np.abs(h) <= degree)
+        h = h[q]
+        v = np.where(h == 0, 1.0, np.sqrt(0.5))[:, None] * geo.SPIN_UNITS[q]
+        # partials at u2 = 0 of the fields u1^p e^{i h u2} v, p major
+        P = np.stack([dpw1[:, None, :, None] * v[:, None, :],
+                      pw1[:, None, :, None] * (1j * h[:, None] * v)[:, None]],
+                     axis=-2)
+        A = np.sqrt(n2) * geo.strain_rows(
+            chart, P.reshape(-1, n1, 1, 2, 3), slice(0, 1)).T
+        # their real coefficients: e^{i h u2} = cos |h| u2 + i sign(h) sin |h| u2
+        H = np.zeros((nh, len(h)), complex)
+        H[np.maximum(2 * np.abs(h) - 1, 0), np.arange(len(h))] = 1.0
+        sin = np.flatnonzero(h)
+        H[2 * np.abs(h[sin]), sin] = 1j * np.sign(h[sin])
+        U = np.einsum("pr,kq,qc->cpkrq", np.eye(degree + 1), H, v)
+        blocks.append((1 if m == 0 else 2, A, U.reshape(3 * len(pw1) * nh, -1),
+                       np.linalg.svd(A, full_matrices=False), Y[..., m].ravel()))
+
+    # the real columns in the DFT basis are A U^H: prune as the dense path
+    norms = np.sqrt(sum(mult * np.sum(np.abs(A @ U.conj().T)**2, axis=0)
+                        for mult, A, U, _, _ in blocks))
+    kept = np.flatnonzero(norms > 1e-14 * max(norms.max(), 1e-300))
+    cut = (np.finfo(float).eps * max(y.size, kept.size)
+           * max(svd[1][0] for _, _, _, svd, _ in blocks))
+    x = np.zeros(len(norms))
+    rank = 0
+    resid2 = np.sum(np.abs(Y[..., degree + 2:n2 - degree - 1])**2)
+    for mult, A, U, (Ub, sv, Vh), Yb in blocks:
+        k = sv > cut
+        z = Vh[k].conj().T @ ((Ub[:, k].conj().T @ Yb) / sv[k])
+        x += mult * (U @ z).real
+        resid2 += mult * np.sum(np.abs(Yb - A @ z)**2)
+        rank += mult * int(k.sum())
+    return x[kept], kept, np.sqrt(resid2), rank
+
+
 def project_to_B(chart, target, degree=4):
     """Least-squares projection of a form onto the dictionary span in the
     weighted L2 frame distance.  Returns the minimum-norm coefficients, the
     relative residual, the realizing displacement and the numerical rank
-    of the kept columns; the infinitesimal rotations are a dependency among
-    them, so the rank falls short of their count."""
+    of the kept columns under lstsq's cut (singular values above
+    eps max(rows, columns) times the largest); the infinitesimal rotations
+    are a dependency among them, so the rank falls short of their count.
+
+    On cylinder, revolution and sphere_patch charts with 2 (degree + 1) <
+    N2 the solve runs one small block per rotation character from one grid
+    column (_character_lstsq); elsewhere on the dense dictionary columns.
+    """
     target = as_form_field(target)
     if target.shape != chart.shape:
         raise ValueError("target grid does not match chart grid")
     gens = _dictionary_generators(chart, degree)
-    cols, kept_idx = _dictionary_columns(
-        chart, gens, lambda F: geo.frame_rows(F, chart.quad_w))
     y = geo.frame_rows(geo.frame_form(chart, target), chart.quad_w)
-
-    sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
+    if _character_blocked(chart, degree):
+        sol, kept_idx, resid, rank = _character_lstsq(chart, degree, y)
+    else:
+        cols, kept_idx = _dictionary_columns(
+            chart, gens, lambda F: geo.frame_rows(F, chart.quad_w))
+        sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
+        resid = np.linalg.norm(cols @ sol - y)
     y_norm = np.linalg.norm(y)
-    resid = np.linalg.norm(cols @ sol - y) / (y_norm if y_norm > 0 else 1.0)
+    resid = resid / (y_norm if y_norm > 0 else 1.0)
 
     coeffs, w, _ = _dictionary_field(chart, gens, kept_idx, sol)
     return ProjectionResult(coefficients=coeffs, residual=float(resid), w=w,
-                            rank=int(rank), n_generators=int(cols.shape[1]))
+                            rank=int(rank), n_generators=int(kept_idx.size))

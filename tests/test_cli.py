@@ -69,6 +69,20 @@ directory = {out}
 """
 
 
+REV_CFG = """
+[surface]
+family = revolution
+grid = 16 32
+profile_poly = 1.0 0.0 0.3
+
+[solver]
+dictionary_degree = 6
+
+[output]
+directory = {out}
+"""
+
+
 def write_cfg(tmp_path, text, name="run.cfg", out="out"):
     cfg = tmp_path / name
     cfg.write_text(text.format(out=tmp_path / out))
@@ -151,16 +165,31 @@ def test_isometries_subcommand(tmp_path):
     assert (tmp_path / "out" / "isometry_mode_000.csv").exists()
 
 
-@pytest.mark.parametrize("text", [PLATE_CFG, CYL_CFG],
-                         ids=["plate", "cylinder"])
-def test_isometries_result_is_byte_identical(tmp_path, text):
+BYTE_IDENTICAL_RUNS = {
+    "plate": ("isometries", PLATE_CFG),
+    "cylinder": ("isometries", CYL_CFG),
+    "surface-revolution": ("surface", REV_CFG),
+    "membrane-revolution": ("membrane", REV_CFG),
+    "membrane-plate": ("membrane", PLATE_CFG),
+    "energy-cylinder": ("energy", CYL_CFG),
+    "minimize-cylinder": ("minimize", CYL_CFG),
+    "gamma-check-cylinder": ("gamma-check", CYL_CFG),
+}
+
+
+@pytest.mark.parametrize("run", sorted(BYTE_IDENTICAL_RUNS))
+def test_isometries_result_is_byte_identical(tmp_path, run):
+    """Every subcommand writes the same result JSON bytes on a rerun (the
+    membrane runs cover the character-blocked and the dense projection)."""
+    command, text = BYTE_IDENTICAL_RUNS[run]
     cfg_path = write_cfg(tmp_path, text)
     runs = []
     for out in ("r1", "r2"):
-        assert cli.run(["isometries", "--config", cfg_path, "--verify",
+        assert cli.run([command, "--config", cfg_path, "--verify",
                         "--output-dir", str(tmp_path / out)]) == 0
-        runs.append((tmp_path / out / "isometries_result.json").read_bytes())
-    assert runs[0] == runs[1]
+        runs.append({f.name: f.read_bytes()
+                     for f in (tmp_path / out).glob("*_result.json")})
+    assert runs[0] and runs[0] == runs[1]
 
 
 def test_isometries_verify_catches_corrupt_basis(tmp_path, monkeypatch):
@@ -194,6 +223,41 @@ def test_isometries_verify_catches_corrupt_basis(tmp_path, monkeypatch):
     cfg_path = write_cfg(tmp_path, CYL_CFG)
     assert cli.run(["isometries", "--config", cfg_path]) == 0
     assert cli.run(["isometries", "--config", cfg_path, "--verify"]) == 3
+
+
+def test_verify_chart_checks_frame_lengths():
+    """The frame check is one Gram check, so a frame vector that is
+    orthogonal to the others but not unit fails it."""
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0},
+                           (12, 16))
+    assert cli._verify_chart(chart) == {"unit_normal": True,
+                                        "frame_orthonormal": True,
+                                        "metric_spd": True}
+    scaled = dataclasses.replace(chart, frame_e1=chart.frame_e1 * (1 + 1e-6))
+    with pytest.raises(ArithmeticError, match="frame_orthonormal"):
+        cli._verify_chart(scaled)
+
+
+def test_membrane_verify_recomputes_projection_residual(tmp_path,
+                                                        monkeypatch):
+    """--verify recomputes the strain of the returned dictionary
+    coefficients on the full grid and compares its distance from the
+    target with the reported residual."""
+    cfg_path = write_cfg(tmp_path, CYL_CFG)
+    assert cli.run(["membrane", "--config", cfg_path, "--verify"]) == 0
+    project = cli.mem.project_to_B
+
+    def scaled_projection(*args, **kwargs):
+        proj = project(*args, **kwargs)
+        return dataclasses.replace(
+            proj, coefficients=proj.coefficients * (1.0 + 1e-6))
+
+    monkeypatch.setattr(cli.mem, "project_to_B", scaled_projection)
+    assert cli.run(["membrane", "--config", cfg_path,
+                    "--output-dir", str(tmp_path / "o")]) == 0
+    assert cli.run(["membrane", "--config", cfg_path, "--verify",
+                    "--output-dir", str(tmp_path / "v")]) == 3
+    assert not (tmp_path / "v" / "membrane_result.json").exists()
 
 
 def test_membrane_subcommand(tmp_path):

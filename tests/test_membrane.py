@@ -361,3 +361,93 @@ def test_projection_displacement_realizes_target(plate32):
     result = mem.project_to_B(plate32, FormField2(b), degree=3)
     rest = iso.project_out_rigid(plate32, result.w.values - w_true).values
     assert np.max(np.abs(rest)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# character-blocked projection against the dense solve
+# ---------------------------------------------------------------------------
+
+def _dense_projection(chart, target, degree):
+    """The dense solve: all dictionary columns on the full grid, lstsq."""
+    gens = mem._dictionary_generators(chart, degree)
+    cols, kept = mem._dictionary_columns(
+        chart, gens, lambda F: geo.frame_rows(F, chart.quad_w))
+    y = geo.frame_rows(geo.frame_form(chart, target), chart.quad_w)
+    sol, _, rank, _ = np.linalg.lstsq(cols, y, rcond=None)
+    resid = np.linalg.norm(cols @ sol - y) / np.linalg.norm(y)
+    coeffs, w, _ = mem._dictionary_field(chart, gens, kept, sol)
+    return coeffs, resid, w.values, rank, cols.shape[1]
+
+
+CYL = {"radius": 1.0, "height": 1.0}
+REV = {"profile": [1.0, 0.0, 0.3], "s_range": (-0.5, 0.5)}
+BLOCKED_CHARTS = {
+    "cylinder 12x32 d4": ("cylinder", CYL, (12, 32), 4, True),
+    "revolution 16x32 d6": ("revolution", REV, (16, 32), 6, True),
+    "revolution 24x48 d6": ("revolution", REV, (24, 48), 6, True),
+    "sphere_patch 20x48 d4": ("sphere_patch", {}, (20, 48), 4, True),
+    "cylinder central 12x32 d4": (
+        "cylinder", dict(CYL, theta_scheme="central"), (12, 32), 4, True),
+    "cylinder 12x16 d6 last blocked": ("cylinder", CYL, (12, 16), 6, True),
+    "cylinder 12x16 d7 aliasing": ("cylinder", CYL, (12, 16), 7, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_CHARTS))
+def test_character_blocked_projection_matches_dense(name, monkeypatch):
+    """Where the dictionary characters do not alias, project_to_B solves
+    per character without the dense columns and reproduces the dense
+    minimum-norm solution; at the aliasing edge it is the dense solve."""
+    family, params, grid, degree, blocked = BLOCKED_CHARTS[name]
+    chart = vk.build_chart(family, params, grid)
+    assert mem._character_blocked(chart, degree) == blocked
+    rng = np.random.default_rng(7)
+    mode = presets.cylinder_inextensional_mode(chart, 2)
+    targets = [fn.a_squared_tan(chart, iso.extend_A(chart, mode)),
+               FormField2(rng.standard_normal(chart.shape + (2, 2)))]
+    refs = [_dense_projection(chart, t, degree) for t in targets]
+    if blocked:
+        def no_dense_columns(*args):
+            raise AssertionError("dense dictionary columns assembled")
+        monkeypatch.setattr(mem, "_dictionary_columns", no_dense_columns)
+    for target, (coeffs, resid, w, rank, n_cols) in zip(targets, refs):
+        result = mem.project_to_B(chart, target, degree)
+        assert result.rank == rank
+        assert result.n_generators == n_cols
+        if not blocked:
+            assert result.residual == resid
+            assert np.array_equal(result.coefficients, coeffs)
+            assert np.array_equal(result.w.values, w)
+            continue
+        assert abs(result.residual - resid) <= 1e-10 * resid + 1e-13
+        assert (np.linalg.norm(result.coefficients - coeffs)
+                <= 1e-8 * np.linalg.norm(coeffs))
+        assert np.linalg.norm(result.w.values - w) <= 1e-8 * np.linalg.norm(w)
+
+
+def test_projection_realizes_displacement_on_revolution():
+    """A displacement in the degree-4 dictionary span of a revolution chart,
+    with cos and sin terms on all three axes, is recovered from its
+    analytic strain up to a rigid motion."""
+    chart = vk.build_chart("revolution", REV, (16, 32))
+    assert mem._character_blocked(chart, 4)
+    S, T = np.meshgrid(chart.u1, chart.u2, indexing="ij")
+    # (value, d/ds, d/dtheta) per Cartesian axis
+    comps = [
+        (0.3 * S**2 * np.cos(2 * T) + 0.1 * S * np.sin(T),
+         0.6 * S * np.cos(2 * T) + 0.1 * np.sin(T),
+         -0.6 * S**2 * np.sin(2 * T) + 0.1 * S * np.cos(T)),
+        (0.2 * S**3 * np.sin(3 * T) - 0.4 * np.cos(T),
+         0.6 * S**2 * np.sin(3 * T),
+         0.6 * S**3 * np.cos(3 * T) + 0.4 * np.sin(T)),
+        (0.5 * S * np.cos(T) + 0.2 * S**4 * np.sin(2 * T),
+         0.5 * np.cos(T) + 0.8 * S**3 * np.sin(2 * T),
+         -0.5 * S * np.sin(T) + 0.4 * S**4 * np.cos(2 * T)),
+    ]
+    w_true = np.stack([c[0] for c in comps], axis=-1)
+    P = np.stack([np.stack([c[1] for c in comps], axis=-1),
+                  np.stack([c[2] for c in comps], axis=-1)], axis=-2)
+    result = mem.project_to_B(chart, geo.tangential_form(chart, P), degree=4)
+    assert result.residual <= 1e-10
+    rest = iso.project_out_rigid(chart, result.w.values - w_true).values
+    assert np.max(np.abs(rest)) <= 1e-12
