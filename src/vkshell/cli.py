@@ -301,8 +301,10 @@ def _verify_chart(chart):
 
 
 def _verify_basis(chart, basis):
-    """Full-grid checks of the returned modes, apart from the blocked solve:
-    strain Rayleigh quotients at most the threshold, M-orthonormality."""
+    """Full-grid checks of the returned modes, apart from the blocked solve
+    and the combinations it takes: strain Rayleigh quotients at most the
+    threshold, M-orthonormality, the skew residuals and a bending Gram
+    diagonal with bending_ritz on it, all recomputed from basis.modes."""
     strain = np.array([np.sum(geo.frame_rows(geo.frame_form(
         chart, geo.sym_grad(chart, v)), chart.quad_w)**2) for v in basis.modes])
     rows = iso._mass_rows(chart, basis.modes)
@@ -311,6 +313,17 @@ def _verify_basis(chart, basis):
         raise ArithmeticError("isometry mode Rayleigh quotient above threshold")
     if np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) > 1e-10:
         raise ArithmeticError("isometry modes are not M-orthonormal")
+    A = iso.extend_A(chart, basis.modes)
+    skew = basis.skew_residuals
+    if np.any(np.abs(A.skew_residual - skew) > 1e-12 + 1e-8 * skew):
+        raise ArithmeticError("isometry skew residuals disagree with the "
+                              "modes' skew extensions")
+    bend = geo.frame_rows(iso._bending_frames(chart, A.values), chart.quad_w)
+    ritz = basis.bending_ritz
+    if (np.max(np.abs(bend @ bend.T - np.diag(ritz)), initial=0.0)
+            > 1e-10 * max(1.0, np.max(np.abs(ritz), initial=0.0))):
+        raise ArithmeticError("bending Gram of the modes is not diagonal "
+                              "with bending_ritz on it")
 
 
 def _verify_projection(chart, target, proj, degree):
@@ -371,8 +384,8 @@ def cmd_isometries(cfg, outdir, verify):
     if verify:
         _verify_chart(chart)
         _verify_basis(chart, basis)
-        payload["rigid_residual"] = max(
-            iso.project_onto_basis(basis, r)[1] for r in iso.rigid_basis(chart))
+        payload["rigid_residual"] = float(np.max(iso.project_onto_basis(
+            basis, iso._rigid_fields(chart))[1]))
     write_json(outdir / "isometries_result.json", payload)
     for k, mode in enumerate(basis.modes):
         _write_vector_csv(outdir / ("isometry_mode_%03d.csv" % k), chart, "v",

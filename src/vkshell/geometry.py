@@ -148,6 +148,8 @@ def _grid(domain, shape, periodic2):
 
 def _poly_profile(coeffs):
     c = np.asarray(coeffs, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ChartError("revolution profile coefficients must be finite")
     p = np.polynomial.Polynomial(c)
     return p, p.deriv(1), p.deriv(2)
 
@@ -193,8 +195,9 @@ def build_chart(family, params=None, grid=(32, 32)):
         if family == "cylinder":
             radius = float(params.get("radius", 1.0))
             height = float(params.get("height", 1.0))
-            if radius <= 0 or height <= 0:
-                raise ChartError("cylinder needs radius > 0 and height > 0")
+            if not (0 < radius < np.inf and 0 < height < np.inf):
+                raise ChartError("cylinder needs finite radius > 0 and "
+                                 "height > 0")
             s0, s1 = params.get("s_range", (0.0, height))
             g = lambda s: np.full_like(np.asarray(s, float), radius)
             gp = lambda s: np.zeros_like(np.asarray(s, float))
@@ -244,8 +247,8 @@ def build_chart(family, params=None, grid=(32, 32)):
             return np.stack([-r * np.cos(u2), -r * np.sin(u2), np.zeros_like(u1)], axis=-1)
     elif family == "sphere_patch":
         radius = float(params.get("radius", 1.0))
-        if radius <= 0:
-            raise ChartError("sphere_patch needs radius > 0")
+        if not 0 < radius < np.inf:
+            raise ChartError("sphere_patch needs finite radius > 0")
         margin = float(params.get("polar_margin", 1e-3))
         phi0, phi1 = params.get("polar_range", (margin, np.pi - margin))
         if not (0 < phi0 < phi1 < np.pi):
@@ -284,6 +287,10 @@ def build_chart(family, params=None, grid=(32, 32)):
         d12f = params.get("d12")
         d22f = params.get("d22")
 
+    for a, b in domain:
+        if not -np.inf < a < b < np.inf:
+            raise ChartError("domain interval (%g, %g) must be finite and "
+                             "increasing" % (a, b))
     u1, u2, du = _grid(domain, (n1, n2), periodic2)
     U1, U2 = np.meshgrid(u1, u2, indexing="ij")
 

@@ -47,8 +47,7 @@ class SkewField:
 class IsometryBasis:
     """Near-null modes of the discrete membrane-strain form."""
 
-    modes: np.ndarray           # (m, N1, N2, 3) mode fields
-    matrix: np.ndarray          # dof-space basis, columns M-orthonormal
+    modes: np.ndarray           # (m, N1, N2, 3) mode fields, M-orthonormal
     rayleigh: np.ndarray
     bending_ritz: np.ndarray
     tol: float                  # absolute eigenvalue threshold used
@@ -64,21 +63,6 @@ class IsometryBasis:
     @property
     def empty(self):
         return len(self.modes) == 0
-
-
-def field_to_dof(values):
-    """Dofs (component-major, then nodes) of a field (N1, N2, 3), or the
-    dof matrix (3 N, m) of a stack (m, N1, N2, 3)."""
-    x = np.moveaxis(np.asarray(values, dtype=float), (-1, -3, -2), (0, 1, 2))
-    return x.reshape((-1,) + x.shape[3:])
-
-
-def dof_to_field(x, grid_shape):
-    """Inverse of field_to_dof: a dof vector to a field, a dof matrix
-    (3 N, m) to a stack (m, N1, N2, 3)."""
-    x = np.asarray(x, dtype=float)
-    f = x.reshape((3,) + tuple(grid_shape) + x.shape[1:])
-    return np.ascontiguousarray(np.moveaxis(f, (0, 1, 2), (-1, -3, -2)))
 
 
 def _field_stack(chart, fld):
@@ -125,11 +109,17 @@ def extend_A(chart, fld):
     An = (dn @ (chart.dual @ V[..., None]))[..., 0] - grad_vn
     A = (geo.lift(chart, _partials(chart, V))
          + An[..., None] * n[..., None, :])
-    sym_defect = A + np.swapaxes(A, -1, -2)
-    residual = np.max(np.linalg.norm(sym_defect, axis=(-2, -1)), axis=(-2, -1))
+    residual = _skew_residual(A)
     if single:
         return SkewField(values=A[0], skew_residual=float(residual[0]))
     return SkewField(values=A, skew_residual=residual)
+
+
+def _skew_residual(A):
+    """Maximal symmetric defect |A + A^T| over the nodes, per field of a
+    stack (m, N1, N2, 3, 3)."""
+    return np.max(np.linalg.norm(A + np.swapaxes(A, -1, -2), axis=(-2, -1)),
+                  axis=(-2, -1))
 
 
 def bending_form(chart, A):
@@ -160,45 +150,42 @@ def bending_direction_field(chart, A):
 # ---------------------------------------------------------------------------
 
 def _rigid_fields(chart):
-    """The 3 translations and 3 infinitesimal rotations, stacked."""
+    """The 3 translations and 3 infinitesimal rotations, L2-orthonormalized
+    by the Cholesky factor of their weighted L2 Gram: a stack (6, N1, N2, 3)."""
     axes = np.eye(3)[:, None, None, :]
-    return np.concatenate([np.broadcast_to(axes, (3,) + chart.pos.shape),
-                           np.cross(axes, chart.pos)])
-
-
-def _rigid_dofs(chart):
-    """L2-orthonormal dof columns spanning the 6 infinitesimal rigid motions."""
-    raw = field_to_dof(_rigid_fields(chart))
-    w3 = np.tile(chart.quad_w.ravel(), 3)
-    G = raw.T @ (w3[:, None] * raw)
-    L = np.linalg.cholesky(G)
-    return scipy.linalg.solve_triangular(L, raw.T, lower=True).T
+    raw = np.concatenate([np.broadcast_to(axes, (3,) + chart.pos.shape),
+                          np.cross(axes, chart.pos)]).reshape(6, -1)
+    w3 = np.repeat(chart.quad_w.ravel(), 3)
+    L = np.linalg.cholesky(raw @ (w3 * raw).T)
+    return scipy.linalg.solve_triangular(L, raw, lower=True).reshape(
+        (6,) + chart.pos.shape)
 
 
 def rigid_basis(chart):
     """L2-orthonormalized span of the 6 infinitesimal rigid motions."""
-    return list(map(VectorField3, dof_to_field(_rigid_dofs(chart), chart.shape)))
+    return list(map(VectorField3, _rigid_fields(chart)))
 
 
 def project_out_rigid(chart, fld):
     """Remove the L2-projection onto the rigid-motion span."""
-    fld = as_vector_field(fld)
-    B = _rigid_dofs(chart)
-    v = field_to_dof(fld.values)
-    v = v - B @ (B.T @ (np.tile(chart.quad_w.ravel(), 3) * v))
-    return VectorField3(dof_to_field(v, chart.shape))
+    V = as_vector_field(fld).values
+    R = _rigid_fields(chart)
+    c = np.einsum("rxyc,xy,xyc->r", R, chart.quad_w, V)
+    return VectorField3(V - np.tensordot(c, R, axes=1))
 
 
 def _rigid_complement(chart, basis):
     """Basis combinations M-orthogonal to the rigid motions: their fields,
-    stacked (m, N1, N2, 3), and their dof columns."""
-    rigid = dof_to_field(_rigid_dofs(chart), chart.shape)
+    stacked (p, N1, N2, 3), and the (m, p) coefficients that combine
+    basis.modes into them (orthonormal columns, so the fields stay
+    M-orthonormal)."""
+    rigid = _rigid_fields(chart)
     P = _mass_rows(chart, basis.modes) @ _mass_rows(chart, rigid).T
     Qfull, Rtri = np.linalg.qr(P, mode="complete")
     diag = np.abs(np.diag(Rtri))
     rank = int(np.sum(diag > 1e-10 * max(diag.max(), 1e-300)))
-    reduced = basis.matrix @ Qfull[:, rank:]
-    return dof_to_field(reduced, chart.shape), reduced
+    C = Qfull[:, rank:]
+    return np.tensordot(C.T, basis.modes, axes=1), C
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +203,16 @@ def _mass_rows(chart, V, P=None, cols=slice(None)):
                            for X in (sw * V, sw[..., None] * D)], axis=1)
 
 
-def _bending_frames(chart, fields):
-    """Frame-converted bending forms of a stack of fields."""
-    return geo.frame_form(chart, bending_form(chart, extend_A(chart, fields)))
+def _bending_frames(chart, A):
+    """Frame-converted bending forms of a stack of skew fields A
+    (m, N1, N2, 3, 3), such as extend_A of a stack of fields."""
+    return geo.frame_form(chart, bending_form(chart, A))
 
 
-def _skew_defect_rows(chart, fields):
-    """Weighted symmetric-defect entries of the skew extension per field."""
-    A = extend_A(chart, fields).values
-    defect = (A + np.swapaxes(A, -1, -2)) * np.sqrt(chart.quad_w)[..., None, None]
-    return defect.reshape(len(A), 9 * chart.n_nodes)
-
-
-def bending_q2_gram(chart, fields, moduli):
-    """Gram matrix of (1/24) integral Q2(bending form) over a stack of fields."""
-    rows = mat.q2_rows(_bending_frames(chart, fields), moduli,
+def bending_q2_gram(chart, A, moduli):
+    """Gram matrix of (1/24) integral Q2(bending form) over a stack of skew
+    fields A (m, N1, N2, 3, 3)."""
+    rows = mat.q2_rows(_bending_frames(chart, A), moduli,
                        chart.quad_w / 24.0, chart.frame)
     return rows @ rows.T
 
@@ -328,7 +310,9 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     whose defect eigenvalue exceeds max((10 tol)^2, 1e-10 s_max), s_max the
     largest one.  The rest is reordered by the bending seminorm and at most
     n_request modes are returned; cluster_size still reports the raw near-null
-    count.  gap_ratio is rho_m / (tol rho_max), rho_m the smallest rejected
+    count.  extend_A runs once, on the cluster: both Ritz steps, the modes
+    and their skew_residuals are linear combinations of that stack.
+    gap_ratio is rho_m / (tol rho_max), rho_m the smallest rejected
     eigenvalue of any block (inf when every eigenvalue is accepted).
     """
     if tol <= 0:
@@ -347,52 +331,58 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
         raise ArithmeticError("generalized eigen-solver failed on the "
                               "membrane-strain pencil") from exc
     thresh = tol * max(float(ev[-1]) for ev, _, _ in solved)
-    cluster = field_to_dof(np.concatenate(
-        [cluster] + [lift(vec[:, ev <= thresh]) for ev, vec, lift in solved]))
-    m = cluster.shape[1]
+    cluster = np.concatenate(
+        [cluster] + [lift(vec[:, ev <= thresh]) for ev, vec, lift in solved])
+    m = len(cluster)
     rho_m = min(ev[ev > thresh].min(initial=np.inf) for ev, _, _ in solved)
 
     # split off modes whose skew extension is polluted by grid aliasing:
     # Rayleigh-Ritz with the symmetric-defect form separates them exactly
-    srows = _skew_defect_rows(chart, dof_to_field(cluster, chart.shape))
+    A = extend_A(chart, cluster).values
+    sw = np.sqrt(chart.quad_w)[..., None, None]
+    srows = ((A + np.swapaxes(A, -1, -2)) * sw).reshape(m, 9 * chart.n_nodes)
     Gs = srows @ srows.T
+    del srows
     s_vals, Qs = np.linalg.eigh(0.5 * (Gs + Gs.T))
     # bimodal spectrum: machine-zero defects vs order-one aliased modes;
     # the cut must sit above the Gram's own eigenvalue roundoff
     s_cut = max((10.0 * tol)**2, 1e-10 * float(s_vals.max(initial=0.0)))
-    cluster = cluster @ Qs[:, s_vals <= s_cut]
+    Qs = Qs[:, s_vals <= s_cut]
 
-    # deterministic smoothness ordering by the bending seminorm
-    rows = geo.frame_rows(
-        _bending_frames(chart, dof_to_field(cluster, chart.shape)), chart.quad_w)
+    # deterministic smoothness ordering by the bending seminorm, on the
+    # cluster's bending rows rotated into the kept defect directions
+    rows = Qs.T @ geo.frame_rows(_bending_frames(chart, A), chart.quad_w)
     Gb = rows @ rows.T
     bend_vals, Qb = np.linalg.eigh(0.5 * (Gb + Gb.T))
 
     keep = min(n_request, bend_vals.size)
-    cluster = (cluster @ Qb)[:, :keep]
-    modes = dof_to_field(cluster, chart.shape)
+    C = Qs @ Qb[:, :keep]
+    modes = np.tensordot(C.T, cluster, axes=1)
     return IsometryBasis(
-        modes=modes, matrix=cluster,
+        modes=modes,
         rayleigh=np.sum(geo.strain_rows(chart, _partials(chart, modes))**2,
                         axis=1),
         bending_ritz=bend_vals[:keep], tol=thresh, tol_rel=tol,
         chart=chart, gap_ratio=float(rho_m / thresh), cluster_size=m,
-        skew_residuals=extend_A(chart, modes).skew_residual)
+        skew_residuals=_skew_residual(np.tensordot(C.T, A, axes=1)))
 
 
 def project_onto_basis(basis, fld):
     """M-orthogonal projection onto the basis span; returns (coeffs, residual).
 
-    The residual is relative in the W^{1,2} norm of the basis chart.
+    The residual is relative in the W^{1,2} norm of the basis chart.  A
+    stack of fields (k, N1, N2, 3) gives coefficients (k, m) and residuals
+    (k,) from one set of basis rows.
     """
-    v = _mass_rows(basis.chart, as_vector_field(fld).values[None])[0]
+    V, single = _field_stack(basis.chart, fld)
+    v = _mass_rows(basis.chart, V)
     rows = _mass_rows(basis.chart, basis.modes)
-    coeffs = rows @ v
-    norm2 = float(v @ v)
-    if norm2 <= 0:
-        return coeffs, 0.0
+    coeffs = v @ rows.T
     res = v - coeffs @ rows
-    return coeffs, float(np.sqrt(float(res @ res) / norm2))
+    norm2 = np.einsum("ij,ij->i", v, v)
+    resid = np.sqrt(np.einsum("ij,ij->i", res, res)
+                    / np.where(norm2 > 0, norm2, np.inf))
+    return (coeffs[0], float(resid[0])) if single else (coeffs, resid)
 
 
 @dataclass
@@ -415,7 +405,7 @@ def coercivity_spectrum(chart, basis, moduli):
     if not len(fields):
         return CoercivityResult(smallest=np.nan, largest=np.nan,
                                 n_modes=0, empty=True)
-    G = bending_q2_gram(chart, fields, moduli)
+    G = bending_q2_gram(chart, extend_A(chart, fields).values, moduli)
     ev = np.linalg.eigvalsh(0.5 * (G + G.T))
     return CoercivityResult(smallest=float(ev[0]), largest=float(ev[-1]),
                             n_modes=len(fields), empty=False)

@@ -90,16 +90,17 @@ def _load_vector(chart, load, rotation, fields):
     return fn.load_work(chart, load, rotation, fields)
 
 
-def _pair_frames(chart, fields, kappa):
-    """Frame coefficients of (kappa/2) sym(A_i A_j)_tan on every mode pair.
+def _pair_frames(chart, A, kappa):
+    """Frame coefficients of (kappa/2) sym(A_i A_j)_tan on every pair of a
+    stack of skew fields A (p, N1, N2, 3, 3).
 
     With the chart's frame vectors e_a, the frame entry of A_i A_j is
     e_b . A_i A_j e_a = (A_i^T e_b) . (A_j e_a): both factors are formed
     once per mode and one batched product over the nodes gives every pair.
     A is not assumed exactly skew.
     """
-    p, n = len(fields), chart.n_nodes
-    A = iso.extend_A(chart, fields).values.reshape(p, n, 3, 3)
+    p, n = len(A), chart.n_nodes
+    A = A.reshape(p, n, 3, 3)
     e = np.stack([chart.frame_e1, chart.frame_e2], axis=-1).reshape(n, 3, 2)
     Ae = np.einsum("pncd,nda->ncpa", A, e).reshape(n, 3, 2 * p)
     ATe = np.einsum("pndc,ndb->ncpb", A, e).reshape(n, 3, 2 * p)
@@ -169,10 +170,10 @@ def minimize_quadratic(chart, basis, load, candidates, moduli, opts=None):
     its optimum is zero.
     """
     opts = opts or SolverOptions()
-    fields, reduced = _rigid_complement(chart, basis)
+    fields, _ = _rigid_complement(chart, basis)
     if not len(fields):
         raise ValueError("basis contains only rigid motions")
-    G = iso.bending_q2_gram(chart, fields, moduli)
+    G = iso.bending_q2_gram(chart, iso.extend_A(chart, fields).values, moduli)
     G = 0.5 * (G + G.T)
     evals, evecs = np.linalg.eigh(G)
     cutoff = 1e-12 * max(evals[-1], 1e-300)
@@ -191,8 +192,7 @@ def minimize_quadratic(chart, basis, load, candidates, moduli, opts=None):
         if best is None or value < best[0]:
             best = (value, k, xi, ell, grad_norm)
     value, k, xi, ell, grad_norm = best
-    vdof = reduced @ xi
-    vfield = VectorField3(iso.dof_to_field(vdof, chart.shape))
+    vfield = VectorField3(np.tensordot(xi, fields, axes=1))
     zero_form = FormField2(np.zeros(chart.shape + (2, 2)))
     return MinimizationResult(
         V_star=vfield, B_coeffs=np.zeros(0), B_field=zero_form,
@@ -226,11 +226,12 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
         raise ValueError("minimize_J requires kappa > 0; "
                          "use minimize_quadratic for the bending-only case")
     opts = opts or SolverOptions()
-    fields, reduced = _rigid_complement(chart, basis)
+    fields, _ = _rigid_complement(chart, basis)
     if not len(fields):
         raise ValueError("basis contains only rigid motions")
     p = len(fields)
-    G = iso.bending_q2_gram(chart, fields, moduli)
+    A = iso.extend_A(chart, fields).values
+    G = iso.bending_q2_gram(chart, A, moduli)
     G = 0.5 * (G + G.T)
 
     # weighted rows with |rows(F)|^2 = (1/2) integral Q2(F)
@@ -242,7 +243,7 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
 
     # split the pair rows into dictionary coordinates (which give the
     # optimal strain) and the complement (which enters the objective)
-    pair = mat.q2_rows(_pair_frames(chart, fields, kappa), moduli, w, frame)
+    pair = mat.q2_rows(_pair_frames(chart, A, kappa), moduli, w, frame)
     pair_dict = pair @ colsq
     pair -= pair_dict @ colsq.T
 
@@ -266,7 +267,7 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     k, (xi, value, grad_norm, iters, history, reason) = best
     beta = np.linalg.solve(colsr, np.einsum("i,j,ijk->k", xi, xi, pair_dict))
     coeffs, _, B_field = mem._dictionary_field(chart, gens, kept_idx, beta)
-    vfield = VectorField3(iso.dof_to_field(reduced @ xi, chart.shape))
+    vfield = VectorField3(np.tensordot(xi, fields, axes=1))
     return MinimizationResult(
         V_star=vfield, B_coeffs=coeffs, B_field=B_field,
         rotation=np.asarray(candidates[k], float), value=value,

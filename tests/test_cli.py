@@ -193,8 +193,9 @@ def test_isometries_result_is_byte_identical(tmp_path, run):
 
 
 def test_isometries_verify_catches_corrupt_basis(tmp_path, monkeypatch):
-    """--verify recomputes the strain Rayleigh quotients and the W^{1,2}
-    Gram of the returned modes on the full grid."""
+    """--verify recomputes the strain Rayleigh quotients, the W^{1,2} Gram,
+    the skew residuals and the bending Gram of the returned modes on the
+    full grid."""
     chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0},
                            (16, 32))
     basis = iso.isometry_basis(chart, n_request=12)
@@ -212,6 +213,14 @@ def test_isometries_verify_catches_corrupt_basis(tmp_path, monkeypatch):
     scaled = dataclasses.replace(basis, modes=basis.modes * (1.0 + 1e-6))
     with pytest.raises(ArithmeticError, match="orthonormal"):
         cli._verify_basis(chart, scaled)
+    skewed = dataclasses.replace(
+        basis, skew_residuals=basis.skew_residuals + 1e-11)
+    with pytest.raises(ArithmeticError, match="skew residuals"):
+        cli._verify_basis(chart, skewed)
+    ritz = basis.bending_ritz.copy()
+    ritz[-1] += 1e-9 * max(1.0, ritz[-1])
+    with pytest.raises(ArithmeticError, match="bending"):
+        cli._verify_basis(chart, dataclasses.replace(basis, bending_ritz=ritz))
 
     solve = iso.isometry_basis
 
@@ -471,6 +480,25 @@ BAD_INPUTS = {
     "unknown_theta_scheme": (CYL_CFG, [("radius = 1.0", "radius = 1.0\n"
                                         "theta_scheme = fancy")],
                              ("surface",)),
+    "plate_bounds_reversed": (PLATE_CFG, [("grid = 16 16", "grid = 16 16\n"
+                                           "bounds = 1 0 0 1")],
+                              ("surface", "isometries")),
+    "plate_bounds_nan": (PLATE_CFG, [("grid = 16 16", "grid = 16 16\n"
+                                      "bounds = 0 nan 0 1")], ("surface",)),
+    "s_range_reversed": (CYL_CFG, [("height = 1.0", "s_range = 1 0")],
+                         ("surface", "membrane")),
+    "s_range_empty": (CYL_CFG, [("height = 1.0", "s_range = 0 0")],
+                      ("surface",)),
+    "infinite_height": (CYL_CFG, [("height = 1.0", "height = inf")],
+                        ("surface",)),
+    "nan_radius": (CYL_CFG, [("radius = 1.0", "radius = nan")],
+                   ("surface", "isometries")),
+    "infinite_sphere_radius": (CYL_CFG, [("family = cylinder",
+                                          "family = sphere_patch"),
+                                         ("radius = 1.0", "radius = inf")],
+                               ("surface",)),
+    "nan_profile": (CYL_CFG, [("family = cylinder", "family = revolution\n"
+                               "profile_poly = 1 nan")], ("surface",)),
 }
 for _key, _value, _commands in (
         ("mu", "-1", ("energy", "minimize")), ("mu", "0", ("energy",)),
