@@ -162,16 +162,17 @@ def parse_config(path, overrides=None):
     for name, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, name, value)
-    if cfg.kappa < 0:
-        raise ConfigError("kappa must be at least 0, got %g" % cfg.kappa)
+    if not 0 <= cfg.kappa < np.inf:
+        raise ConfigError("kappa must be finite and at least 0, got %g"
+                          % cfg.kappa)
     for name, low in (("basis_size", 0), ("dictionary_degree", 0),
                       ("sample_count", 1), ("max_iter", 1), ("restarts", 1)):
         if getattr(cfg, name) < low:
             raise ConfigError("[solver] %s must be at least %d, got %d"
                               % (name, low, getattr(cfg, name)))
     for name in ("tol", "basis_tol"):
-        if not getattr(cfg, name) > 0:
-            raise ConfigError("[solver] %s must be positive, got %g"
+        if not 0 < getattr(cfg, name) < np.inf:
+            raise ConfigError("[solver] %s must be positive and finite, got %g"
                               % (name, getattr(cfg, name)))
     try:
         _moduli(cfg)

@@ -442,15 +442,15 @@ def sym_grad(chart, fld):
                                               -1, -2))
 
 
-def lift(chart, P):
+def lift(chart, P, cols=slice(None)):
     """The 3x3 node matrices sum_i P_i (x) dual_i of partial vectors.
 
-    P (..., N1, N2, 2, k) holds P_i = d_i f of a k-vector field f, or any
-    per-node pair of k-vectors; the result (..., N1, N2, k, 3) maps t_i to
-    P_i and the normal to zero.  For k = 1 its one row is the tangent
-    vector sum_i P_i dual_i (index raising).
+    P (..., N1, n, 2, k) holds P_i = d_i f of a k-vector field f, or any
+    per-node pair of k-vectors, on the grid columns cols; the result
+    (..., N1, n, k, 3) maps t_i to P_i and the normal to zero.  For k = 1
+    its one row is the tangent vector sum_i P_i dual_i (index raising).
     """
-    return np.swapaxes(P, -1, -2) @ chart.dual
+    return np.swapaxes(P, -1, -2) @ chart.dual[:, cols]
 
 
 def tangential_form(chart, P):

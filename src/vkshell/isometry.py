@@ -11,6 +11,7 @@ returned basis deterministic and smoothness-ordered (LAPACK otherwise
 returns an arbitrary rotation of the degenerate near-zero eigenspace).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,6 @@ class SkewField:
     stack of such fields along one leading mode axis."""
 
     values: np.ndarray
-    skew_residual: float = 0.0  # one value per field for a stack
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -41,6 +41,13 @@ class SkewField:
     def shape(self):
         """(N1, N2), or (m, N1, N2) for a stack."""
         return self.values.shape[:-2]
+
+    @functools.cached_property
+    def skew_residual(self):
+        """Maximal symmetric defect |A + A^T| over the nodes: a float, or
+        one value per field of a stack.  Computed on first access."""
+        r = _skew_residual(self.values)
+        return float(r) if self.values.ndim == 4 else r
 
 
 @dataclass
@@ -99,25 +106,29 @@ def extend_A(chart, fld):
     Pi V = sum_i (dual_i . V) d_i n.  fld is one field or a stack
     (m, N1, N2, 3) evaluated in one batch, and A carries the same mode
     axis.  For an exact infinitesimal isometry A is skew; the maximal
-    symmetric defect is reported per field, never raised.
+    symmetric defect is reported per field (skew_residual), never raised.
     """
     V, single = _field_stack(chart, fld)
-    n = chart.normal
-    dn = np.stack([chart.dn1, chart.dn2], axis=-1)
-    grad_vn = geo.tangential_vector_from_covector(
-        chart, *_derivatives(chart, np.einsum("mxyc,xyc->mxy", V, n)))
-    An = (dn @ (chart.dual @ V[..., None]))[..., 0] - grad_vn
-    A = (geo.lift(chart, _partials(chart, V))
-         + An[..., None] * n[..., None, :])
-    residual = _skew_residual(A)
-    if single:
-        return SkewField(values=A[0], skew_residual=float(residual[0]))
-    return SkewField(values=A, skew_residual=residual)
+    vn = np.einsum("mxyc,xyc->mxy", V, chart.normal)
+    A = _extension(chart, V, _partials(chart, V),
+                   np.stack(_derivatives(chart, vn), axis=-1))
+    return SkewField(A[0] if single else A)
+
+
+def _extension(chart, V, P, dvn, cols=slice(None)):
+    """extend_A on the grid columns cols, from the values V (m, N1, n, 3),
+    the partials P (m, N1, n, 2, 3) and the partials dvn (m, N1, n, 2) of
+    V.n there; real or complex."""
+    dn = np.stack([chart.dn1[:, cols], chart.dn2[:, cols]], axis=-1)
+    An = ((dn @ (chart.dual[:, cols] @ V[..., None]))[..., 0]
+          - geo.lift(chart, dvn[..., None], cols)[..., 0, :])
+    return (geo.lift(chart, P, cols)
+            + An[..., None] * chart.normal[:, cols, None, :])
 
 
 def _skew_residual(A):
-    """Maximal symmetric defect |A + A^T| over the nodes, per field of a
-    stack (m, N1, N2, 3, 3)."""
+    """Maximal symmetric defect |A + A^T| over the nodes of one field
+    (N1, N2, 3, 3), or per field of a stack (m, N1, N2, 3, 3)."""
     return np.max(np.linalg.norm(A + np.swapaxes(A, -1, -2), axis=(-2, -1)),
                   axis=(-2, -1))
 
@@ -140,9 +151,14 @@ def bending_direction_field(chart, A):
     One field or a stack, like A."""
     A = A if isinstance(A, SkewField) else SkewField(A)
     dA = _derivatives(chart, A.values if A.values.ndim == 5 else A.values[None])
-    dirs = np.stack([np.einsum("mxycd,xyd->mxyc", d, chart.normal)
+    return _directions(chart, dA).reshape(A.shape + (2, 3))
+
+
+def _directions(chart, dA, cols=slice(None)):
+    """The vectors (d_i A) n (m, N1, n, 2, 3) of skew fields with partials
+    dA = (d1 A, d2 A) (m, N1, n, 3, 3) on the grid columns cols."""
+    return np.stack([np.einsum("mxycd,xyd->mxyc", d, chart.normal[:, cols])
                      for d in dA], axis=-2)
-    return dirs.reshape(A.shape + (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -217,20 +233,42 @@ def bending_q2_gram(chart, A, moduli):
     return rows @ rows.T
 
 
+def _defect_rows(chart, A, cols=slice(None)):
+    """Rows sqrt(w) (A + A^T) of skew fields A (m, N1, n, 3, 3) on the grid
+    columns cols: their Gram is the symmetric-defect form."""
+    sw = np.sqrt(chart.quad_w[:, cols])[..., None, None]
+    return ((A + np.swapaxes(A, -1, -2)) * sw).reshape(len(A), -1)
+
+
+def _bending_rows(chart, dA, cols=slice(None)):
+    """Weighted frame rows of the bending forms of skew fields with
+    partials dA on the grid columns cols: the form sym((d_i A) n . t_j)
+    of bending_form is the strain_rows formula on the directions."""
+    return geo.strain_rows(chart, _directions(chart, dA, cols), cols)
+
+
 # ---------------------------------------------------------------------------
 # isometry basis
 # ---------------------------------------------------------------------------
 
 def _character_pencil(chart, k):
-    """The pencil (K, M, lift) of character k of a rotation-invariant chart.
+    """The pencil (K, M, lift, rows, pair) of character k of a
+    rotation-invariant chart.
 
     The search fields are profile unit vectors times e_z e^{ik theta}, e_+
     e^{i(k+1) theta} and e_- e^{i(k-1) theta} (geometry.SPIN_UNITS, with
     e_+- = (e_x -+ i e_y)/sqrt(2)), less every part of Cartesian harmonic
     N2/2.  Their rows at column j are a phase (and a rotation) times those
-    at column 0: K = N2 S0^H S0 and M = N2 M0^H M0.  If 2k = 0 mod N2 the e_+- parts are combined into real
-    fields; else lift phases each column to a real largest entry and returns
-    sqrt(2) Re and sqrt(2) Im of its field (which cover character N2 - k).
+    at column 0: K = N2 S0^H S0 and M = N2 M0^H M0.  If 2k = 0 mod N2 the
+    e_+- parts are combined into real fields; else pair is True, and lift
+    phases each column to a real largest entry and returns sqrt(2) Re and
+    sqrt(2) Im of its field (which cover character N2 - k).  rows(x) gives
+    the skew-defect and bending rows of the fields of columns x on column
+    0, times sqrt(N2), so that their Hermitian Grams are those of the
+    lifted fields (of each of the pair).  Every spin component of V, V.n
+    and A is one sampled harmonic h, and its theta-derivative is mu(h), the
+    value of d2(e^{ih theta}) at column 0, times itself: exact for either
+    theta scheme and past the Nyquist frequency.
     """
     n1, n2 = chart.shape
     harm = k + geo.SPIN_SHIFTS
@@ -243,12 +281,30 @@ def _character_pencil(chart, k):
             [[1, 1], [-1j, 1j]], G[-2:], axes=1) / np.sqrt(2)]).real
     dG = chart.d2(G) if real else chart.d2(G.real) + 1j * chart.d2(G.imag)
     eye = np.eye(n1)   # unit profile fields: values, d1 and d2 on column 0
+    D1 = chart.d1(eye)
     V = np.einsum("ab,pc->pabc", eye, G[:, 0]).reshape(-1, n1, 1, 3)
-    dunit = np.stack([chart.d1(eye[:, None, :])[:, 0].T, eye], -1)
+    dunit = np.stack([D1.T, eye], -1)
     P = np.einsum("abd,pdc->pabdc", dunit, np.stack([G[:, 0], dG[:, 0]], 1))
     P = P.reshape(-1, n1, 1, 2, 3)
-    S = geo.strain_rows(chart, P, slice(0, 1))
-    Mr = _mass_rows(chart, V, P, slice(0, 1))
+    col = slice(0, 1)
+    S = geo.strain_rows(chart, P, col)
+    Mr = _mass_rows(chart, V, P, col)
+    E = np.exp(2j * np.pi / n2 * np.outer(k + np.arange(-2, 3),
+                                          np.arange(n2)))
+    mu = (chart.d2(E.real) + 1j * chart.d2(E.imag))[:, 0]   # h = k-2 .. k+2
+    U = geo.SPIN_UNITS
+    mu_A = mu[2 + geo.SPIN_SHIFTS[:, None] - geo.SPIN_SHIFTS]
+
+    def rows(x):
+        V0, P0 = (np.tensordot(x.T, X, axes=1) for X in (V, P))
+        vn = np.einsum("mxyc,xyc->mxy", V0, chart.normal[:, col])
+        A = _extension(chart, V0, P0, np.stack([D1 @ vn, mu[2] * vn], -1),
+                       col)
+        dA = ((D1 @ A.reshape(len(A), n1, 9)).reshape(A.shape),
+              U.T @ (mu_A * (U.conj() @ A @ U.T)) @ U.conj())
+        out = (np.sqrt(n2) * _defect_rows(chart, A, col),
+               np.sqrt(n2) * _bending_rows(chart, dA, col))
+        return tuple(r.real for r in out) if real else out
 
     def lift(x):
         if not real:
@@ -257,15 +313,21 @@ def _character_pencil(chart, k):
         F = np.einsum("pim,pjc->mijc", x.reshape(len(G), n1, -1), G)
         return F if real else np.sqrt(2) * np.concatenate([F.real, F.imag])
 
-    return n2 * (S.conj() @ S.T), n2 * (Mr.conj() @ Mr.T), lift
+    return (n2 * (S.conj() @ S.T), n2 * (Mr.conj() @ Mr.T), lift, rows,
+            not real)
 
 
 def _nodal_pencil(chart):
-    """The pencil (K, M, lift) on the fields e phi, and the fields that need
-    no solve.  phi is a nodal unit field, along a closed axis times the real
-    Fourier basis without harmonic N2/2, and e a Cartesian axis; with a
-    constant normal n, e is in-plane and the fields w n, whose strain rows
-    vanish, are returned M-orthonormalized."""
+    """The pencil (K, M, lift, rows, pair) on the fields e phi, and the
+    near-null blocks that need no solve.  phi is a nodal unit field, along
+    a closed axis times the real Fourier basis without harmonic N2/2, and e
+    a Cartesian axis; rows(x) are the full-grid skew-defect and bending
+    rows of lift(x).  With a constant normal n, e is in-plane, and the
+    fields w n form a block (X, lift, rows, pair) of M-orthonormal columns
+    X: their strain rows vanish, and their skew extensions
+    A = n (x) grad w - grad w (x) n are exactly skew, so rows(x) gives no
+    defect rows, and bending rows from the form -sym(d_i grad w . t_j) of
+    (d_i A) n = -d_i grad w + (d_i grad w . n) n."""
     n1, n2 = chart.shape
     normal = chart.normal.reshape(-1, 3)
     flat = np.allclose(normal, normal[0], rtol=0.0, atol=1e-12)
@@ -281,20 +343,60 @@ def _nodal_pencil(chart):
     dphi = _partials(chart, phi)
     rows = _mass_rows(chart, phi, dphi)
     B = rows @ rows.T
+    nodal = phi.reshape(len(phi), -1).T   # (nodes, unit fields)
 
     def fields(x, axes):
-        W = phi.reshape(len(phi), -1).T @ x.reshape(len(axes), len(phi), -1)
+        W = nodal @ x.reshape(len(axes), len(phi), -1)
         return np.einsum("anm,ac->mnc", W, axes).reshape(
             (-1,) + chart.shape + (3,))
 
-    axes, free = np.eye(3), np.zeros((0,) + chart.shape + (3,))
+    axes, free = np.eye(3), []
     if flat:
         n, t = normal[0], chart.t1[0, 0] / np.linalg.norm(chart.t1[0, 0])
         axes = np.array([t, np.cross(n, t)])
-        free = fields(np.linalg.inv(np.linalg.cholesky(B)).T, n[None])
+
+        def normal_rows(x):
+            w = (nodal @ x).T.reshape((-1,) + chart.shape + (1,))
+            grad_w = geo.lift(chart, _partials(chart, w))[..., 0, :]
+            return None, -geo.strain_rows(chart, _partials(chart, grad_w))
+
+        free = [(np.linalg.inv(np.linalg.cholesky(B)).T,
+                 lambda x: fields(x, n[None]), normal_rows, False)]
     S = np.concatenate([geo.strain_rows(chart, dphi * e) for e in axes])
     K, M = S @ S.T, np.kron(np.eye(len(axes)), B)
-    return [(K, M, lambda x: fields(x, axes))], free
+
+    def grid_rows(x):
+        A = extend_A(chart, fields(x, axes)).values
+        return (_defect_rows(chart, A),
+                _bending_rows(chart, _derivatives(chart, A)))
+
+    return [(K, M, lambda x: fields(x, axes), grid_rows, False)], free
+
+
+def _near_null_blocks(chart, tol):
+    """Solve the strain/mass pencil in symmetry blocks and keep the
+    eigenvectors with rho <= tol rho_max over all blocks.
+
+    Returns the non-empty near-null blocks (X, lift, rows, pair) of
+    coefficient columns X (see _character_pencil and _nodal_pencil), the
+    threshold, and rho_m, the smallest rejected eigenvalue of any block.
+    """
+    if geo.rotation_invariant(chart):
+        pencils = [_character_pencil(chart, k)
+                   for k in range(chart.shape[1] // 2 + 1)]
+        near = []
+    else:
+        pencils, near = _nodal_pencil(chart)
+    try:
+        solved = [scipy.linalg.eigh(K, M) for K, M, *_ in pencils]
+    except scipy.linalg.LinAlgError as exc:
+        raise ArithmeticError("generalized eigen-solver failed on the "
+                              "membrane-strain pencil") from exc
+    thresh = tol * max(float(ev[-1]) for ev, _ in solved)
+    rho_m = min(ev[ev > thresh].min(initial=np.inf) for ev, _ in solved)
+    near = near + [(vec[:, ev <= thresh],) + tuple(rest)
+                   for (ev, vec), (_, _, *rest) in zip(solved, pencils)]
+    return [b for b in near if b[0].shape[1]], thresh, rho_m
 
 
 def isometry_basis(chart, n_request=40, tol=1e-8):
@@ -310,8 +412,12 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     whose defect eigenvalue exceeds max((10 tol)^2, 1e-10 s_max), s_max the
     largest one.  The rest is reordered by the bending seminorm and at most
     n_request modes are returned; cluster_size still reports the raw near-null
-    count.  extend_A runs once, on the cluster: both Ritz steps, the modes
-    and their skew_residuals are linear combinations of that stack.
+    count.  Both Grams commute with the chart's symmetries, so both Ritz
+    steps run per block: on a character block, from its complex fields on
+    grid column 0 (an eigenvalue of a pair block counts for both lifted
+    fields); on a flat chart's normal block, which is exactly skew, with no
+    defect Gram.  Bending values are merged in ascending order (ties by
+    block, then Re before Im), and only the kept vectors are lifted.
     gap_ratio is rho_m / (tol rho_max), rho_m the smallest rejected
     eigenvalue of any block (inf when every eigenvalue is accepted).
     """
@@ -319,52 +425,53 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
         raise ValueError("tol must be positive")
     if n_request < 0:
         raise ValueError("n_request must be non-negative")
-    if geo.rotation_invariant(chart):
-        blocks = [_character_pencil(chart, k)
-                  for k in range(chart.shape[1] // 2 + 1)]
-        cluster = np.zeros((0,) + chart.shape + (3,))
-    else:
-        blocks, cluster = _nodal_pencil(chart)
-    try:
-        solved = [scipy.linalg.eigh(K, M) + (lift,) for K, M, lift in blocks]
-    except scipy.linalg.LinAlgError as exc:
-        raise ArithmeticError("generalized eigen-solver failed on the "
-                              "membrane-strain pencil") from exc
-    thresh = tol * max(float(ev[-1]) for ev, _, _ in solved)
-    cluster = np.concatenate(
-        [cluster] + [lift(vec[:, ev <= thresh]) for ev, vec, lift in solved])
-    m = len(cluster)
-    rho_m = min(ev[ev > thresh].min(initial=np.inf) for ev, _, _ in solved)
+    near, thresh, rho_m = _near_null_blocks(chart, tol)
 
     # split off modes whose skew extension is polluted by grid aliasing:
     # Rayleigh-Ritz with the symmetric-defect form separates them exactly
-    A = extend_A(chart, cluster).values
-    sw = np.sqrt(chart.quad_w)[..., None, None]
-    srows = ((A + np.swapaxes(A, -1, -2)) * sw).reshape(m, 9 * chart.n_nodes)
-    Gs = srows @ srows.T
-    del srows
-    s_vals, Qs = np.linalg.eigh(0.5 * (Gs + Gs.T))
+    steps = []
+    for X, _, rows, _ in near:
+        D, Bend = rows(X)
+        s, Q = (None, None) if D is None else np.linalg.eigh(D.conj() @ D.T)
+        steps.append((Bend, s, Q))
     # bimodal spectrum: machine-zero defects vs order-one aliased modes;
     # the cut must sit above the Gram's own eigenvalue roundoff
-    s_cut = max((10.0 * tol)**2, 1e-10 * float(s_vals.max(initial=0.0)))
-    Qs = Qs[:, s_vals <= s_cut]
+    s_max = max((float(s[-1]) for _, s, _ in steps if s is not None),
+                default=0.0)
+    s_cut = max((10.0 * tol)**2, 1e-10 * s_max)
 
     # deterministic smoothness ordering by the bending seminorm, on the
-    # cluster's bending rows rotated into the kept defect directions
-    rows = Qs.T @ geo.frame_rows(_bending_frames(chart, A), chart.quad_w)
-    Gb = rows @ rows.T
-    bend_vals, Qb = np.linalg.eigh(0.5 * (Gb + Gb.T))
+    # bending rows rotated into the kept defect directions; a pair block
+    # lists each value twice, for its Re and its Im field
+    vals, coeffs = [], []
+    for (_, _, _, pair), (Bend, s, Q) in zip(near, steps):
+        if Q is not None:
+            Q = Q[:, s <= s_cut]
+            Bend = Q.T @ Bend
+        bend, Qb = np.linalg.eigh(Bend.conj() @ Bend.T)
+        vals.append(np.repeat(bend, 1 + pair))
+        coeffs.append(Qb if Q is None else Q @ Qb)
+    offsets = np.cumsum([0] + [v.size for v in vals])
+    vals = np.concatenate(vals)
+    order = np.argsort(vals, kind="stable")[:n_request]
 
-    keep = min(n_request, bend_vals.size)
-    C = Qs @ Qb[:, :keep]
-    modes = np.tensordot(C.T, cluster, axes=1)
+    modes = np.empty((order.size,) + chart.shape + (3,))
+    for (X, lift, _, pair), C, lo, hi in zip(near, coeffs, offsets,
+                                             offsets[1:]):
+        sel = np.flatnonzero((order >= lo) & (order < hi))
+        if sel.size:
+            col, part = np.divmod(order[sel] - lo, 1 + pair)
+            cols, pos = np.unique(col, return_inverse=True)
+            F = lift(X @ C[:, cols])
+            modes[sel] = F.reshape((1 + pair, -1) + F.shape[1:])[part, pos]
     return IsometryBasis(
         modes=modes,
         rayleigh=np.sum(geo.strain_rows(chart, _partials(chart, modes))**2,
                         axis=1),
-        bending_ritz=bend_vals[:keep], tol=thresh, tol_rel=tol,
-        chart=chart, gap_ratio=float(rho_m / thresh), cluster_size=m,
-        skew_residuals=_skew_residual(np.tensordot(C.T, A, axes=1)))
+        bending_ritz=vals[order], tol=thresh, tol_rel=tol,
+        chart=chart, gap_ratio=float(rho_m / thresh),
+        cluster_size=sum((1 + b[3]) * b[0].shape[1] for b in near),
+        skew_residuals=extend_A(chart, modes).skew_residual)
 
 
 def project_onto_basis(basis, fld):

@@ -31,6 +31,9 @@ class ElasticModuli:
     isotropic = True
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.mu, self.lam])):
+            raise ValueError("Lame moduli must be finite, got mu = %g, "
+                             "lambda = %g" % (self.mu, self.lam))
         if not (self.mu > 0):
             raise ValueError("shear modulus mu must be positive")
         if self.lam < 0:

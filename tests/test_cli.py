@@ -460,6 +460,10 @@ BAD_INPUTS = {
                    "h_ladder = 0.9 0.5 0.2 0.1")], ("gamma-check",)),
     "negative_kappa": (PLATE_CFG, [("kappa = 0.0", "kappa = -1")],
                        ("minimize", "gamma-check")),
+    "nan_kappa": (PLATE_CFG, [("kappa = 0.0", "kappa = nan")],
+                  ("energy", "minimize")),
+    "infinite_kappa": (PLATE_CFG, [("kappa = 0.0", "kappa = inf")],
+                       ("minimize",)),
     "unknown_load_preset": (PLATE_CFG, [("preset = normal_saddle",
                                          "preset = bogus")],
                             ("energy", "minimize")),
@@ -503,9 +507,12 @@ BAD_INPUTS = {
 for _key, _value, _commands in (
         ("mu", "-1", ("energy", "minimize")), ("mu", "0", ("energy",)),
         ("lambda", "-0.5", ("energy", "minimize")),
+        ("lambda", "inf", ("energy",)), ("mu", "inf", ("energy",)),
         ("basis_tol", "0", ("isometries", "minimize")),
         ("basis_tol", "-1", ("isometries",)),
+        ("basis_tol", "inf", ("isometries", "minimize")),
         ("tol", "0", ("minimize",)), ("tol", "-1", ("minimize",)),
+        ("tol", "inf", ("minimize",)),
         ("max_iter", "0", ("minimize",)), ("max_iter", "-5", ("minimize",)),
         ("restarts", "0", ("minimize",)), ("restarts", "-3", ("minimize",))):
     _edit = (("%s = 1.0" % _key, "%s = %s" % (_key, _value))

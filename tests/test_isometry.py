@@ -186,11 +186,14 @@ def test_project_onto_basis_stack_matches_single_calls(cyl_small):
     assert res[6] == 0.0 and np.max(res[:6]) <= 1e-8
 
 
-@pytest.mark.parametrize("build", [
+FLAT_CHARTS = dict(argvalues=[
     lambda: vk.build_chart("plate", {}, (16, 16)),
     lambda: vk.build_chart("plate", {}, (20, 20)),
     lambda: rotated_plate(random_rotation(np.random.default_rng(3)), (12, 12)),
 ], ids=["plate-16x16", "plate-20x20", "rotated_plate-12x12"])
+
+
+@pytest.mark.parametrize("build", **FLAT_CHARTS)
 def test_skew_cut_keeps_every_flat_cluster_mode(build):
     """On flat charts the skew-defect filter is the identity: normal fields
     have exactly skew extensions and the in-plane cluster is rigid."""
@@ -478,3 +481,81 @@ def test_cylinder_above_dense_cap():
                               chart.shape)
     with pytest.raises(ValueError, match="too large"):
         iso.isometry_basis(tilted, n_request=40, tol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# full-grid reference of the Ritz steps: the skew-defect and bending Grams
+# of the whole lifted cluster, on every node
+# ---------------------------------------------------------------------------
+
+def _full_grid_ritz(chart, tol):
+    """The bending Ritz values that survive the skew cut, and the sorted
+    skew-defect eigenvalues, of the real near-null cluster on the full
+    grid."""
+    near, _, _ = iso._near_null_blocks(chart, tol)
+    cluster = np.concatenate([lift(X) for X, lift, _, _ in near])
+    A = iso.extend_A(chart, cluster).values
+    sw = np.sqrt(chart.quad_w)[..., None, None]
+    srows = ((A + np.swapaxes(A, -1, -2)) * sw).reshape(len(A), -1)
+    s_vals, Qs = np.linalg.eigh(srows @ srows.T)
+    s_cut = max((10.0 * tol)**2, 1e-10 * float(s_vals.max(initial=0.0)))
+    rows = Qs[:, s_vals <= s_cut].T @ geo.frame_rows(
+        iso._bending_frames(chart, A), chart.quad_w)
+    return np.linalg.eigvalsh(rows @ rows.T), s_vals
+
+
+def _assert_bending_close(got, want):
+    """Within 1e-10 relative, or 1e-12 absolute on the (rigid) zeros."""
+    assert got.shape == want.shape
+    err = np.abs(got - want)
+    small = np.abs(want) < 1e-8
+    assert np.all(err[small] <= 1e-12)
+    assert np.all(err[~small] <= 1e-10 * np.abs(want[~small]))
+
+
+CHARACTER_CASES = [(name, 1e-8) for name in (
+    "cylinder-8x16", "cylinder-8x15", "revolution-10x12",
+    "sphere_patch-10x16")] + [("cylinder-12x32", tol)
+                              for tol in (1e-8, 1e-3, 1e-2)]
+
+
+@pytest.mark.parametrize("name,tol", CHARACTER_CASES)
+def test_character_ritz_matches_full_grid_reference(name, tol):
+    """The per-character Ritz steps on grid column 0 keep the modes, and
+    give the bending values and skew-defect spectrum, of the full-grid
+    Ritz steps on the lifted cluster (a pair block's value counts twice)."""
+    chart = (REFERENCE_CHARTS[name][0]() if name in REFERENCE_CHARTS else
+             vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0},
+                            (12, 32)))
+    assert geo.rotation_invariant(chart)
+    bend, s_ref = _full_grid_ritz(chart, tol)
+    basis = iso.isometry_basis(chart, n_request=10**6, tol=tol)
+    assert len(basis) == len(bend)
+    _assert_bending_close(basis.bending_ritz, bend)
+    near, _, _ = iso._near_null_blocks(chart, tol)
+    s_new = []
+    for X, _, rows, pair in near:
+        D = rows(X)[0]
+        s_new.append(np.repeat(np.linalg.eigvalsh(D.conj() @ D.T), 1 + pair))
+    s_new = np.sort(np.concatenate(s_new))
+    assert s_new.shape == s_ref.shape
+    assert np.max(np.abs(s_new - s_ref)) <= 1e-10 * s_ref[-1]
+
+
+@pytest.mark.parametrize("build", **FLAT_CHARTS)
+def test_flat_normal_block_is_exactly_skew(build):
+    """The normal fields w n of a flat chart have skew extensions to
+    roundoff, so their block needs no defect Gram; the basis still keeps
+    the modes, and gives the bending values, of the full-grid reference."""
+    chart = build()
+    near, _, _ = iso._near_null_blocks(chart, 1e-8)
+    X, lift, rows, pair = near[0]
+    assert X.shape[1] == chart.n_nodes and not pair
+    assert rows(X)[0] is None
+    A = iso.extend_A(chart, lift(X)).values
+    assert (np.max(np.abs(A + np.swapaxes(A, -1, -2)))
+            <= 1e-13 * np.max(np.abs(A)))
+    bend, _ = _full_grid_ritz(chart, 1e-8)
+    basis = iso.isometry_basis(chart, n_request=10**6, tol=1e-8)
+    assert len(basis) == len(bend)
+    _assert_bending_close(basis.bending_ritz, bend)

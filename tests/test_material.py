@@ -16,6 +16,9 @@ def test_moduli_validation():
         mat.ElasticModuli(-1.0, 1.0)
     with pytest.raises(ValueError):
         mat.ElasticModuli(1.0, -0.5)
+    for mu, lam in ((np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            mat.ElasticModuli(mu, lam)
 
 
 def test_density_zero_on_rotations():
