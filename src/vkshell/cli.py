@@ -129,7 +129,7 @@ def parse_config(path, overrides=None):
             sc = cp["scaling"]
             cfg.kappa = sc.getfloat("kappa", cfg.kappa)
             cfg.e_rule = sc.get("e_rule", cfg.e_rule).strip()
-            _e_rule(cfg.e_rule)
+            gc.thickness_scaling(cfg.e_rule, cfg.kappa)
         if cp.has_section("load"):
             ld = cp["load"]
             cfg.load_preset = ld.get("preset", cfg.load_preset).strip()
@@ -234,24 +234,6 @@ def _mode_field(cfg, chart):
     except KeyError:
         raise ConfigError("unknown mode preset %r" % (cfg.mode,))
     return builder(chart)
-
-
-def _e_rule(name):
-    """Thickness scaling e(h) named by [scaling] e_rule; None for
-    "kappa2h4", the default rule of gammacheck.build_ansatz."""
-    if name == "kappa2h4":
-        return None
-    if name == "h5":
-        return lambda h: h ** 5
-    if name.startswith("h^"):
-        try:
-            p = float(name[2:])
-        except ValueError:
-            p = np.nan
-        if np.isfinite(p):
-            return lambda h: h ** p
-    raise ConfigError("unknown e_rule %r (expected kappa2h4, h5 or h^p)"
-                      % (name,))
 
 
 def write_json(path, payload):
@@ -545,13 +527,18 @@ def cmd_gamma_check(cfg, outdir, verify):
     V = _mode_field(cfg, chart)
     w = None
     if cfg.kappa > 0 and cfg.mode.startswith("cylinder"):
+        if chart.family not in ("cylinder", "revolution"):
+            raise ConfigError("mode %r at kappa > 0 needs a cylinder or "
+                              "revolution chart for its membrane solve, "
+                              "not %s" % (cfg.mode, chart.family))
         A = iso.extend_A(chart, V)
         target = fn.a_squared_tan(chart, A)
         target = FormField2(0.5 * cfg.kappa * target.coeff)
         w = mem.solve_revolution_membrane(
             chart, target, fourier_order=_fourier_order(cfg, chart)).w
     ansatz = gc.build_ansatz(chart, V, w=w, kappa=cfg.kappa, moduli=moduli,
-                             e_rule=_e_rule(cfg.e_rule))
+                             e_rule=gc.thickness_scaling(cfg.e_rule,
+                                                         cfg.kappa))
     table = gc.convergence_study(ansatz, cfg.h_ladder, moduli,
                                  t_quad=cfg.t_quad)
     errors = table.errors()

@@ -70,6 +70,24 @@ class RotationFieldReport:
     reflected_nodes: list
 
 
+def thickness_scaling(name, kappa):
+    """The thickness scaling e(h) named name: "kappa2h4" is (kappa h^2)^2,
+    or h^5 at kappa = 0; "h5" is h^5; "h^p" is h^p for a finite p."""
+    if name == "kappa2h4" and kappa > 0:
+        return lambda h: (kappa * h * h) ** 2
+    if name in ("kappa2h4", "h5"):
+        return lambda h: h ** 5
+    if name.startswith("h^"):
+        try:
+            p = float(name[2:])
+        except ValueError:
+            p = np.nan
+        if np.isfinite(p):
+            return lambda h: h ** p
+    raise ValueError("unknown e_rule %r (expected kappa2h4, h5 or h^p)"
+                     % (name,))
+
+
 def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
     """Assemble the recovery family's node data for a smooth displacement.
 
@@ -89,10 +107,7 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
     else:
         w = as_vector_field(w)
     if e_rule is None:
-        if kappa > 0:
-            e_rule = lambda h: (kappa * h * h) ** 2
-        else:
-            e_rule = lambda h: h ** 5
+        e_rule = thickness_scaling("kappa2h4", kappa)
 
     A = iso.extend_A(chart, V)
     Avals = A.values

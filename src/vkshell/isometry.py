@@ -233,6 +233,18 @@ def bending_q2_gram(chart, A, moduli):
     return rows @ rows.T
 
 
+def rigid_complement_gram(chart, basis, moduli):
+    """The rigid-complemented fields (p, N1, N2, 3) of a basis
+    (_rigid_complement), their skew extensions A and the symmetrized
+    bending Gram G over them; A and G are None if no field remains."""
+    fields, _ = _rigid_complement(chart, basis)
+    if not len(fields):
+        return fields, None, None
+    A = extend_A(chart, fields).values
+    G = bending_q2_gram(chart, A, moduli)
+    return fields, A, 0.5 * (G + G.T)
+
+
 def _defect_rows(chart, A, cols=slice(None)):
     """Rows sqrt(w) (A + A^T) of skew fields A (m, N1, n, 3, 3) on the grid
     columns cols: their Gram is the symmetric-defect form."""
@@ -508,11 +520,10 @@ def coercivity_spectrum(chart, basis, moduli):
     """
     if basis.empty:
         raise ValueError("isometry basis is empty")
-    fields, _ = _rigid_complement(chart, basis)
-    if not len(fields):
+    fields, _, G = rigid_complement_gram(chart, basis, moduli)
+    if G is None:
         return CoercivityResult(smallest=np.nan, largest=np.nan,
                                 n_modes=0, empty=True)
-    G = bending_q2_gram(chart, extend_A(chart, fields).values, moduli)
-    ev = np.linalg.eigvalsh(0.5 * (G + G.T))
+    ev = np.linalg.eigvalsh(G)
     return CoercivityResult(smallest=float(ev[0]), largest=float(ev[-1]),
                             n_modes=len(fields), empty=False)

@@ -4,15 +4,15 @@ least-squares projection onto symmetric-gradient dictionaries.
 
 The revolution solver reduces the strain system to one linear ODE per
 circumferential Fourier mode.  All circumferential operations are
-spectral (exact for bandlimited data); the axial direction uses 4th-order
-differences, cubic-spline sampling and a classical order-4 one-step
-integrator, so round-trip residuals decay at 4th order.
+spectral (exact for bandlimited data); every axial derivative is the
+4th-order difference matrix Ds, the ODEs are one batched collocated solve
+with Ds Ds and the axial least squares one SVD of Ds, so round-trip
+residuals decay at 4th order.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import geometry as geo
 from . import operators as ops
@@ -79,31 +79,6 @@ def _require_revolution(chart):
     return chart.profile["g"], chart.profile["gp"], chart.profile["gpp"]
 
 
-def _rk4_second_order(s, coeff_fn, rhs_spline, nk):
-    """Integrate y_k'' = coeff_k(s) y_k + rhs_k(s) from zero initial data.
-
-    Classical order-4 one-step method, vectorized over all modes k at
-    once; coeff_fn(si) and rhs_spline(si) return per-mode vectors.
-    """
-    n = s.size
-    y = np.zeros((n, nk), dtype=complex)
-    yp = np.zeros((n, nk), dtype=complex)
-
-    def f(si, b, bp):
-        return bp, coeff_fn(si) * b + rhs_spline(si)
-
-    for i in range(n - 1):
-        h = s[i + 1] - s[i]
-        b, bp = y[i], yp[i]
-        k1b, k1p = f(s[i], b, bp)
-        k2b, k2p = f(s[i] + 0.5 * h, b + 0.5 * h * k1b, bp + 0.5 * h * k1p)
-        k3b, k3p = f(s[i] + 0.5 * h, b + 0.5 * h * k2b, bp + 0.5 * h * k2p)
-        k4b, k4p = f(s[i] + h, b + h * k3b, bp + h * k3p)
-        y[i + 1] = b + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-        yp[i + 1] = bp + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return y, yp
-
-
 def membrane_sym_grad(chart, fld):
     """Symmetrized tangential gradient with the solver's derivative ops
     (spectral circumferential, 4th-order axial)."""
@@ -138,9 +113,11 @@ def solve_revolution_membrane(chart, form, fourier_order=None,
         b_k'' - (g''/g)(1 - k^2) b_k = psi_k / g,
         psi = 2 ds B12 - dtheta B11 - (g''/g) dtheta B22,
 
-    integrated from zero initial data; a follows from the hoop equation
-    and c from a joint least squares over the two equations containing it,
-    whose residual is reported instead of silently drifting.
+    solved from zero initial data with the axial derivative d/ds taken as
+    Ds = fd1_matrix_order4 (exact on polynomials of degree <= 4, as is
+    Ds Ds); a follows from the hoop equation and c from a joint least
+    squares over the two equations containing it, whose residual is
+    reported instead of silently drifting.
     """
     g, gp, gpp = _require_revolution(chart)
     form = as_form_field(form)
@@ -153,79 +130,49 @@ def solve_revolution_membrane(chart, form, fourier_order=None,
     if not (0 <= N <= n2 // 2):
         raise ValueError("fourier_order out of range")
 
-    s = chart.u1
-    theta = chart.u2
-    gs, gps, gpps = (np.asarray(f(s), float) for f in (g, gp, gpp))
+    gs, gps, gpps = (np.asarray(f(chart.u1), float) for f in (g, gp, gpp))
     if np.any(gs <= 0):
         raise ValueError("profile must be positive on the s-grid")
 
-    B11 = form.coeff[..., 0, 0]
-    B22 = form.coeff[..., 1, 1]
-    B12 = form.coeff[..., 0, 1]
-
-    # circumferential spectra, truncated at the requested order
-    def rfft_trunc(F):
-        Fh = np.fft.rfft(F, axis=1)
-        Fh[:, N + 1:] = 0.0
-        return Fh
-
-    B11h = rfft_trunc(B11)
-    B22h = rfft_trunc(B22)
-    B12h = rfft_trunc(B12)
-    kvals = np.arange(B11h.shape[1])
-
-    dsB12h = ops.fd1_apply_order4(B12h.real, chart.du[0], axis=0) \
-        + 1j * ops.fd1_apply_order4(B12h.imag, chart.du[0], axis=0)
-    psih = (2.0 * dsB12h
-            - (1j * kvals)[None, :] * B11h
-            - (gpps / gs)[:, None] * (1j * kvals)[None, :] * B22h)
-
-    nk = N + 1
-    spline = CubicSpline(s, psih[:, :nk] / gs[:, None], axis=0,
-                         bc_type="not-a-knot")
-    kfac = 1.0 - kvals[:nk].astype(float) ** 2
-
-    def coeff_fn(si):
-        return (gpp(si) / g(si)) * kfac
-
-    bh = np.zeros_like(B11h)
-    bph = np.zeros_like(B11h)
-    bh[:, :nk], bph[:, :nk] = _rk4_second_order(s, coeff_fn, spline, nk)
-
-    ah = B22h / gs[:, None] - (1j * kvals)[None, :] * bh
-    dsB22_over_g = ops.fd1_apply_order4((B22h / gs[:, None]).real, chart.du[0], axis=0) \
-        + 1j * ops.fd1_apply_order4((B22h / gs[:, None]).imag, chart.du[0], axis=0)
-    daph = dsB22_over_g - (1j * kvals)[None, :] * bph
-
-    # c from least squares on {ds c = B11 - g' ds a ; dtheta c = 2 B12 - g'(dtheta a - b) - g ds b}
-    R1 = B11h - gps[:, None] * daph
-    R2 = (2.0 * B12h
-          - gps[:, None] * ((1j * kvals)[None, :] * ah - bh)
-          - gs[:, None] * bph)
+    # circumferential spectra of modes 0..N; axial derivatives by Ds
+    B11h, B22h, B12h = (np.fft.rfft(form.coeff[..., i, j], axis=1)[:, :N + 1]
+                        for i, j in ((0, 0), (1, 1), (0, 1)))
+    kvals = np.arange(N + 1)
+    ik = 1j * kvals
     Ds = ops.fd1_matrix_order4(n1, chart.du[0])
-    ch = np.zeros_like(B11h)
-    eye = np.eye(n1)
-    for k in range(N + 1):
-        A = np.vstack([Ds, (1j * k) * eye])
-        rhs = np.concatenate([R1[:, k], R2[:, k]])
-        sol, *_ = np.linalg.lstsq(A.astype(complex), rhs, rcond=None)
-        ch[:, k] = sol
+    psih = 2.0 * (Ds @ B12h) - ik * B11h - (gpps / gs)[:, None] * ik * B22h
 
-    def irfft_full(Fh):
-        return np.fft.irfft(Fh, n=n2, axis=1)
+    # b: one collocated solve of b'' - (g''/g)(1 - k^2) b = psi/g per mode,
+    # rows 0 and 1 replaced by b(s0) = 0 and b'(s0) = 0
+    L = np.repeat((Ds @ Ds)[None], N + 1, axis=0)
+    L[:, np.arange(n1), np.arange(n1)] -= np.outer(1.0 - kvals**2.0, gpps / gs)
+    L[:, 0] = np.eye(n1)[0]
+    L[:, 1] = Ds[0]
+    rhs = psih.T / gs
+    rhs[:, :2] = 0.0
+    x = np.linalg.solve(L, np.stack([rhs.real, rhs.imag], axis=-1))
+    bh = (x[..., 0] + 1j * x[..., 1]).T
+    bph = Ds @ bh
 
-    a = irfft_full(ah)
-    b = irfft_full(bh)
-    c = irfft_full(ch)
+    ah = B22h / gs[:, None] - ik * bh
+    daph = Ds @ (B22h / gs[:, None]) - ik * bph
 
-    gamma = np.stack([np.cos(theta), np.sin(theta), np.zeros_like(theta)], axis=-1)
-    gammap = np.stack([-np.sin(theta), np.cos(theta), np.zeros_like(theta)], axis=-1)
-    e3 = np.array([0.0, 0.0, 1.0])
-    w = (a[..., None] * gamma[None, :, :]
-         + b[..., None] * gammap[None, :, :]
-         + c[..., None] * e3)
+    # c: least squares on {ds c = B11 - g' ds a ;
+    # dtheta c = 2 B12 - g'(dtheta a - b) - g ds b}, i.e. over [Ds; ik I],
+    # for every mode from one SVD Ds = U S V^T with lstsq's singular cut
+    R1 = B11h - gps[:, None] * daph
+    R2 = 2.0 * B12h - gps[:, None] * (ik * ah - bh) - gs[:, None] * bph
+    U, S, Vt = np.linalg.svd(Ds)
+    den = S[:, None]**2 + kvals**2.0
+    cut = np.finfo(float).eps * 2 * n1 * S[0]
+    inv = np.divide(1.0, den, out=np.zeros_like(den), where=den > cut**2)
+    ch = Vt.T @ (inv * (S[:, None] * (U.T @ R1) - ik * (Vt @ R2)))
 
-    wf = VectorField3(w)
+    a, b, c = (np.fft.irfft(X, n=n2, axis=1) for X in (ah, bh, ch))
+
+    # gamma = (cos, sin, 0) and gamma' = (-sin, cos, 0)
+    cos, sin = np.cos(chart.u2), np.sin(chart.u2)
+    wf = VectorField3(np.stack([a * cos - b * sin, a * sin + b * cos, c], -1))
     residual = form_rel_distance(chart, membrane_sym_grad(chart, wf), form)
     return MembraneSolution(
         w=wf, residual=residual, fourier_order=N,
@@ -281,13 +228,23 @@ def _axial_factors(u1, degree):
     return pw1, dpw1
 
 
-def _dictionary_generators(chart, degree):
-    """Stacks (3, n, N1, N2) of the generator fields f, d1 f and d2 f.
+@dataclass
+class DictionaryFactors:
+    """The 1-D factors a (3, n, N1) and b (3, n, N2) of the generator
+    fields f, d1 f and d2 f, each the outer product a(u1) b(u2); self[j]
+    forms stack j (n, N1, N2) on the grid."""
+    a: np.ndarray
+    b: np.ndarray
 
-    Each is an outer product a(u1) b(u2) of sampled 1-D factors: bivariate
-    monomials up to total degree on open charts, axial monomials times
-    circumferential harmonics up to that order on periodic charts (in the
-    order cos 0, cos u2, sin u2, cos 2 u2, ...).
+    def __getitem__(self, j):
+        return self.a[j][:, :, None] * self.b[j][:, None, :]
+
+
+def _dictionary_generators(chart, degree):
+    """DictionaryFactors of the generators: bivariate monomials up to total
+    degree on open charts, axial monomials times circumferential harmonics
+    up to that order on periodic charts (in the order cos 0, cos u2,
+    sin u2, cos 2 u2, ...).
     """
     u1, u2 = chart.u1, chart.u2
     deg = range(degree + 1)
@@ -305,7 +262,7 @@ def _dictionary_generators(chart, degree):
         pw2 = np.array([u2**q for q in deg])
         a = np.stack([pw1[P], dpw1[P], Q[:, None] * pw1[P]])
         b = np.stack([pw2[Q], pw2[Q], pw2[np.maximum(Q - 1, 0)]])
-    return a[..., :, None] * b[..., None, :]
+    return DictionaryFactors(a, b)
 
 
 def _dictionary_columns(chart, gens, row_map):
@@ -313,7 +270,7 @@ def _dictionary_columns(chart, gens, row_map):
     Cartesian axis c over the strains sym(grad f (x) e_c) of all generators;
     columns are component-major and identically zero ones are pruned.
     Returns the kept columns and their indices into the 3 n strains."""
-    _, f1, f2 = gens
+    f1, f2 = gens[1], gens[2]
     n = len(f1)
     cols = None
     for c in range(3):
@@ -334,10 +291,11 @@ def _dictionary_columns(chart, gens, row_map):
 def _dictionary_field(chart, gens, kept_idx, sol):
     """Coefficients (3 n,) of a solution sol on the kept columns, the
     displacement w = sum coeff f e_c and its strain, by one contraction
-    over the generator axis."""
-    coeffs = np.zeros(3 * gens.shape[1])
+    of the coefficients with the generator factors."""
+    coeffs = np.zeros(3 * gens.a.shape[1])
     coeffs[kept_idx] = sol
-    fields = np.tensordot(gens, coeffs.reshape(3, -1), axes=(1, 1))
+    fields = np.einsum("jnx,jny,cn->jxyc", gens.a, gens.b,
+                       coeffs.reshape(3, -1), optimize=True)
     return (coeffs, VectorField3(fields[0]),
             geo.tangential_form(chart, np.moveaxis(fields[1:], 0, -2)))
 

@@ -22,7 +22,7 @@ from . import isometry as iso
 from . import material as mat
 from . import membrane as mem
 from .geometry import FormField2, VectorField3
-from .isometry import _rigid_complement
+from .isometry import _rigid_complement  # noqa: F401  (re-exported)
 
 
 class MinimizationError(RuntimeError):
@@ -170,11 +170,9 @@ def minimize_quadratic(chart, basis, load, candidates, moduli, opts=None):
     its optimum is zero.
     """
     opts = opts or SolverOptions()
-    fields, _ = _rigid_complement(chart, basis)
-    if not len(fields):
+    fields, _, G = iso.rigid_complement_gram(chart, basis, moduli)
+    if G is None:
         raise ValueError("basis contains only rigid motions")
-    G = iso.bending_q2_gram(chart, iso.extend_A(chart, fields).values, moduli)
-    G = 0.5 * (G + G.T)
     evals, evecs = np.linalg.eigh(G)
     cutoff = 1e-12 * max(evals[-1], 1e-300)
     flagged = bool(evals[0] <= cutoff)
@@ -226,13 +224,10 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
         raise ValueError("minimize_J requires kappa > 0; "
                          "use minimize_quadratic for the bending-only case")
     opts = opts or SolverOptions()
-    fields, _ = _rigid_complement(chart, basis)
-    if not len(fields):
+    fields, A, G = iso.rigid_complement_gram(chart, basis, moduli)
+    if G is None:
         raise ValueError("basis contains only rigid motions")
     p = len(fields)
-    A = iso.extend_A(chart, fields).values
-    G = iso.bending_q2_gram(chart, A, moduli)
-    G = 0.5 * (G + G.T)
 
     # weighted rows with |rows(F)|^2 = (1/2) integral Q2(F)
     gens = mem._dictionary_generators(chart, dict_degree)

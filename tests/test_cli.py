@@ -431,6 +431,15 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
+def test_cli_import_leaves_out_scipy_interpolate():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vkshell.cli; "
+         "print('scipy.interpolate' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
 BAD_INPUTS = {
     "negative_basis_size": (PLATE_CFG, [("basis_size = 12", "basis_size = -1")],
                             ("isometries",)),
@@ -503,6 +512,14 @@ BAD_INPUTS = {
                                ("surface",)),
     "nan_profile": (CYL_CFG, [("family = cylinder", "family = revolution\n"
                                "profile_poly = 1 nan")], ("surface",)),
+    "cylinder_mode_on_plate": (
+        PLATE_CFG, [("kappa = 0.0", "kappa = 1.0"),
+                    ("grid = 16 16", "grid = 16 40"),
+                    ("seed = 3", "seed = 3\nmode = cylinder_ovalization")],
+        ("gamma-check",)),
+    "cylinder_mode_on_sphere_patch": (
+        CYL_CFG, [("family = cylinder", "family = sphere_patch")],
+        ("gamma-check",)),
 }
 for _key, _value, _commands in (
         ("mu", "-1", ("energy", "minimize")), ("mu", "0", ("energy",)),

@@ -89,6 +89,29 @@ def test_round_trip_revolution_refinement():
     assert min(slopes) >= 2.0, (errs, slopes)
 
 
+def test_round_trip_high_mode_refinement():
+    """The oscillatory regime (g''/g)(1 - k^2) << 0: BANDLIMITED_ABC with its
+    harmonics 2 and 3 replaced by k = 10 on the curved profile."""
+    k = 10
+    abc = ((lambda S, T: (0.3 + 0.2 * S**2) * np.cos(k * T),
+            lambda S, T: 0.4 * S * np.cos(k * T),
+            lambda S, T: -k * (0.3 + 0.2 * S**2) * np.sin(k * T)),
+           (lambda S, T: 0.1 * S * np.sin(k * T),
+            lambda S, T: 0.1 * np.sin(k * T),
+            lambda S, T: 0.1 * k * S * np.cos(k * T)),
+           BANDLIMITED_ABC[2])
+    errs = []
+    for n in (32, 64, 128):
+        ch = vk.build_chart("revolution", {"profile": (1.0, 0.0, 0.3),
+                                           "s_range": (-0.5, 0.5)}, (n, 64))
+        B, _ = revolution_form_and_field(ch, *abc)
+        errs.append(mem.solve_revolution_membrane(
+            ch, B, fourier_order=16).residual)
+    assert errs[-1] <= 1e-6
+    slopes = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
+    assert min(slopes) >= 3.5, (errs, slopes)
+
+
 def test_round_trip_recovers_displacement_strain():
     """sym grad of (w_solved - w_original) nearly vanishes."""
     ch = revolution_chart(64)
