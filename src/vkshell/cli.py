@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import functional as fn
@@ -616,7 +615,6 @@ def run(argv):
         "versions": {
             "vkshell": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "elapsed_seconds": time.perf_counter() - t0,

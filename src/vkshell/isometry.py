@@ -4,8 +4,9 @@ The constraint functional K(V) = integral of |sym grad V|^2 (orthonormal
 frame, Frobenius) is thresholded spectrally against a W^{1,2} mass form,
 both Gram matrices of weighted rows of the search fields: the near-null
 cluster of the generalized eigenproblem, solved in symmetry blocks (Fassler
-& Stiefel, Group Theoretical Methods and Their Applications, 1992), is the
-discrete isometry space.  Within the cluster, modes are reordered by a
+& Stiefel, Group Theoretical Methods and Their Applications, 1992) as
+standard Hermitian problems in M-orthonormal coordinates, is the discrete
+isometry space.  Within the cluster, modes are reordered by a
 secondary Rayleigh-Ritz step with the bending seminorm, which makes the
 returned basis deterministic and smoothness-ordered (LAPACK otherwise
 returns an arbitrary rotation of the degenerate near-zero eigenspace).
@@ -15,13 +16,13 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry as geo
 from . import material as mat
 from .geometry import VectorField3, as_vector_field
 
 MAX_EIG_DOFS = 6000
+_PENCIL_FAILURE = "generalized eigen-solver failed on the membrane-strain pencil"
 
 
 @dataclass
@@ -173,8 +174,7 @@ def _rigid_fields(chart):
                           np.cross(axes, chart.pos)]).reshape(6, -1)
     w3 = np.repeat(chart.quad_w.ravel(), 3)
     L = np.linalg.cholesky(raw @ (w3 * raw).T)
-    return scipy.linalg.solve_triangular(L, raw, lower=True).reshape(
-        (6,) + chart.pos.shape)
+    return np.linalg.solve(L, raw).reshape((6,) + chart.pos.shape)
 
 
 def rigid_basis(chart):
@@ -263,15 +263,49 @@ def _bending_rows(chart, dA, cols=slice(None)):
 # isometry basis
 # ---------------------------------------------------------------------------
 
+def _whitener(M):
+    """W = L^{-H} for the Cholesky factor L of a mass block M = L L^H, so
+    that W^H M W = I.  A mass that is not positive definite raises
+    ArithmeticError."""
+    try:
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(_PENCIL_FAILURE) from exc
+    return np.linalg.inv(L).conj().T
+
+
+def _blockwise(A, X):
+    """A applied to each run of len(A) rows of X."""
+    n, m = len(A), X.shape[1]
+    return (A @ X.reshape(len(X) // n, n, m)).reshape(X.shape)
+
+
+def eigh(F, W):
+    """Eigenvalues (ascending) and eigenvectors of the pencil
+    K x = rho M x with K = F F^H and M block diagonal, one block
+    (W W^H)^{-1} per run of len(W) rows of F.
+
+    Solved as the standard Hermitian problem of the whitened rows W^H F:
+    the eigenvectors z returned are M-orthonormal coordinates, and
+    x = W z, blockwise, are the pencil's (M-orthonormal) eigenvectors.
+    """
+    Fw = _blockwise(W.conj().T, F)
+    try:
+        return np.linalg.eigh(Fw @ Fw.conj().T)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(_PENCIL_FAILURE) from exc
+
+
 def _character_pencil(chart, k):
-    """The pencil (K, M, lift, rows, pair) of character k of a
-    rotation-invariant chart.
+    """The pencil (F, W, lift, rows, pair) of character k of a
+    rotation-invariant chart (see eigh).
 
     The search fields are profile unit vectors times e_z e^{ik theta}, e_+
     e^{i(k+1) theta} and e_- e^{i(k-1) theta} (geometry.SPIN_UNITS, with
     e_+- = (e_x -+ i e_y)/sqrt(2)), less every part of Cartesian harmonic
     N2/2.  Their rows at column j are a phase (and a rotation) times those
-    at column 0: K = N2 S0^H S0 and M = N2 M0^H M0.  If 2k = 0 mod N2 the
+    at column 0: K = N2 S0^H S0 and M = N2 M0^H M0, so F = sqrt(N2)
+    conj(S0) and W whitens M (at most 3 N1 square).  If 2k = 0 mod N2 the
     e_+- parts are combined into real fields; else pair is True, and lift
     phases each column to a real largest entry and returns sqrt(2) Re and
     sqrt(2) Im of its field (which cover character N2 - k).  rows(x) gives
@@ -325,18 +359,20 @@ def _character_pencil(chart, k):
         F = np.einsum("pim,pjc->mijc", x.reshape(len(G), n1, -1), G)
         return F if real else np.sqrt(2) * np.concatenate([F.real, F.imag])
 
-    return (n2 * (S.conj() @ S.T), n2 * (Mr.conj() @ Mr.T), lift, rows,
-            not real)
+    return (np.sqrt(n2) * S.conj(), _whitener(n2 * (Mr.conj() @ Mr.T)),
+            lift, rows, not real)
 
 
 def _nodal_pencil(chart):
-    """The pencil (K, M, lift, rows, pair) on the fields e phi, and the
-    near-null blocks that need no solve.  phi is a nodal unit field, along
-    a closed axis times the real Fourier basis without harmonic N2/2, and e
-    a Cartesian axis; rows(x) are the full-grid skew-defect and bending
-    rows of lift(x).  With a constant normal n, e is in-plane, and the
-    fields w n form a block (X, lift, rows, pair) of M-orthonormal columns
-    X: their strain rows vanish, and their skew extensions
+    """The pencil (F, W, lift, rows, pair) on the fields e phi (see eigh),
+    and the near-null blocks that need no solve.  phi is a nodal unit
+    field, along a closed axis times the real Fourier basis without
+    harmonic N2/2, and e a Cartesian axis; the mass holds one copy of the
+    W^{1,2} Gram B of the phi per axis, and W = chol(B)^{-T} whitens it;
+    rows(x) are the full-grid skew-defect and bending rows of lift(x).
+    With a constant normal n, e is in-plane, and the fields w n form a
+    block (W, lift, rows, pair) of M-orthonormal columns W: their strain
+    rows vanish, and their skew extensions
     A = n (x) grad w - grad w (x) n are exactly skew, so rows(x) gives no
     defect rows, and bending rows from the form -sym(d_i grad w . t_j) of
     (d_i A) n = -d_i grad w + (d_i grad w . n) n."""
@@ -354,7 +390,7 @@ def _nodal_pencil(chart):
     phi = np.einsum("ab,jq->aqbj", np.eye(n1), T).reshape(-1, n1, n2, 1)
     dphi = _partials(chart, phi)
     rows = _mass_rows(chart, phi, dphi)
-    B = rows @ rows.T
+    W = _whitener(rows @ rows.T)
     nodal = phi.reshape(len(phi), -1).T   # (nodes, unit fields)
 
     def fields(x, axes):
@@ -372,17 +408,15 @@ def _nodal_pencil(chart):
             grad_w = geo.lift(chart, _partials(chart, w))[..., 0, :]
             return None, -geo.strain_rows(chart, _partials(chart, grad_w))
 
-        free = [(np.linalg.inv(np.linalg.cholesky(B)).T,
-                 lambda x: fields(x, n[None]), normal_rows, False)]
+        free = [(W, lambda x: fields(x, n[None]), normal_rows, False)]
     S = np.concatenate([geo.strain_rows(chart, dphi * e) for e in axes])
-    K, M = S @ S.T, np.kron(np.eye(len(axes)), B)
 
     def grid_rows(x):
         A = extend_A(chart, fields(x, axes)).values
         return (_defect_rows(chart, A),
                 _bending_rows(chart, _derivatives(chart, A)))
 
-    return [(K, M, lambda x: fields(x, axes), grid_rows, False)], free
+    return [(S, W, lambda x: fields(x, axes), grid_rows, False)], free
 
 
 def _near_null_blocks(chart, tol):
@@ -392,6 +426,8 @@ def _near_null_blocks(chart, tol):
     Returns the non-empty near-null blocks (X, lift, rows, pair) of
     coefficient columns X (see _character_pencil and _nodal_pencil), the
     threshold, and rho_m, the smallest rejected eigenvalue of any block.
+    Only the near-null eigenvectors are mapped back from M-orthonormal
+    coordinates.
     """
     if geo.rotation_invariant(chart):
         pencils = [_character_pencil(chart, k)
@@ -399,15 +435,11 @@ def _near_null_blocks(chart, tol):
         near = []
     else:
         pencils, near = _nodal_pencil(chart)
-    try:
-        solved = [scipy.linalg.eigh(K, M) for K, M, *_ in pencils]
-    except scipy.linalg.LinAlgError as exc:
-        raise ArithmeticError("generalized eigen-solver failed on the "
-                              "membrane-strain pencil") from exc
+    solved = [eigh(F, W) for F, W, *_ in pencils]
     thresh = tol * max(float(ev[-1]) for ev, _ in solved)
     rho_m = min(ev[ev > thresh].min(initial=np.inf) for ev, _ in solved)
-    near = near + [(vec[:, ev <= thresh],) + tuple(rest)
-                   for (ev, vec), (_, _, *rest) in zip(solved, pencils)]
+    near = near + [(_blockwise(W, Z[:, ev <= thresh]),) + tuple(rest)
+                   for (ev, Z), (_, W, *rest) in zip(solved, pencils)]
     return [b for b in near if b[0].shape[1]], thresh, rho_m
 
 
@@ -417,8 +449,10 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     Solves the generalized eigenproblem K v = rho M v on the resolvable
     (sub-Nyquist) nodal fields in blocks, one per character on
     rotation-invariant charts, else one (_nodal_pencil, capped by MAX_EIG_DOFS
-    unless the normal is constant), and accepts eigenmodes with rho <= tol *
-    rho_max over all blocks.  Product aliasing near the grid's Nyquist
+    unless the normal is constant), each as a standard Hermitian problem in
+    M-orthonormal coordinates (eigh), and accepts eigenmodes with rho <= tol
+    * rho_max over all blocks; only those are mapped back from the
+    whitened coordinates.  Product aliasing near the grid's Nyquist
     frequency pollutes some of them: a Rayleigh-Ritz step with the Gram of the
     weighted symmetric defects of the skew extensions drops every direction
     whose defect eigenvalue exceeds max((10 tol)^2, 1e-10 s_max), s_max the

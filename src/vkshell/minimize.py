@@ -5,17 +5,19 @@ The bending-only problem is an exactly solvable symmetric linear system
 on the rigid-complemented basis.  With a positive stretching coupling the
 strain coefficients are eliminated exactly by linear least squares, which
 leaves an explicit quartic polynomial in the isometry coefficients.  Its
-gradient and Hessian are evaluated in closed form and drive a
-trust-region Newton iteration (Nocedal & Wright, Numerical Optimization,
-ch. 4).  The iteration accepts only steps that lower the objective, so
-the objective history is non-increasing, and every run names its stop
-reason: converged, iteration cap, or a solver failure that is raised.
+gradient and Hessian are evaluated in closed form and drive Newton's
+method with an exact line search (Nocedal & Wright, Numerical
+Optimization, ch. 3): along any direction the objective is a quartic in
+the step length, minimized over the real roots of its cubic derivative.
+The iteration accepts only steps that lower the objective, so the
+objective history is non-increasing, and every run names its stop
+reason: converged, iteration cap, or a stall within 100 tol; any other
+stop raises.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import functional as fn
 from . import isometry as iso
@@ -26,8 +28,8 @@ from .isometry import _rigid_complement  # noqa: F401  (re-exported)
 
 
 class MinimizationError(RuntimeError):
-    """The solver stopped for a reason other than convergence or the
-    iteration cap, or its objective increased."""
+    """The solver stopped for a reason other than convergence, the
+    iteration cap or a stall within 100 tol."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -125,37 +127,73 @@ def _quartic_parts(xi, pair, G, ell):
     return value, grad, hess
 
 
-def _newton(parts, xi0, opts):
-    """Trust-region Newton (More-Sorensen subproblems) on exact derivatives.
+def _line_quartic(xi, d, pair, G, ell):
+    """Ascending coefficients c0 .. c4 of the quartic t -> f(xi + t d) of
+    _quartic_parts.
 
-    Returns the iterate, value, gradient norm, iteration count, objective
-    history and stop reason: "converged", "max_iter", or the solver's
-    message when it stops short of tol but within 100 tol.  Any other
-    stop, or an increase of the objective, raises MinimizationError.
+    y(xi + t d) = y + t a + t^2 b with a = 2 J^T d and b = sum_ij d_i d_j
+    D_ij, so |y|^2 expands exactly; the quadratic terms add their own.
     """
-    history = [parts(xi0)[0]]
-    sol = scipy.optimize.minimize(
-        lambda z: parts(z)[:2], xi0, method="trust-exact", jac=True,
-        hess=lambda z: parts(z)[2],
-        callback=lambda intermediate_result: history.append(
-            float(intermediate_result.fun)),
-        options={"gtol": opts.tol, "maxiter": opts.max_iter})
-    if np.any(np.diff(history) > 1e-10 * max(abs(history[0]), 1.0)):
-        raise MinimizationError("objective increased along the iteration",
-                                diagnostics={"history": history})
-    grad_norm = float(np.linalg.norm(sol.jac))
-    if sol.status == 0:
-        reason = "converged"
-    elif sol.status == 1:
-        reason = "max_iter"
-    elif grad_norm <= 100.0 * opts.tol:
-        reason = sol.message
-    else:
-        raise MinimizationError(
-            "trust-region Newton stopped: %s" % sol.message,
-            diagnostics={"iteration": int(sol.nit), "objective": float(sol.fun),
-                         "gradient_norm": grad_norm})
-    return sol.x, float(sol.fun), grad_norm, int(sol.nit), history, reason
+    J = np.tensordot(xi, pair, axes=1)
+    y, a = J.T @ xi, 2.0 * (J.T @ d)
+    b = np.tensordot(d, pair, axes=1).T @ d
+    Gxi, Gd = G @ xi, G @ d
+    return np.array([y @ y + xi @ Gxi - ell @ xi,
+                     2.0 * (y @ a) + 2.0 * (d @ Gxi) - ell @ d,
+                     a @ a + 2.0 * (y @ b) + d @ Gd,
+                     2.0 * (a @ b), b @ b])
+
+
+def _line_step(c):
+    """Global minimizer t of the quartic with ascending coefficients c
+    (c4 = |b|^2 >= 0), among the real parts of the roots of its
+    derivative."""
+    t = np.roots(c[:0:-1] * np.arange(4, 0, -1)).real
+    gain = t * (c[1] + t * (c[2] + t * (c[3] + t * c[4])))
+    return float(t[np.argmin(gain)])
+
+
+def _newton(pair, G, ell, xi0, opts):
+    """Newton's method with an exact line search on the quartic f of
+    _quartic_parts.
+
+    The direction d = -Q diag(1/max(|lambda|, floor)) Q^T g, from the
+    eigendecomposition of the closed-form Hessian, always descends; the
+    step is the global minimizer of f along d (_line_step).  A step is
+    taken only if it lowers f, so the objective history decreases.
+    Returns the iterate, value, gradient norm, iteration count, objective
+    history and stop reason: "converged" at |g| <= tol, "max_iter" at the
+    cap, or "stalled" when a step gains nothing and |g| <= 100 tol.  A
+    stall farther out raises MinimizationError.
+    """
+    xi = np.asarray(xi0, float)
+    value, grad, hess = _quartic_parts(xi, pair, G, ell)
+    history, iters = [value], 0
+    while True:
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= opts.tol:
+            reason = "converged"
+            break
+        if iters >= opts.max_iter:
+            reason = "max_iter"
+            break
+        lam, Q = np.linalg.eigh(hess)
+        floor = np.sqrt(np.finfo(float).eps) * np.abs(lam).max()
+        d = -Q @ ((Q.T @ grad) / np.maximum(np.abs(lam), floor))
+        trial = xi + _line_step(_line_quartic(xi, d, pair, G, ell)) * d
+        parts = _quartic_parts(trial, pair, G, ell)
+        if not parts[0] < value:
+            if grad_norm <= 100.0 * opts.tol:
+                reason = "stalled"
+                break
+            raise MinimizationError(
+                "Newton step gains nothing",
+                diagnostics={"iteration": iters, "objective": value,
+                             "gradient_norm": grad_norm})
+        xi, (value, grad, hess) = trial, parts
+        history.append(value)
+        iters += 1
+    return xi, value, grad_norm, iters, history, reason
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +253,9 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
 
         f(xi) = |sum_ij xi_i xi_j P C_ij|^2 + xi.G xi - l.xi
 
-    in the isometry coefficients.  f is minimized by trust-region Newton on
-    its closed-form gradient and Hessian.  Runs every rotation candidate
+    in the isometry coefficients.  f is minimized by Newton's method on
+    its closed-form gradient and Hessian with an exact line search
+    (_newton).  Runs every rotation candidate
     and the configured number of seeded restarts; the best pair is
     returned with the solver's stop reason.
     """
@@ -251,8 +290,7 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     best = None
     for k, Q in enumerate(candidates):
         ell = _load_vector(chart, load, Q, fields)
-        runs = [_newton(lambda z, ell=ell: _quartic_parts(z, pair, G, ell),
-                        xi0, opts) for xi0 in starts]
+        runs = [_newton(pair, G, ell, xi0, opts) for xi0 in starts]
         run = min(runs, key=lambda r: r[1])
         table.append({"candidate": k, "value": run[1], "gradient_norm": run[2],
                       "iterations": run[3], "stop_reason": run[5]})

@@ -440,6 +440,18 @@ def test_cli_import_leaves_out_scipy_interpolate():
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_scipy():
+    """vkshell runs on numpy alone: importing the package and its CLI in a
+    fresh interpreter loads no scipy module."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vkshell, vkshell.cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
 BAD_INPUTS = {
     "negative_basis_size": (PLATE_CFG, [("basis_size = 12", "basis_size = -1")],
                             ("isometries",)),

@@ -229,12 +229,18 @@ def test_stop_reasons(cyl_problem):
     assert done.stop_reason == "converged" and not done.flagged
     assert done.gradient_norm <= 1e-10
     assert done.table[0]["stop_reason"] == "converged"
+    # the degree-1 dictionary leaves a quartic that takes 3 Newton steps
+    slow = mz.minimize_J(chart, basis, load, [np.eye(3)], 1.0, M11,
+                         dict_degree=1,
+                         opts=mz.SolverOptions(tol=1e-10, restarts=1))
+    assert slow.stop_reason == "converged" and slow.iterations > 2
     capped = mz.minimize_J(chart, basis, load, [np.eye(3)], 1.0, M11,
-                           dict_degree=3,
-                           opts=mz.SolverOptions(tol=1e-10, max_iter=1,
+                           dict_degree=1,
+                           opts=mz.SolverOptions(tol=1e-10, max_iter=2,
                                                  restarts=1))
     assert capped.stop_reason == "max_iter" and capped.flagged
-    assert capped.iterations == 1
+    assert capped.iterations == 2
+    assert capped.gradient_norm > 1e-10
     quad = mz.minimize_quadratic(chart, basis, load, [np.eye(3)], M11)
     assert quad.stop_reason == "converged"
 
@@ -319,19 +325,46 @@ def test_anisotropic_results_are_frame_invariant():
 
 
 @pytest.mark.parametrize("grad, outcome", [(1e-9, "message"), (1e-3, "raise")])
-def test_solver_failure_is_named_or_raised(monkeypatch, grad, outcome):
-    """A stop that is neither convergence nor the cap is reported by the
-    solver's message only when the gradient is within 100 tol."""
-    from scipy.optimize import OptimizeResult
-    message = "A bad approximation caused failure to predict improvement."
-    monkeypatch.setattr(mz.scipy.optimize, "minimize", lambda *a, **k: (
-        OptimizeResult(x=np.zeros(2), fun=0.0, jac=np.array([grad, 0.0]),
-                       status=2, nit=4, message=message)))
-    parts = lambda z: (0.0, np.zeros(2), np.eye(2))
+def test_solver_failure_is_named_or_raised(grad, outcome):
+    """A Newton step that gains nothing stops the iteration: the stop is
+    named "stalled" only when |g| <= 100 tol, else MinimizationError is
+    raised.  On lam (|xi|^2 - 2 xi_1), lam the power of two that puts the
+    gradient 2^-39 lam of the start xi0 = (1 + 2^-40, 0) nearest grad, the
+    exact Newton step to (1, 0) leaves the value -lam unchanged in
+    floating point."""
+    lam = 2.0 ** np.round(np.log2(grad * 2.0**39))
+    pair, G, ell = np.zeros((2, 2, 1)), lam * np.eye(2), np.array([2 * lam, 0])
+    xi0 = np.array([1.0 + 2.0**-40, 0.0])
     opts = mz.SolverOptions(tol=1e-10)
     if outcome == "raise":
         with pytest.raises(mz.MinimizationError) as err:
-            mz._newton(parts, np.zeros(2), opts)
-        assert err.value.diagnostics["gradient_norm"] == grad
+            mz._newton(pair, G, ell, xi0, opts)
+        assert err.value.diagnostics["gradient_norm"] == 2.0**-39 * lam
+        assert err.value.diagnostics["gradient_norm"] > 100 * opts.tol
     else:
-        assert mz._newton(parts, np.zeros(2), opts)[-1] == message
+        xi, value, grad_norm, iters, history, reason = mz._newton(
+            pair, G, ell, xi0, opts)
+        assert reason == "stalled" and iters == 0
+        assert opts.tol < grad_norm == 2.0**-39 * lam <= 100 * opts.tol
+        assert history == [value] == [-lam] and np.array_equal(xi, xi0)
+
+
+def test_line_quartic_is_the_objective_along_the_line():
+    """The coefficients of t -> f(xi + t d) reproduce the objective at
+    several t, and the step chosen from them is the global minimizer."""
+    rng = np.random.default_rng(3)
+    p, R = 5, 30
+    pair = rng.normal(size=(p, p, R))
+    pair = 0.5 * (pair + np.swapaxes(pair, 0, 1))
+    G = rng.normal(size=(p, p))
+    G = G @ G.T + np.eye(p)
+    ell, xi, d = rng.normal(size=(3, p))
+    c = mz._line_quartic(xi, d, pair, G, ell)
+    poly = lambda t: np.polyval(c[::-1], t)
+    for t in (-1.7, -0.3, 0.0, 0.4, 1.0, 2.5):
+        want = mz._quartic_parts(xi + t * d, pair, G, ell)[0]
+        assert abs(poly(t) - want) <= 1e-12 * abs(want)
+    t = mz._line_step(c)
+    for h in (1e-6, 1e-3, 1e-1, 1.0):
+        assert poly(t) <= min(poly(t - h), poly(t + h))
+    assert poly(t) <= np.min(poly(np.linspace(t - 10.0, t + 10.0, 2001)))
