@@ -7,11 +7,14 @@ The config is a flat INI file with sections [surface], [moduli],
 config and seed) and ``manifest.json`` (config echo with all defaults,
 package versions, timings).  Exit codes: 0 success, 2 config error,
 3 numerical failure.
+
+A CSV artifact is a header line, then one line per row of floats, fields
+joined by "," and every line ended by "\\r\\n"; each float is Python's
+shortest round-trip repr, with nan, inf and -inf for non-finite values.
 """
 
 import argparse
 import configparser
-import csv
 import json
 import sys
 import time
@@ -241,16 +244,22 @@ def write_json(path, payload):
 
 
 def _write_csv(path, header, table):
-    """A header line, then one line per row of a float table; the csv
-    module writes each Python float as its repr."""
+    """Write a header and a float table in the module's CSV format.
+    Tables repeat values (grid coordinates, exact zeros, +- pairs), so each
+    block of rows formats each distinct float64 bit pattern once; keying
+    on bits keeps -0.0 apart from 0.0."""
     table = np.asarray(table, float)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # in blocks of rows, so that the Python floats of a large table
-        # are never all alive at once
+        fh.write(",".join(header) + "\r\n")
+        # in blocks of rows, so that the strings of a large table are
+        # never all alive at once
         for start in range(0, len(table), 1024):
-            writer.writerows(table[start:start + 1024].tolist())
+            block = table[start:start + 1024]
+            bits, inverse = np.unique(block.view(np.int64),
+                                      return_inverse=True)
+            text = np.array(list(map(repr, bits.view(float).tolist())),
+                            dtype=object)[inverse.reshape(block.shape)]
+            fh.write("\r\n".join(map(",".join, text.tolist())) + "\r\n")
 
 
 def write_field_csv(path, chart, columns):

@@ -197,10 +197,11 @@ def _rigid_complement(chart, basis):
     M-orthonormal)."""
     rigid = _rigid_fields(chart)
     P = _mass_rows(chart, basis.modes) @ _mass_rows(chart, rigid).T
-    Qfull, Rtri = np.linalg.qr(P, mode="complete")
-    diag = np.abs(np.diag(Rtri))
-    rank = int(np.sum(diag > 1e-10 * max(diag.max(), 1e-300)))
-    C = Qfull[:, rank:]
+    # the left singular vectors past the rank span the complement of
+    # range(P); an unpivoted QR's diagonal does not reveal that rank
+    U, sv, _ = np.linalg.svd(P)
+    rank = int(np.sum(sv > 1e-10 * max(sv.max(), 1e-300)))
+    C = U[:, rank:]
     return np.tensordot(C.T, basis.modes, axes=1), C
 
 

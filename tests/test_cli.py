@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import subprocess
@@ -192,6 +193,86 @@ def test_isometries_result_is_byte_identical(tmp_path, run):
     assert runs[0] and runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("run", sorted(BYTE_IDENTICAL_RUNS))
+def test_every_csv_is_byte_identical(tmp_path, run):
+    """Every CSV a subcommand writes has the same bytes on a rerun.  energy
+    writes none, and membrane writes membrane_w.csv only on cylinder and
+    revolution charts."""
+    command, text = BYTE_IDENTICAL_RUNS[run]
+    cfg_path = write_cfg(tmp_path, text)
+    runs = []
+    for out in ("r1", "r2"):
+        assert cli.run([command, "--config", cfg_path, "--verify",
+                        "--output-dir", str(tmp_path / out)]) == 0
+        runs.append({f.name: f.read_bytes()
+                     for f in (tmp_path / out).glob("*.csv")})
+    assert bool(runs[0]) != (run in ("energy-cylinder", "membrane-plate"))
+    assert runs[0] == runs[1]
+
+
+def _csv_module_reference(path, header, table):
+    """The writer the CSV format was defined by: the csv module's default
+    dialect on the rows as Python floats."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(np.asarray(table, float).tolist())
+
+
+SPECIAL_FLOATS = np.concatenate([
+    [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.1, 1 / 3, 2.0**60],
+    # a NaN with a payload, and one with its sign bit set
+    np.array([0x7FF8000000000123, 0xFFF8000000000000],
+             dtype=np.uint64).view(float)])
+
+
+def _shared_blocks_table():
+    """More than two 1024-row blocks drawn from one small pool of values,
+    so that every block repeats values that other blocks hold too."""
+    pool = np.concatenate([SPECIAL_FLOATS, np.linspace(-1.0, 1.0, 7)])
+    return np.random.default_rng(5).choice(pool, size=(2500, 6))
+
+
+CSV_TABLES = {
+    "special-row": SPECIAL_FLOATS[None, :],
+    "special-column": SPECIAL_FLOATS[:, None],
+    "shared-blocks": _shared_blocks_table(),
+    "one-row": np.array([[1.5, -2.0, 0.0]]),
+    "zero-rows": np.zeros((0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_TABLES))
+def test_write_csv_matches_csv_module(tmp_path, name):
+    table = CSV_TABLES[name]
+    header = ["c%d" % k for k in range(table.shape[1])]
+    cli._write_csv(tmp_path / "new.csv", header, table)
+    _csv_module_reference(tmp_path / "ref.csv", header, table)
+    assert ((tmp_path / "new.csv").read_bytes()
+            == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_isometry_mode_csv_holds_modes_bit_for_bit(tmp_path, monkeypatch):
+    """The value columns of isometry_mode_k.csv read back as basis.modes[k]
+    exactly: each float is written as its shortest round-trip repr."""
+    bases = []
+    exact = iso.isometry_basis
+
+    def recorded(*args, **kwargs):
+        bases.append(exact(*args, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(iso, "isometry_basis", recorded)
+    cfg_path = write_cfg(tmp_path, CYL_CFG)
+    assert cli.run(["isometries", "--config", cfg_path]) == 0
+    (basis,) = bases
+    for k, mode in enumerate(basis.modes):
+        table = np.loadtxt(tmp_path / "out" / ("isometry_mode_%03d.csv" % k),
+                           delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(table[:, 5:].view(np.int64),
+                              mode.reshape(-1, 3).view(np.int64))
+
+
 def test_isometries_verify_catches_corrupt_basis(tmp_path, monkeypatch):
     """--verify recomputes the strain Rayleigh quotients, the W^{1,2} Gram,
     the skew residuals and the bending Gram of the returned modes on the
@@ -318,6 +399,16 @@ def test_minimize_verify_recomputes_bending_minimum(tmp_path, monkeypatch):
     assert cli.run(["minimize", "--config", cfg_path, "--verify",
                     "--output-dir", str(tmp_path / "v")]) == 3
     assert not (tmp_path / "v" / "minimize_result.json").exists()
+
+
+def test_minimize_rigid_only_basis_is_numerical_failure(tmp_path):
+    """The plate's first 4 modes lie in the rigid span, so no complement
+    field is left and minimize exits 3 with the named error instead of a
+    value from a field outside the complement."""
+    cfg_path = write_cfg(tmp_path, PLATE_CFG.replace("basis_size = 12",
+                                                     "basis_size = 4"))
+    assert cli.run(["minimize", "--config", cfg_path]) == 3
+    assert not (tmp_path / "out" / "minimize_result.json").exists()
 
 
 def test_minimize_subcommand_and_determinism(tmp_path):

@@ -129,6 +129,22 @@ def test_rigid_basis_orthonormal(plate16, cyl_small):
                 assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
 
 
+@pytest.mark.parametrize("n_request", [4, 6, 8, 20])
+def test_rigid_complement_is_mass_orthogonal_to_rigid(plate16, n_request):
+    """The complement fields pair with no rigid motion in the mass form and
+    their coefficients are orthonormal.  The plate's first modes hold the
+    six rigid motions, so 4 or 6 modes leave no complement: the 4 x 6
+    pairing has full rank, which the diagonal of its unpivoted QR (one
+    entry zero) does not show."""
+    basis = iso.isometry_basis(plate16, n_request=n_request, tol=1e-8)
+    fields, C = iso._rigid_complement(plate16, basis)
+    pair = (iso._mass_rows(plate16, fields)
+            @ iso._mass_rows(plate16, iso._rigid_fields(plate16)).T)
+    assert np.max(np.abs(pair), initial=0.0) <= 1e-12
+    assert len(fields) == max(n_request - 6, 0)
+    np.testing.assert_allclose(C.T @ C, np.eye(C.shape[1]), atol=1e-12)
+
+
 def test_project_out_rigid(plate16):
     D = np.array([[0.0, 2.0, 0.3], [-2.0, 0.0, 1.0], [-0.3, -1.0, 0.0]])
     V = np.einsum("cd,xyd->xyc", D, plate16.pos) + np.array([1.0, 0.0, -0.5])
