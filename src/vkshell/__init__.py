@@ -10,7 +10,7 @@ from .geometry import (SurfaceChart, VectorField3, FormField2, ChartError,
                        build_chart, surface_gradient, sym_grad, integrate,
                        frame_form)
 from .material import (ElasticModuli, AnisotropicModuli, RelaxationResult,
-                       w_density, q3, q2_relax, q2_numeric)
+                       svk_density, w_density, q3, q2_relax, q2_numeric)
 from .isometry import (SkewField, IsometryBasis, extend_A, bending_form,
                        isometry_basis, rigid_basis, project_out_rigid,
                        project_onto_basis, coercivity_spectrum)

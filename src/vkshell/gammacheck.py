@@ -11,7 +11,13 @@ The gradient at thickness level t is written on the shifted shell frame
 g_j = t_j + t h d_j n = sum_i M_ij t_i, M = I + t h S with S the chart's
 2x2 shape operator: F = col (x) n + sum_j (g_j + P_j) (x) g^j, where the
 dual vectors g^j = sum_k (M^-1)_jk dual_k come from adj(M) / det M and
-det M = det(I + t h Pi) is the volume factor.
+det M = det(I + t h Pi) is the volume factor.  rescaled_gradient and
+the rotation-field diagnostics form F; the energy ladder does not, since
+W depends on F only through F^T F.  energy_3d reads the strain Gram D
+(2E = F^T F - I on the dual basis (n, g^1, g^2)) and that basis's dual
+Gram diag(1, K), which material.svk_density, the one St. Venant-Kirchhoff
+definition, turns into the density; the value is invariant under a left
+rotation of the deformation.
 """
 
 from dataclasses import dataclass
@@ -143,26 +149,48 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
         wn_vec=wn_vec, dV=dV, dw=dw, dAn=dAn, dwn=dwn, dd0=dd0, dd1=dd1)
 
 
-def _shell_level(ansatz, h, t, rotate=None):
-    """Rescaled gradient F and volume factor det M at thickness level t;
+def _increments(ansatz, h, t):
+    """col - n (N1, N2, 3) and P_j (N1, N2, 2, 3) at level t: the parts
+    of the gradient's rows besides the shifted frame (n, g_1, g_2), where
     P_j are the partials of the deformation besides the shift t h d_j n."""
-    chart = ansatz.chart
     s = t * h
     se = np.sqrt(ansatz.e(h))
-    M = np.eye(2) + s * chart.shape_op
-    vol = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    adj = (M[..., 0, 0] + M[..., 1, 1])[..., None, None] * np.eye(2) - M
-    dual = (adj @ chart.dual) / vol[..., None, None]          # g^j
-    frame = np.stack([chart.t1 + s * chart.dn1, chart.t2 + s * chart.dn2],
-                     axis=-2)                                   # g_j
-    n = chart.normal
-    col = (n + (se / h) * ansatz.An - se * ansatz.wn_vec
-           + se * ansatz.d0 + t * se * ansatz.d1)
+    dcol = ((se / h) * ansatz.An - se * ansatz.wn_vec + se * ansatz.d0
+            + t * se * ansatz.d1)
     P = ((se / h) * ansatz.dV + se * ansatz.dw + t * se * ansatz.dAn
          - s * se * ansatz.dwn + s * se * ansatz.dd0
          + (t * t / 2) * h * se * ansatz.dd1)
-    F = (col[..., :, None] * n[..., None, :]
-         + np.swapaxes(frame + P, -1, -2) @ dual)
+    return dcol, P
+
+
+def _shift(chart, s):
+    """Entries (row-major) of adj(M) and the volume factor det M of
+    M = I + s S, one (N1, N2) array each."""
+    S = chart.shape_op
+    m11, m22 = 1.0 + s * S[..., 0, 0], 1.0 + s * S[..., 1, 1]
+    m12, m21 = s * S[..., 0, 1], s * S[..., 1, 0]
+    return (m22, -m12, -m21, m11), m11 * m22 - m12 * m21
+
+
+def _dual_frame(chart, adj, vol):
+    """g^j = sum_k (M^-1)_jk dual_k (N1, N2, 2, 3), M^-1 = adj(M) / det M."""
+    a11, a12, a21, a22 = (a[..., None] for a in adj)
+    d1, d2 = chart.dual[..., 0, :], chart.dual[..., 1, :]
+    return (np.stack([a11 * d1 + a12 * d2, a21 * d1 + a22 * d2], axis=-2)
+            / vol[..., None, None])
+
+
+def _shell_level(ansatz, h, t, rotate=None):
+    """Rescaled gradient F and volume factor det M at thickness level t."""
+    chart = ansatz.chart
+    s = t * h
+    dcol, P = _increments(ansatz, h, t)
+    adj, vol = _shift(chart, s)
+    frame = np.stack([chart.t1 + s * chart.dn1, chart.t2 + s * chart.dn2],
+                     axis=-2)                                   # g_j
+    n = chart.normal
+    F = ((n + dcol)[..., :, None] * n[..., None, :]
+         + np.swapaxes(frame + P, -1, -2) @ _dual_frame(chart, adj, vol))
     if rotate is not None:
         F = np.asarray(rotate, float) @ F
     return F, vol
@@ -173,33 +201,102 @@ def rescaled_gradient(ansatz, h, t, rotate=None):
     return _shell_level(ansatz, h, t, rotate)[0]
 
 
-def _levels(ansatz, h, t_quad, rotate):
-    """(Gauss weight, gradient, volume factor) at each thickness level of
-    the centred unit interval, after checking h, t_quad and the chart's
-    tubular neighbourhood."""
+def _gauss_levels(ansatz, h, t_quad):
+    """Gauss nodes and weights of the centred unit interval, after checking
+    h, t_quad and the chart's tubular neighbourhood.  S = g^-1 h is
+    self-adjoint in g, so its principal curvatures are the real numbers
+    tr S/2 +- sqrt((tr S/2)^2 - det S), with the discriminant written as
+    ((S11 - S22)/2)^2 + S12 S21 (no cancellation at umbilics) and clipped
+    at 0 against rounding."""
     if not (0 < h <= 0.5):
         raise ValueError("thickness must satisfy 0 < h <= 1/2")
     if not (2 <= t_quad <= 8):
         raise ValueError("t_quad must be between 2 and 8")
-    curv = np.linalg.eigvals(ansatz.chart.shape_op).real
-    if 0.5 * h * np.max(np.abs(curv), initial=0.0) >= 0.5:
+    S = ansatz.chart.shape_op
+    half_tr = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
+    half_gap = 0.5 * (S[..., 0, 0] - S[..., 1, 1])
+    disc = half_gap * half_gap + S[..., 0, 1] * S[..., 1, 0]
+    curv = np.abs(half_tr) + np.sqrt(np.maximum(disc, 0.0))
+    if 0.5 * h * np.max(curv, initial=0.0) >= 0.5:
         raise ValueError("thickness too large for the tubular neighborhood "
                          "of this chart")
-    for t, wt in zip(*ops.gauss_legendre(t_quad)):
+    return zip(*ops.gauss_legendre(t_quad))
+
+
+def _levels(ansatz, h, t_quad, rotate):
+    """(Gauss weight, gradient, volume factor) at each thickness level."""
+    for t, wt in _gauss_levels(ansatz, h, t_quad):
         yield (wt,) + _shell_level(ansatz, h, t, rotate)
+
+
+def _strain_gram(ansatz, h, t):
+    """Components D (N1, N2, 3, 3) of 2E = F^T F - I on the dual basis
+    b = (n, g^1, g^2) at level t.  F = sum_k (a_k + d_k) (x) b_k with the
+    rows a = (n, g_1, g_2) and d = (col - n, P_1, P_2), and
+    sum_k a_k (x) b_k = I, so D = a d^T + d a^T + d d^T = m d^T + d m^T
+    with m = a + d/2, free of the cancellation in F^T F - I.  Rows and D
+    are stored component-major, so each contraction runs over whole node
+    arrays."""
+    chart = ansatz.chart
+    s = t * h
+    dcol, P = _increments(ansatz, h, t)
+    d = np.empty((3, 3) + chart.shape)
+    d[0] = np.moveaxis(dcol, -1, 0)
+    d[1:] = np.moveaxis(P, (-2, -1), (0, 1))
+    del dcol, P                    # one copy of the increments at a time
+    m = np.empty_like(d)
+    m[0] = np.moveaxis(chart.normal, -1, 0)
+    for j, (tj, dnj) in enumerate(((chart.t1, chart.dn1),
+                                   (chart.t2, chart.dn2))):
+        np.multiply(np.moveaxis(dnj, -1, 0), s, out=m[1 + j])
+        m[1 + j] += np.moveaxis(tj, -1, 0)
+    m += 0.5 * d
+    md = np.einsum("ac...,bc...->ab...", m, d)
+    return np.moveaxis(md + np.swapaxes(md, 0, 1), (0, 1), (-2, -1))
+
+
+def _dual_gram(chart, adj, vol):
+    """K = adj(M) g^-1 adj(M)^T / det(M)^2, the Gram of the dual vectors
+    g^j: an (N1, N2, 2, 2) view of component-major storage."""
+    a11, a12, a21, a22 = adj
+    G = chart.metric_inv
+    g11, g12, g22 = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
+    r11, r12 = a11 * g11 + a12 * g12, a11 * g12 + a12 * g22   # adj g^-1
+    r21, r22 = a21 * g11 + a22 * g12, a21 * g12 + a22 * g22
+    scale = 1.0 / (vol * vol)
+    K = np.empty((2, 2) + chart.shape)
+    K[0, 0] = (r11 * a11 + r12 * a12) * scale
+    K[0, 1] = K[1, 0] = (r11 * a21 + r12 * a22) * scale
+    K[1, 1] = (r21 * a21 + r22 * a22) * scale
+    return np.moveaxis(K, (0, 1), (-2, -1))
 
 
 def energy_3d(ansatz, h, moduli=None, t_quad=4, rotate=None):
     """Scaled 3D elastic energy of the recovery deformation at thickness h.
 
     Surface trapezoid quadrature times Gauss-Legendre in the thickness
-    variable, with the geometric volume factor det(I + t h Pi).
+    variable, with the geometric volume factor det(I + t h Pi).  F is not
+    formed: material.svk_density reads each level's strain Gram D with the
+    dual Gram K (isotropic moduli) or with the dual basis (anisotropic).
+    F^T F does not change under a left rotation of F, so ``rotate`` does
+    not enter the value.
     """
     if moduli is None:
         moduli = mat.ElasticModuli(1.0, 1.0)
-    return float(sum(
-        wt * geo.integrate(ansatz.chart, mat.w_density(F, moduli) * vol)
-        for wt, F, vol in _levels(ansatz, h, t_quad, rotate)))
+    chart = ansatz.chart
+    total = 0.0
+    for t, wt in _gauss_levels(ansatz, h, t_quad):
+        D = _strain_gram(ansatz, h, t)
+        adj, vol = _shift(chart, t * h)
+        if moduli.isotropic:
+            W = mat.svk_density(D, moduli,
+                                dual_gram=_dual_gram(chart, adj, vol))
+        else:
+            W = mat.svk_density(D, moduli, basis=np.concatenate(
+                [chart.normal[..., None, :], _dual_frame(chart, adj, vol)],
+                axis=-2))
+        total += wt * geo.integrate(chart, W * vol)
+    return float(total)
 
 
 def convergence_study(ansatz, h_list, moduli=None, t_quad=4):

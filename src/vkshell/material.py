@@ -3,10 +3,13 @@ relaxed tangential quadratic form with its minimizing normal vector.
 
 The default material is isotropic St. Venant-Kirchhoff,
 W(F) = mu |E|^2 + lambda/2 (tr E)^2 with E = (F^T F - I)/2.  It is frame
-invariant and vanishes exactly on rotations.  An anisotropic material may
-be supplied as a 6x6 symmetric coefficient matrix acting on symmetric
-strains (Voigt order 11, 22, 33, 23, 13, 12 with engineering shears);
-every moduli object exposes q3 as such a ``voigt`` matrix.
+invariant and vanishes exactly on rotations.  svk_density is its one
+definition: it reads the strain 2E from its components in any basis
+whose first vector is a unit normal to the other two, and w_density is
+its Cartesian case.  An anisotropic material may be supplied as a 6x6
+symmetric coefficient matrix acting on symmetric strains (Voigt order
+11, 22, 33, 23, 13, 12 with engineering shears); every moduli object
+exposes q3 as such a ``voigt`` matrix.
 
 The relaxed form Q2(x, F) = min_c q3(F + c (x) n + n (x) c) depends on the
 point through the orthonormal frame (e1, e2, n) of the tangent plane.
@@ -89,14 +92,44 @@ def _voigt(S):
                      2 * S[..., 1, 2], 2 * S[..., 0, 2], 2 * S[..., 0, 1]], axis=-1)
 
 
+def svk_density(D, moduli, dual_gram=None, basis=None):
+    """St. Venant-Kirchhoff energy density of the strain written in a basis.
+
+    D (..., 3, 3) is symmetric and holds the components of
+    2E = F^T F - I = sum_ab D_ab b_a (x) b_b on basis rows b_0, b_1, b_2,
+    where b_0 is a unit vector orthogonal to b_1 and b_2, so the Gram
+    b b^T is diag(1, K).  Isotropic moduli read only K (``dual_gram``,
+    (..., 2, 2)):
+
+        W = mu/4 tr((D B)^2) + lambda/8 (tr D B)^2,  B = diag(1, K),
+
+    which is mu |E|^2 + lambda/2 (tr E)^2.  Anisotropic moduli read only
+    the rows (``basis``, (..., 3, 3)) and return q3(E)/2 of the Cartesian
+    strain E = b^T D b / 2.  Both default to the Cartesian basis.
+    """
+    D = np.asarray(D, dtype=float)
+    if not moduli.isotropic:
+        b = np.eye(3) if basis is None else np.asarray(basis, dtype=float)
+        return 0.5 * q3(0.5 * (np.swapaxes(b, -1, -2) @ D @ b), moduli)
+    K = np.eye(2) if dual_gram is None else dual_gram
+    d00, d01, d02 = D[..., 0, 0], D[..., 0, 1], D[..., 0, 2]
+    d11, d12, d22 = D[..., 1, 1], D[..., 1, 2], D[..., 2, 2]
+    k11, k12, k22 = K[..., 0, 0], K[..., 0, 1], K[..., 1, 1]
+    x11, x12 = d11 * k11 + d12 * k12, d11 * k12 + d12 * k22   # X = D_TT K
+    x21, x22 = d12 * k11 + d22 * k12, d12 * k12 + d22 * k22
+    tr_db = d00 + x11 + x22
+    tr_db2 = (d00 * d00 + x11 * x11 + 2.0 * x12 * x21 + x22 * x22
+              + 2.0 * (d01 * (d01 * k11 + d02 * k12)
+                       + d02 * (d01 * k12 + d02 * k22)))
+    return 0.25 * moduli.mu * tr_db2 + 0.125 * moduli.lam * tr_db * tr_db
+
+
 def w_density(F, moduli):
-    """St. Venant-Kirchhoff energy density of a deformation gradient."""
+    """St. Venant-Kirchhoff energy density of a deformation gradient: the
+    Cartesian case D = F^T F - I of svk_density."""
     F = np.asarray(F, dtype=float)
-    E = 0.5 * (np.einsum("...ki,...kj->...ij", F, F) - np.eye(3))
-    if moduli.isotropic:
-        return (moduli.mu * np.einsum("...ij,...ij->...", E, E)
-                + 0.5 * moduli.lam * np.einsum("...ii->...", E) ** 2)
-    return 0.5 * q3(E, moduli)
+    return svk_density(np.einsum("...ki,...kj->...ij", F, F) - np.eye(3),
+                       moduli)
 
 
 def q3(G, moduli):

@@ -14,7 +14,8 @@ from vkshell import operators as ops
 from vkshell import presets
 from vkshell.geometry import FormField2, VectorField3
 
-from conftest import isotropic_voigt, plate_sine_mode, random_rotation
+from conftest import (anisotropic_voigt, isotropic_voigt, plate_sine_mode,
+                      random_rotation)
 
 M11 = mat.ElasticModuli(1.0, 1.0)
 
@@ -151,15 +152,16 @@ def _gradient_by_inverse(ans, h, t, rotate=None):
     return F, np.linalg.det(geom)
 
 
-def _reference_energy_and_rotation(ans, h, rotate, t_quad=4):
-    """energy_3d and the rotation_field_estimate numbers on the reference
-    gradient."""
-    chart = ans.chart
+def _reference_levels(ans, h, rotate, t_quad=4):
+    """(Gauss weight, reference gradient, volume factor) per level."""
     ts, tw = ops.gauss_legendre(t_quad)
-    levels = [(wt,) + _gradient_by_inverse(ans, h, t, rotate)
-              for t, wt in zip(ts, tw)]
-    energy = sum(wt * geo.integrate(chart, mat.w_density(F, M11) * det)
-                 for wt, F, det in levels)
+    return [(wt,) + _gradient_by_inverse(ans, h, t, rotate)
+            for t, wt in zip(ts, tw)]
+
+
+def _reference_rotation(ans, h, levels):
+    """The rotation_field_estimate numbers on the reference gradient."""
+    chart = ans.chart
     U, sig, Vt = np.linalg.svd(sum(wt * F for wt, F, _ in levels))
     flip = np.ones_like(sig)
     flip[..., 2] = np.sign(np.linalg.det(U @ Vt))
@@ -174,7 +176,22 @@ def _reference_energy_and_rotation(ans, h, rotate, t_quad=4):
     gradR = geo.lift(chart, np.stack([chart.d1(R), chart.d2(R)], axis=-3)
                      .reshape(chart.shape + (2, 9)))
     variation = geo.integrate(chart, np.sum(gradR**2, axis=(-2, -1)))
-    return energy, (shell, misfit, variation)
+    return shell, misfit, variation
+
+
+def _sheared_cylinder():
+    """r(u, v) = (cos v, sin v, u + v/2): the unit cylinder on a sheared
+    chart, whose metric and shape operator have off-diagonal entries."""
+    def field(f):
+        return lambda U, V: np.stack(f(U, V, 0.0 * U), axis=-1)
+    return {
+        "position": field(lambda U, V, z: (np.cos(V), np.sin(V), U + V / 2)),
+        "d1": field(lambda U, V, z: (z, z, z + 1.0)),
+        "d2": field(lambda U, V, z: (-np.sin(V), np.cos(V), z + 0.5)),
+        "d11": field(lambda U, V, z: (z, z, z)),
+        "d12": field(lambda U, V, z: (z, z, z)),
+        "d22": field(lambda U, V, z: (-np.cos(V), -np.sin(V), z)),
+        "domain": ((0.0, 1.0), (0.0, 1.5))}
 
 
 REFERENCE_CHARTS = {
@@ -183,7 +200,22 @@ REFERENCE_CHARTS = {
     "revolution": ("revolution", {"profile": [1.0, 0.3, -0.2]}, (10, 16)),
     "sphere_patch": ("sphere_patch", {"radius": 0.4,
                                       "polar_range": (0.5, 1.2)}, (8, 16)),
+    "sheared_cylinder": ("custom", _sheared_cylinder(), (10, 12)),
 }
+
+REFERENCE_MODULI = {
+    "M11": M11,
+    "anisotropic": anisotropic_voigt(np.random.default_rng(4)),
+}
+
+
+def _reference_ansatz(name, moduli=M11):
+    family, params, grid = REFERENCE_CHARTS[name]
+    chart = vk.build_chart(family, params, grid)
+    x = chart.pos
+    V = 0.3 * np.sin(2.0 * x) + 0.2 * np.cos(x[..., ::-1])
+    w = VectorField3(0.1 * np.cos(3.0 * x) + 0.05 * x)
+    return gc.build_ansatz(chart, V, w=w, kappa=1.0, moduli=moduli)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CHARTS))
@@ -191,12 +223,7 @@ def test_shifted_frame_gradient_matches_inverse_reference(name):
     """The closed-form dual frame and volume factor reproduce the 3x3
     inverse and determinant; revolution and sphere_patch have det S != 0
     and so exercise the (t h)^2 det S term of the volume factor."""
-    family, params, grid = REFERENCE_CHARTS[name]
-    chart = vk.build_chart(family, params, grid)
-    x = chart.pos
-    V = 0.3 * np.sin(2.0 * x) + 0.2 * np.cos(x[..., ::-1])
-    w = VectorField3(0.1 * np.cos(3.0 * x) + 0.05 * x)
-    ans = gc.build_ansatz(chart, V, w=w, kappa=1.0, moduli=M11)
+    ans = _reference_ansatz(name)
     Q = random_rotation(np.random.default_rng(3))
     h = 0.1
     for rotate in (None, Q):
@@ -204,13 +231,30 @@ def test_shifted_frame_gradient_matches_inverse_reference(name):
             ref, _ = _gradient_by_inverse(ans, h, t, rotate)
             got = gc.rescaled_gradient(ans, h, t, rotate=rotate)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        energy, rot = _reference_energy_and_rotation(ans, h, rotate)
-        assert abs(gc.energy_3d(ans, h, M11, rotate=rotate) - energy) \
-            <= 1e-12 * energy
+        rot = _reference_rotation(ans, h, _reference_levels(ans, h, rotate))
         rep = gc.rotation_field_estimate(ans, h, rotate=rotate)
         np.testing.assert_allclose(
             [rep.shell_energy, rep.misfit, rep.rotation_variation], rot,
             rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.0125])
+@pytest.mark.parametrize("moduli", sorted(REFERENCE_MODULI))
+@pytest.mark.parametrize("name", sorted(REFERENCE_CHARTS))
+def test_energy_matches_inverse_reference(name, moduli, h):
+    """energy_3d, read from the strain and dual Grams, equals the density
+    of the inverse-based reference gradient for isotropic and anisotropic
+    moduli, on the thickest and the thinnest rung of the ladder; the
+    sheared cylinder exercises the off-diagonal entries of K."""
+    moduli = REFERENCE_MODULI[moduli]
+    ans = _reference_ansatz(name, moduli)
+    Q = random_rotation(np.random.default_rng(3))
+    for rotate in (None, Q):
+        energy = sum(wt * geo.integrate(ans.chart,
+                                        mat.w_density(F, moduli) * det)
+                     for wt, F, det in _reference_levels(ans, h, rotate))
+        assert abs(gc.energy_3d(ans, h, moduli, rotate=rotate) - energy) \
+            <= 1e-12 * energy
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +307,22 @@ def test_energy_and_rotation_field_reject_the_same_inputs(h, t_quad):
                   gc.rotation_field_estimate):
         with pytest.raises(ValueError):
             entry(ans, h, t_quad=t_quad)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("sphere_patch", {"radius": 0.4, "polar_range": (0.5, 1.2)}),
+    ("cylinder", {"radius": 0.4, "height": 1.0}),
+    ("revolution", {"profile": [0.4, 0.1, -0.05]}),
+])
+def test_tubular_bound_is_the_largest_principal_curvature(family, params):
+    """The closed-form curvature check accepts h just below 1/max|kappa|
+    and rejects h just above it, with kappa the eigenvalues of S, at an
+    umbilic (sphere) and with distinct curvatures (cylinder, revolution)."""
+    ans = trivial_ansatz(vk.build_chart(family, params, (8, 16)))
+    kmax = np.max(np.abs(np.linalg.eigvals(ans.chart.shape_op)))
+    assert gc.energy_3d(ans, 0.999 / kmax, M11) <= 1e-30
+    with pytest.raises(ValueError, match="tubular"):
+        gc.energy_3d(ans, 1.001 / kmax, M11)
 
 
 def test_quadrature_stability(cyl_ansatz):

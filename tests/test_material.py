@@ -38,6 +38,38 @@ def test_density_uniaxial_value():
     assert abs(mat.w_density(F, M11) - 1.5150375e-4) < 1e-18
 
 
+@pytest.mark.parametrize("anisotropic", [False, True])
+def test_svk_density_on_a_dual_basis(anisotropic):
+    """svk_density of the components D of 2E on rows (n, b1, b2), n a unit
+    normal to b1 and b2, equals the density of the Cartesian strain E:
+    mu |E|^2 + lambda/2 (tr E)^2 from the dual Gram K = b_T b_T^T, q3(E)/2
+    from the rows."""
+    rng = np.random.default_rng(11)
+    moduli = (anisotropic_voigt(rng) if anisotropic
+              else mat.ElasticModuli(1.3, 0.7))
+    F = np.eye(3) + 0.2 * rng.normal(size=(20, 3, 3))
+    n = rng.normal(size=(20, 3))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    tan = rng.normal(size=(20, 2, 3))
+    tan -= np.einsum("xjc,xc->xj", tan, n)[..., None] * n[:, None, :]
+    b = np.concatenate([n[:, None, :], tan], axis=1)
+    E = 0.5 * (np.swapaxes(F, -1, -2) @ F - np.eye(3))
+    b_inv = np.linalg.inv(b)
+    D = 2.0 * np.swapaxes(b_inv, -1, -2) @ E @ b_inv
+    if anisotropic:
+        want = 0.5 * mat.q3(E, moduli)
+        got = mat.svk_density(D, moduli, basis=b)
+    else:
+        tr = np.trace(E, axis1=-2, axis2=-1)
+        want = (moduli.mu * np.sum(E * E, axis=(-2, -1))
+                + 0.5 * moduli.lam * tr**2)
+        got = mat.svk_density(D, moduli,
+                              dual_gram=tan @ np.swapaxes(tan, -1, -2))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mat.w_density(F, moduli), want, rtol=1e-12,
+                               atol=0)
+
+
 def test_q3_values():
     rng = np.random.default_rng(1)
     skew = rng.normal(size=(3, 3))
