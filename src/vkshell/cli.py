@@ -296,8 +296,8 @@ def _verify_basis(chart, basis):
     and the combinations it takes: strain Rayleigh quotients at most the
     threshold, M-orthonormality, the skew residuals and a bending Gram
     diagonal with bending_ritz on it, all recomputed from basis.modes."""
-    strain = np.array([np.sum(geo.frame_rows(geo.frame_form(
-        chart, geo.sym_grad(chart, v)), chart.quad_w)**2) for v in basis.modes])
+    strain = np.sum(geo.frame_rows(geo.frame_form(chart, geo.tangential_form(
+        chart, iso._partials(chart, basis.modes))), chart.quad_w)**2, axis=-1)
     rows = iso._mass_rows(chart, basis.modes)
     gram = rows @ rows.T
     if np.any(strain > basis.tol * np.diag(gram)):
@@ -494,7 +494,7 @@ def cmd_minimize(cfg, outdir, verify):
     well = mz.wellposedness_check(load, rset.candidates)
     if cfg.kappa == 0:
         result = mz.minimize_quadratic(chart, basis, load, rset.candidates,
-                                       moduli, opts)
+                                       moduli)
     else:
         result = mz.minimize_J(chart, basis, load, rset.candidates, cfg.kappa,
                                moduli, dict_degree=cfg.dictionary_degree,

@@ -9,15 +9,17 @@ discretization bias largely cancels in the comparison.
 
 The gradient at thickness level t is written on the shifted shell frame
 g_j = t_j + t h d_j n = sum_i M_ij t_i, M = I + t h S with S the chart's
-2x2 shape operator: F = col (x) n + sum_j (g_j + P_j) (x) g^j, where the
-dual vectors g^j = sum_k (M^-1)_jk dual_k come from adj(M) / det M and
-det M = det(I + t h Pi) is the volume factor.  rescaled_gradient and
-the rotation-field diagnostics form F; the energy ladder does not, since
-W depends on F only through F^T F.  energy_3d reads the strain Gram D
-(2E = F^T F - I on the dual basis (n, g^1, g^2)) and that basis's dual
-Gram diag(1, K), which material.svk_density, the one St. Venant-Kirchhoff
-definition, turns into the density; the value is invariant under a left
-rotation of the deformation.
+2x2 shape operator: F = sum_k (a_k + d_k) (x) b_k with the rows
+a = (n, g_1, g_2), the increments d = (col - n, P_1, P_2) and the dual
+basis b = (n, g^1, g^2), where g^j = sum_k (M^-1)_jk dual_k come from
+adj(M) / det M and det M = det(I + t h Pi) is the volume factor.  One
+level builder, _level, returns a, d, adj(M) and det M, and everything
+reads it: rescaled_gradient (and so the rotation-field diagnostics) forms
+F on b; the energy ladder does not, since W depends on F only through
+F^T F.  energy_3d reads the strain Gram D (2E = F^T F - I on b) and b's
+dual Gram diag(1, K), which material.svk_density, the one St.
+Venant-Kirchhoff definition, turns into the density; the value is
+invariant under a left rotation of the deformation.
 """
 
 from dataclasses import dataclass
@@ -172,71 +174,12 @@ def _shift(chart, s):
     return (m22, -m12, -m21, m11), m11 * m22 - m12 * m21
 
 
-def _dual_frame(chart, adj, vol):
-    """g^j = sum_k (M^-1)_jk dual_k (N1, N2, 2, 3), M^-1 = adj(M) / det M."""
-    a11, a12, a21, a22 = (a[..., None] for a in adj)
-    d1, d2 = chart.dual[..., 0, :], chart.dual[..., 1, :]
-    return (np.stack([a11 * d1 + a12 * d2, a21 * d1 + a22 * d2], axis=-2)
-            / vol[..., None, None])
-
-
-def _shell_level(ansatz, h, t, rotate=None):
-    """Rescaled gradient F and volume factor det M at thickness level t."""
-    chart = ansatz.chart
-    s = t * h
-    dcol, P = _increments(ansatz, h, t)
-    adj, vol = _shift(chart, s)
-    frame = np.stack([chart.t1 + s * chart.dn1, chart.t2 + s * chart.dn2],
-                     axis=-2)                                   # g_j
-    n = chart.normal
-    F = ((n + dcol)[..., :, None] * n[..., None, :]
-         + np.swapaxes(frame + P, -1, -2) @ _dual_frame(chart, adj, vol))
-    if rotate is not None:
-        F = np.asarray(rotate, float) @ F
-    return F, vol
-
-
-def rescaled_gradient(ansatz, h, t, rotate=None):
-    """Exact rescaled deformation gradient of the recovery family at level t."""
-    return _shell_level(ansatz, h, t, rotate)[0]
-
-
-def _gauss_levels(ansatz, h, t_quad):
-    """Gauss nodes and weights of the centred unit interval, after checking
-    h, t_quad and the chart's tubular neighbourhood.  S = g^-1 h is
-    self-adjoint in g, so its principal curvatures are the real numbers
-    tr S/2 +- sqrt((tr S/2)^2 - det S), with the discriminant written as
-    ((S11 - S22)/2)^2 + S12 S21 (no cancellation at umbilics) and clipped
-    at 0 against rounding."""
-    if not (0 < h <= 0.5):
-        raise ValueError("thickness must satisfy 0 < h <= 1/2")
-    if not (2 <= t_quad <= 8):
-        raise ValueError("t_quad must be between 2 and 8")
-    S = ansatz.chart.shape_op
-    half_tr = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
-    half_gap = 0.5 * (S[..., 0, 0] - S[..., 1, 1])
-    disc = half_gap * half_gap + S[..., 0, 1] * S[..., 1, 0]
-    curv = np.abs(half_tr) + np.sqrt(np.maximum(disc, 0.0))
-    if 0.5 * h * np.max(curv, initial=0.0) >= 0.5:
-        raise ValueError("thickness too large for the tubular neighborhood "
-                         "of this chart")
-    return zip(*ops.gauss_legendre(t_quad))
-
-
-def _levels(ansatz, h, t_quad, rotate):
-    """(Gauss weight, gradient, volume factor) at each thickness level."""
-    for t, wt in _gauss_levels(ansatz, h, t_quad):
-        yield (wt,) + _shell_level(ansatz, h, t, rotate)
-
-
-def _strain_gram(ansatz, h, t):
-    """Components D (N1, N2, 3, 3) of 2E = F^T F - I on the dual basis
-    b = (n, g^1, g^2) at level t.  F = sum_k (a_k + d_k) (x) b_k with the
-    rows a = (n, g_1, g_2) and d = (col - n, P_1, P_2), and
-    sum_k a_k (x) b_k = I, so D = a d^T + d a^T + d d^T = m d^T + d m^T
-    with m = a + d/2, free of the cancellation in F^T F - I.  Rows and D
-    are stored component-major, so each contraction runs over whole node
-    arrays."""
+def _level(ansatz, h, t):
+    """The gradient's rows at thickness level t: the shifted frame
+    a = (n, g_1, g_2) and the increments d = (col - n, P_1, P_2), each
+    (3, 3, N1, N2) component-major so that every contraction runs over
+    whole node arrays, then _shift's adj(M) and det M.  On the dual basis
+    b = (n, g^1, g^2) the gradient is F = sum_k (a_k + d_k) (x) b_k."""
     chart = ansatz.chart
     s = t * h
     dcol, P = _increments(ansatz, h, t)
@@ -244,15 +187,49 @@ def _strain_gram(ansatz, h, t):
     d[0] = np.moveaxis(dcol, -1, 0)
     d[1:] = np.moveaxis(P, (-2, -1), (0, 1))
     del dcol, P                    # one copy of the increments at a time
-    m = np.empty_like(d)
-    m[0] = np.moveaxis(chart.normal, -1, 0)
+    a = np.empty_like(d)
+    a[0] = np.moveaxis(chart.normal, -1, 0)
     for j, (tj, dnj) in enumerate(((chart.t1, chart.dn1),
                                    (chart.t2, chart.dn2))):
-        np.multiply(np.moveaxis(dnj, -1, 0), s, out=m[1 + j])
-        m[1 + j] += np.moveaxis(tj, -1, 0)
-    m += 0.5 * d
-    md = np.einsum("ac...,bc...->ab...", m, d)
-    return np.moveaxis(md + np.swapaxes(md, 0, 1), (0, 1), (-2, -1))
+        np.multiply(np.moveaxis(dnj, -1, 0), s, out=a[1 + j])
+        a[1 + j] += np.moveaxis(tj, -1, 0)
+    return (a, d) + _shift(chart, s)
+
+
+def _dual_rows(chart, adj, vol):
+    """The dual basis b = (n, g^1, g^2) (N1, N2, 3, 3), with
+    g^j = sum_k (M^-1)_jk dual_k and M^-1 = adj(M) / det M."""
+    a11, a12, a21, a22 = (a[..., None] for a in adj)
+    d1, d2 = chart.dual[..., 0, :], chart.dual[..., 1, :]
+    v = vol[..., None]
+    return np.stack([chart.normal, (a11 * d1 + a12 * d2) / v,
+                     (a21 * d1 + a22 * d2) / v], axis=-2)
+
+
+def rescaled_gradient(ansatz, h, t, rotate=None):
+    """Exact rescaled deformation gradient of the recovery family at level t."""
+    a, d, adj, vol = _level(ansatz, h, t)
+    b = _dual_rows(ansatz.chart, adj, vol)
+    F = np.moveaxis(a + d, (0, 1), (-1, -2)) @ b     # (a + d)^T b per node
+    if rotate is not None:
+        F = np.asarray(rotate, float) @ F
+    return F
+
+
+def _gauss_levels(ansatz, h, t_quad):
+    """Gauss nodes and weights of the centred unit interval, after checking
+    h, t_quad and the chart's tubular neighbourhood (the largest principal
+    curvature)."""
+    if not (0 < h <= 0.5):
+        raise ValueError("thickness must satisfy 0 < h <= 1/2")
+    if not (2 <= t_quad <= 8):
+        raise ValueError("t_quad must be between 2 and 8")
+    k1, k2 = geo.principal_curvatures(ansatz.chart)
+    curv = np.maximum(np.abs(k1), np.abs(k2))
+    if 0.5 * h * np.max(curv, initial=0.0) >= 0.5:
+        raise ValueError("thickness too large for the tubular neighborhood "
+                         "of this chart")
+    return zip(*ops.gauss_legendre(t_quad))
 
 
 def _dual_gram(chart, adj, vol):
@@ -276,25 +253,29 @@ def energy_3d(ansatz, h, moduli=None, t_quad=4, rotate=None):
 
     Surface trapezoid quadrature times Gauss-Legendre in the thickness
     variable, with the geometric volume factor det(I + t h Pi).  F is not
-    formed: material.svk_density reads each level's strain Gram D with the
-    dual Gram K (isotropic moduli) or with the dual basis (anisotropic).
-    F^T F does not change under a left rotation of F, so ``rotate`` does
-    not enter the value.
+    formed: since sum_k a_k (x) b_k = I, the strain 2E = F^T F - I has the
+    components D = a d^T + d a^T + d d^T = m d^T + d m^T, m = a + d/2, on
+    the dual basis b, free of the cancellation in F^T F - I.
+    material.svk_density reads D with the dual Gram K (isotropic moduli)
+    or with the dual basis (anisotropic).  F^T F does not change under a
+    left rotation of F, so ``rotate`` does not enter the value.
     """
     if moduli is None:
         moduli = mat.ElasticModuli(1.0, 1.0)
     chart = ansatz.chart
     total = 0.0
     for t, wt in _gauss_levels(ansatz, h, t_quad):
-        D = _strain_gram(ansatz, h, t)
-        adj, vol = _shift(chart, t * h)
+        m, d, adj, vol = _level(ansatz, h, t)
+        m += 0.5 * d
+        D = np.einsum("ac...,bc...->ab...", m, d)          # m d^T
+        del m, d
+        D += np.swapaxes(D, 0, 1)      # numpy buffers the overlapping view
+        D = np.moveaxis(D, (0, 1), (-2, -1))
         if moduli.isotropic:
             W = mat.svk_density(D, moduli,
                                 dual_gram=_dual_gram(chart, adj, vol))
         else:
-            W = mat.svk_density(D, moduli, basis=np.concatenate(
-                [chart.normal[..., None, :], _dual_frame(chart, adj, vol)],
-                axis=-2))
+            W = mat.svk_density(D, moduli, basis=_dual_rows(chart, adj, vol))
         total += wt * geo.integrate(chart, W * vol)
     return float(total)
 
@@ -341,7 +322,9 @@ def rotation_field_estimate(ansatz, h, t_quad=4, rotate=None):
     constants are asserted, and no material enters them.
     """
     chart = ansatz.chart
-    levels = list(_levels(ansatz, h, t_quad, rotate))
+    levels = [(wt, rescaled_gradient(ansatz, h, t, rotate),
+               _shift(chart, t * h)[1])
+              for t, wt in _gauss_levels(ansatz, h, t_quad)]
     Favg = sum(wt * F for wt, F, _ in levels)
     U, sig, Vt = np.linalg.svd(Favg)
     W = U @ Vt

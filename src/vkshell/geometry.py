@@ -364,8 +364,7 @@ def build_chart(family, params=None, grid=(32, 32)):
 
     # d_j n = S^i_j t_i  (tangency of the normal's derivative)
     dn = np.einsum("xyij,xyic->xyjc", chart.shape_op, t)
-    chart.dn1 = dn[:, :, 0, :]
-    chart.dn2 = dn[:, :, 1, :]
+    chart.dn1, chart.dn2 = np.moveaxis(dn, 2, 0).copy()   # contiguous
 
     # symmetric inverse square root of the 2x2 metric
     tr = g11 + g22
@@ -390,6 +389,20 @@ def build_chart(family, params=None, grid=(32, 32)):
                 chart.frame_e1, chart.frame_e2, chart.ginv_half, chart.quad_w):
         arr.setflags(write=False)
     return chart
+
+
+def principal_curvatures(chart):
+    """Principal curvatures k1 <= k2 (N1, N2 each), the eigenvalues of the
+    shape operator S = g^-1 h.  S is self-adjoint in g, so they are the
+    real numbers tr S/2 -+ sqrt(((S11 - S22)/2)^2 + S12 S21), with the
+    discriminant written so that it does not cancel at umbilics and
+    clipped at 0 against rounding."""
+    S = chart.shape_op
+    half_tr = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
+    half_gap = 0.5 * (S[..., 0, 0] - S[..., 1, 1])
+    root = np.sqrt(np.maximum(half_gap * half_gap
+                              + S[..., 0, 1] * S[..., 1, 0], 0.0))
+    return half_tr - root, half_tr + root
 
 
 # ---------------------------------------------------------------------------

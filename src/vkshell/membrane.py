@@ -187,15 +187,16 @@ def solve_revolution_membrane(chart, form, fourier_order=None,
 def robustness_classify(chart):
     """Label the chart per the curvature-based robustness taxonomy.
 
+    Reads the principal curvatures in closed form
+    (geometry.principal_curvatures); the Gauss curvature is their product.
     Conservative thresholds; curvature extremes are always attached as
     evidence.  "Unknown" is a valid outcome.
     """
     h_max = float(np.max(np.abs(chart.second_form)))
-    eigs = np.linalg.eigvals(chart.shape_op.reshape(-1, 2, 2))
-    eigs = np.sort(eigs.real, axis=1)
-    kmin, kmax = float(eigs[:, 0].min()), float(eigs[:, 1].max())
-    gauss = eigs[:, 0] * eigs[:, 1]
-    pi_norm = np.linalg.norm(chart.shape_op.reshape(-1, 2, 2), axis=(1, 2))
+    k1, k2 = geo.principal_curvatures(chart)
+    kmin, kmax = float(k1.min()), float(k2.max())
+    gauss = k1 * k2
+    pi_norm = np.linalg.norm(chart.shape_op, axis=(-2, -1))
     evidence = {
         "max_abs_second_form": h_max,
         "shape_eig_min": kmin,
@@ -208,7 +209,7 @@ def robustness_classify(chart):
         return RobustnessReport("NotApproximatelyRobust-Plate", evidence)
     if chart.family in ("cylinder", "revolution"):
         return RobustnessReport("Robust-Revolution", evidence)
-    if np.all(eigs > 1e-6) or np.all(eigs < -1e-6):
+    if kmin > 1e-6 or kmax < -1e-6:
         return RobustnessReport("Robust-Convex", evidence)
     if np.max(np.abs(gauss)) <= 1e-8 and np.min(pi_norm) >= 1e-4:
         return RobustnessReport("Robust-Developable", evidence)

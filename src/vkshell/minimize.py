@@ -200,14 +200,13 @@ def _newton(pair, G, ell, xi0, opts):
 # bending-only minimization
 # ---------------------------------------------------------------------------
 
-def minimize_quadratic(chart, basis, load, candidates, moduli, opts=None):
+def minimize_quadratic(chart, basis, load, candidates, moduli):
     """Exact minimization of the bending functional minus the load term.
 
     Per rotation candidate, solves the symmetric positive semidefinite
     system on the rigid-complemented basis; the strain block decouples and
     its optimum is zero.
     """
-    opts = opts or SolverOptions()
     fields, _, G = iso.rigid_complement_gram(chart, basis, moduli)
     if G is None:
         raise ValueError("basis contains only rigid motions")

@@ -325,6 +325,39 @@ def test_tubular_bound_is_the_largest_principal_curvature(family, params):
         gc.energy_3d(ans, 1.001 / kmax, M11)
 
 
+# the reference charts and a saddle, whose S is not diagonal, with their
+# robustness labels
+CURVATURE_CHARTS = dict(REFERENCE_CHARTS, saddle=("custom", {
+    "position": lambda U, V: np.stack([U, V, U * U - V * V], axis=-1),
+    "domain": ((-0.5, 0.5), (-0.5, 0.5))}, (12, 12)))
+REFERENCE_LABELS = {
+    "plate": "NotApproximatelyRobust-Plate",
+    "cylinder": "Robust-Revolution",
+    "revolution": "Robust-Revolution",
+    "sphere_patch": "Robust-Convex",
+    "sheared_cylinder": "Robust-Developable",
+    "saddle": "Unknown",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVATURE_CHARTS))
+def test_principal_curvatures_are_the_shape_operator_eigenvalues(name):
+    """The closed-form principal curvatures are the sorted eigenvalues of
+    S on every reference chart, and robustness_classify reads them."""
+    chart = vk.build_chart(*CURVATURE_CHARTS[name])
+    k1, k2 = geo.principal_curvatures(chart)
+    eigs = np.linalg.eigvals(chart.shape_op)
+    assert np.max(np.abs(eigs.imag)) <= 1e-14
+    want = np.sort(eigs.real, axis=-1)
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(np.stack([k1, k2], axis=-1) - want)) <= 1e-14 * scale
+    report = mem.robustness_classify(chart)
+    assert report.label == REFERENCE_LABELS[name]
+    assert report.evidence["shape_eig_min"] == float(k1.min())
+    assert report.evidence["shape_eig_max"] == float(k2.max())
+    assert report.evidence["gauss_min"] == float(np.min(k1 * k2))
+
+
 def test_quadrature_stability(cyl_ansatz):
     i4 = gc.energy_3d(cyl_ansatz, 0.05, M11, t_quad=4)
     i8 = gc.energy_3d(cyl_ansatz, 0.05, M11, t_quad=8)

@@ -216,6 +216,21 @@ def test_chart_arrays_immutable(plate16):
         plate16.pos[0, 0, 0] = 5.0
 
 
+@pytest.mark.parametrize("family, params", [
+    ("cylinder", {"radius": 1.0, "height": 1.0}),
+    ("revolution", {"profile": [1.0, 0.3, -0.2]}),
+    ("sphere_patch", {"radius": 0.4, "polar_range": (0.5, 1.2)}),
+])
+def test_normal_derivatives_are_contiguous(family, params):
+    """dn1 and dn2 are contiguous node arrays holding d_j n = S^i_j t_i."""
+    ch = vk.build_chart(family, params, (8, 16))
+    S = ch.shape_op
+    for j, dn in enumerate((ch.dn1, ch.dn2)):
+        assert dn.flags.c_contiguous and dn.shape == ch.shape + (3,)
+        want = S[..., 0, j, None] * ch.t1 + S[..., 1, j, None] * ch.t2
+        assert np.max(np.abs(dn - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_field_validation():
     with pytest.raises(ValueError):
         geo.VectorField3(np.full((8, 8, 3), np.nan))
