@@ -168,7 +168,8 @@ def parse_config(path, overrides=None):
         raise ConfigError("kappa must be finite and at least 0, got %g"
                           % cfg.kappa)
     for name, low in (("basis_size", 0), ("dictionary_degree", 0),
-                      ("sample_count", 1), ("max_iter", 1), ("restarts", 1)):
+                      ("sample_count", 1), ("max_iter", 1), ("restarts", 1),
+                      ("seed", 0)):
         if getattr(cfg, name) < low:
             raise ConfigError("[solver] %s must be at least %d, got %d"
                               % (name, low, getattr(cfg, name)))

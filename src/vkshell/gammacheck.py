@@ -45,6 +45,8 @@ class RecoveryAnsatz:
     d1: np.ndarray
     kappa: float
     e_rule: object
+    moduli: object
+    limit: float             # total_I(V, B): the two relaxed Q2 integrals
     # node vectors and partial vectors (N1, N2, 2, 3) of the gradient
     An: np.ndarray
     wn_vec: np.ndarray
@@ -129,15 +131,17 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
     nA2n = np.einsum("xyc,xyc->xy", n, A2n)
 
     arg0 = FormField2(B.coeff - 0.5 * kappa * a2.coeff)
-    c0 = mat.q2_relax(geo.frame_form(chart, arg0), moduli, chart.frame).c
-    d0 = 2.0 * c0 + kappa * A2n - 0.5 * kappa * nA2n[..., None] * n
+    q0 = mat.q2_relax(geo.frame_form(chart, arg0), moduli, chart.frame)
+    d0 = 2.0 * q0.c + kappa * A2n - 0.5 * kappa * nA2n[..., None] * n
 
     bend_dirs = iso.bending_direction_field(chart, A)   # (d_i A) n
     bform = geo.tangential_form(chart, bend_dirs)        # bending_form(A)
-    c1 = mat.q2_relax(geo.frame_form(chart, bform), moduli, chart.frame).c
+    q1 = mat.q2_relax(geo.frame_form(chart, bform), moduli, chart.frame)
     omega = -np.einsum("xyc,xyic->xyi", n, bend_dirs)
-    d1 = 2.0 * c1 + geo.tangential_vector_from_covector(
+    d1 = 2.0 * q1.c + geo.tangential_vector_from_covector(
         chart, omega[..., 0], omega[..., 1])
+    limit = (float(0.5 * geo.integrate(chart, q0.value))
+             + float(geo.integrate(chart, q1.value) / 24.0))
 
     dn = np.stack([chart.dn1, chart.dn2], axis=-2)
     wn_vec = geo.lift(chart, dw @ n[..., None])[..., 0, :]  # (n.d_i w) dual_i
@@ -147,8 +151,9 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
     dAn = bend_dirs + dn @ np.swapaxes(Avals, -1, -2)
     return RecoveryAnsatz(
         chart=chart, V=V, w=w, A=A, B=B, d0=d0, d1=d1, kappa=kappa,
-        e_rule=e_rule, An=np.einsum("xycd,xyd->xyc", Avals, n),
-        wn_vec=wn_vec, dV=dV, dw=dw, dAn=dAn, dwn=dwn, dd0=dd0, dd1=dd1)
+        e_rule=e_rule, moduli=moduli, limit=limit,
+        An=np.einsum("xycd,xyd->xyc", Avals, n), wn_vec=wn_vec, dV=dV,
+        dw=dw, dAn=dAn, dwn=dwn, dd0=dd0, dd1=dd1)
 
 
 def _increments(ansatz, h, t):
@@ -284,15 +289,19 @@ def convergence_study(ansatz, h_list, moduli=None, t_quad=4):
     """Scaled-energy ladder against the limit functional.
 
     Rows carry (h, I_h / e_h, |ratio - limit|, successive slope); the
-    limit is the discrete limit energy with the ansatz's own strain field.
+    limit is the discrete limit energy with the ansatz's own strain field,
+    ``ansatz.limit``.  The ansatz's warping vectors are optimal for its own
+    moduli only, so other moduli are rejected.
     """
     if moduli is None:
         moduli = mat.ElasticModuli(1.0, 1.0)
+    if not np.array_equal(moduli.voigt, ansatz.moduli.voigt):
+        raise ValueError("moduli differ from those the ansatz was built "
+                         "with")
     h_list = list(h_list)
     if len(h_list) < 4 or any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("need at least 4 strictly decreasing thicknesses")
-    chart = ansatz.chart
-    limit = fn.total_I(chart, ansatz.V, ansatz.B, ansatz.kappa, moduli).total
+    limit = ansatz.limit
     rows = []
     for h in h_list:
         ih = energy_3d(ansatz, h, moduli, t_quad=t_quad)

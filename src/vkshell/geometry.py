@@ -3,9 +3,11 @@
 A chart caches, per grid node: position, tangents, unit normal, first and
 second fundamental forms, shape operator, the dual frame, the orthonormal
 tangent frame in which forms are measured, and quadrature weights.
-Built-in families (plate, cylinder, surface of revolution, sphere patch)
-use analytic derivatives; custom charts fall back to finite differences
-of the supplied samples.
+The plate uses its flat formulas; the surfaces of revolution (cylinder,
+revolution, sphere patch) share one set of analytic derivatives of
+(r(u1) cos u2, r(u1) sin u2, z(u1)), written from the meridian (r, z) and
+its first two derivatives.  A custom chart gives positions only: its
+tangents and normal derivatives are differences of the samples.
 
 Tangential derivatives of nodal fields use 2nd-order finite differences
 along non-periodic axes.  Along a closed (periodic) axis the default is
@@ -154,8 +156,25 @@ def _poly_profile(coeffs):
     return p, p.deriv(1), p.deriv(2)
 
 
+def _revolution(U2, r, r1, r2, z, z1, z2):
+    """Position and d1, d2, d11, d12, d22 of (r cos u2, r sin u2, z) from
+    meridian values r, z and their u1-derivatives r1, r2 and z1, z2."""
+    c, s = np.cos(U2), np.sin(U2)
+    zero = np.zeros_like(U2)
+    return (np.stack([r * c, r * s, z], axis=-1),
+            np.stack([r1 * c, r1 * s, z1], axis=-1),
+            np.stack([-r * s, r * c, zero], axis=-1),
+            np.stack([r2 * c, r2 * s, z2], axis=-1),
+            np.stack([-r1 * s, r1 * c, zero], axis=-1),
+            np.stack([-r * c, -r * s, zero], axis=-1))
+
+
 def build_chart(family, params=None, grid=(32, 32)):
     """Build a SurfaceChart for one of the supported families.
+
+    The plate and the surfaces of revolution (cylinder, revolution,
+    sphere_patch) take their tangents and second form from analytic
+    derivatives; a custom chart takes both from its sampled positions.
 
     Parameters
     ----------
@@ -165,8 +184,7 @@ def build_chart(family, params=None, grid=(32, 32)):
         Family parameters.  plate: bounds.  cylinder: radius, height.
         revolution: profile (callable or poly coefficients), s_range.
         sphere_patch: radius, polar_margin.  custom: position (callable or
-        (N1,N2,3) array), optional d1/d2/d11/d12/d22 callables, periodic2,
-        domain.
+        (N1,N2,3) array), periodic2, domain.
     grid : (int, int)
         Node counts per axis; at least 8x8.
     """
@@ -182,15 +200,11 @@ def build_chart(family, params=None, grid=(32, 32)):
         raise ChartError("theta_scheme must be 'spectral' or 'central'")
 
     profile = {}
+    periodic2 = True
     if family == "plate":
         (a1, b1), (a2, b2) = params.get("bounds", ((0.0, 1.0), (0.0, 1.0)))
         domain = ((a1, b1), (a2, b2))
         periodic2 = False
-        pf = lambda u1, u2: np.stack([u1, u2, np.zeros_like(u1)], axis=-1)
-        d1f = lambda u1, u2: np.stack([np.ones_like(u1), np.zeros_like(u1), np.zeros_like(u1)], axis=-1)
-        d2f = lambda u1, u2: np.stack([np.zeros_like(u1), np.ones_like(u1), np.zeros_like(u1)], axis=-1)
-        zero3 = lambda u1, u2: np.zeros(u1.shape + (3,))
-        d11f = d12f = d22f = zero3
     elif family in ("cylinder", "revolution"):
         if family == "cylinder":
             radius = float(params.get("radius", 1.0))
@@ -216,35 +230,12 @@ def build_chart(family, params=None, grid=(32, 32)):
                 g, gp, gpp = _poly_profile(prof)
             s0, s1 = params.get("s_range", (0.0, 1.0))
         domain = ((s0, s1), (0.0, 2.0 * np.pi))
-        periodic2 = True
         profile = {"g": g, "gp": gp, "gpp": gpp}
         gv = np.asarray(g(np.linspace(s0, s1, 64)), float)
         if np.any(gv <= 0):
             raise ChartError("revolution profile must be positive on the s-range")
-
-        def pf(u1, u2):
-            r = g(u1)
-            return np.stack([r * np.cos(u2), r * np.sin(u2), u1], axis=-1)
-
-        def d1f(u1, u2):
-            r = gp(u1)
-            return np.stack([r * np.cos(u2), r * np.sin(u2), np.ones_like(u1)], axis=-1)
-
-        def d2f(u1, u2):
-            r = g(u1)
-            return np.stack([-r * np.sin(u2), r * np.cos(u2), np.zeros_like(u1)], axis=-1)
-
-        def d11f(u1, u2):
-            r = gpp(u1)
-            return np.stack([r * np.cos(u2), r * np.sin(u2), np.zeros_like(u1)], axis=-1)
-
-        def d12f(u1, u2):
-            r = gp(u1)
-            return np.stack([-r * np.sin(u2), r * np.cos(u2), np.zeros_like(u1)], axis=-1)
-
-        def d22f(u1, u2):
-            r = g(u1)
-            return np.stack([-r * np.cos(u2), -r * np.sin(u2), np.zeros_like(u1)], axis=-1)
+        meridian = lambda s: (g(s), gp(s), gpp(s), s, np.ones_like(s),
+                              np.zeros_like(s))
     elif family == "sphere_patch":
         radius = float(params.get("radius", 1.0))
         if not 0 < radius < np.inf:
@@ -254,38 +245,16 @@ def build_chart(family, params=None, grid=(32, 32)):
         if not (0 < phi0 < phi1 < np.pi):
             raise ChartError("polar range must lie strictly inside (0, pi)")
         domain = ((phi0, phi1), (0.0, 2.0 * np.pi))
-        periodic2 = True
-        R = radius
 
-        def pf(p, t):
-            return R * np.stack([np.sin(p) * np.cos(t), np.sin(p) * np.sin(t), np.cos(p)], axis=-1)
-
-        def d1f(p, t):
-            return R * np.stack([np.cos(p) * np.cos(t), np.cos(p) * np.sin(t), -np.sin(p)], axis=-1)
-
-        def d2f(p, t):
-            return R * np.stack([-np.sin(p) * np.sin(t), np.sin(p) * np.cos(t), np.zeros_like(p)], axis=-1)
-
-        def d11f(p, t):
-            return -pf(p, t)
-
-        def d12f(p, t):
-            return R * np.stack([-np.cos(p) * np.sin(t), np.cos(p) * np.cos(t), np.zeros_like(p)], axis=-1)
-
-        def d22f(p, t):
-            return R * np.stack([-np.sin(p) * np.cos(t), -np.sin(p) * np.sin(t), np.zeros_like(p)], axis=-1)
+        def meridian(phi):   # the unit sphere's, scaled by the radius below
+            r, z = np.sin(phi), np.cos(phi)
+            return r, z, -r, z, -r, -z
     else:  # custom
         position = params.get("position")
         if position is None:
             raise ChartError("custom chart needs 'position'")
         domain = params.get("domain", ((0.0, 1.0), (0.0, 1.0)))
         periodic2 = bool(params.get("periodic2", False))
-        pf = position if callable(position) else None
-        d1f = params.get("d1")
-        d2f = params.get("d2")
-        d11f = params.get("d11")
-        d12f = params.get("d12")
-        d22f = params.get("d22")
 
     for a, b in domain:
         if not -np.inf < a < b < np.inf:
@@ -294,12 +263,22 @@ def build_chart(family, params=None, grid=(32, 32)):
     u1, u2, du = _grid(domain, (n1, n2), periodic2)
     U1, U2 = np.meshgrid(u1, u2, indexing="ij")
 
-    if family == "custom" and pf is None:
-        pos = np.asarray(params["position"], dtype=float)
+    if family == "plate":
+        zero, one = np.zeros_like(U1), np.ones_like(U1)
+        pos, t1, t2 = (np.stack(v, axis=-1) for v in (
+            (U1, U2, zero), (one, zero, zero), (zero, one, zero)))
+        d11 = d12 = d22 = np.zeros(U1.shape + (3,))
+    elif family != "custom":
+        pos, t1, t2, d11, d12, d22 = _revolution(U2, *meridian(U1))
+        if family == "sphere_patch":
+            pos, t1, t2, d11, d12, d22 = (radius * v for v in (
+                pos, t1, t2, d11, d12, d22))
+    elif callable(position):
+        pos = position(U1, U2)
+    else:
+        pos = np.asarray(position, dtype=float)
         if pos.shape != (n1, n2, 3):
             raise ChartError("sampled custom positions must have shape (N1,N2,3)")
-    else:
-        pos = pf(U1, U2)
 
     chart = SurfaceChart(
         family=family, domain=domain, shape=(n1, n2), periodic2=periodic2,
@@ -309,14 +288,9 @@ def build_chart(family, params=None, grid=(32, 32)):
         ginv_half=None, quad_w=None, du=du, theta_scheme=theta_scheme,
         profile=profile,
     )
-
-    # tangents: analytic when available, else finite differences of samples
-    if d1f is not None and d2f is not None:
-        chart.t1 = d1f(U1, U2)
-        chart.t2 = d2f(U1, U2)
-    else:
-        chart.t1 = chart.d1(pos)
-        chart.t2 = chart.d2(pos)
+    if family == "custom":   # tangents: differences of the samples
+        t1, t2 = chart.d1(pos), chart.d2(pos)
+    chart.t1, chart.t2 = t1, t2
 
     cross = np.cross(chart.t1, chart.t2)
     area2 = np.linalg.norm(cross, axis=-1)
@@ -346,10 +320,11 @@ def build_chart(family, params=None, grid=(32, 32)):
     chart.dual = inv @ t
 
     # second fundamental form h_ij = (d_i n) . t_j = -n . d_ij r
-    if family != "custom" or (d11f is not None and d12f is not None and d22f is not None):
-        h11 = -np.einsum("xyc,xyc->xy", chart.normal, d11f(U1, U2))
-        h12 = -np.einsum("xyc,xyc->xy", chart.normal, d12f(U1, U2))
-        h22 = -np.einsum("xyc,xyc->xy", chart.normal, d22f(U1, U2))
+    # (a custom chart's from the differenced normal)
+    if family != "custom":
+        h11 = -np.einsum("xyc,xyc->xy", chart.normal, d11)
+        h12 = -np.einsum("xyc,xyc->xy", chart.normal, d12)
+        h22 = -np.einsum("xyc,xyc->xy", chart.normal, d22)
     else:
         dn1 = chart.d1(chart.normal)
         dn2 = chart.d2(chart.normal)

@@ -44,42 +44,27 @@ def rotated_voigt(moduli, R):
 
 
 def rotated_cylinder(R, grid, radius=1.0, height=1.0):
-    """Unit-type cylinder chart rigidly rotated through analytic callables."""
+    """Custom chart of a cylinder rigidly rotated by R (sampled positions)."""
     R = np.asarray(R, float)
 
-    def wrap(f):
-        return lambda S, T: np.einsum("cd,xyd->xyc", R, f(S, T))
+    def pf(S, T):
+        return np.stack([radius * np.cos(T), radius * np.sin(T), S],
+                        axis=-1) @ R.T
 
-    pf = wrap(lambda S, T: np.stack(
-        [radius * np.cos(T), radius * np.sin(T), S], axis=-1))
-    d1f = wrap(lambda S, T: np.stack(
-        [0 * S, 0 * S, np.ones_like(S)], axis=-1))
-    d2f = wrap(lambda S, T: np.stack(
-        [-radius * np.sin(T), radius * np.cos(T), 0 * S], axis=-1))
-    zero = lambda S, T: np.zeros(S.shape + (3,))
-    d22f = wrap(lambda S, T: np.stack(
-        [-radius * np.cos(T), -radius * np.sin(T), 0 * S], axis=-1))
     return vk.build_chart("custom", {
-        "position": pf, "d1": d1f, "d2": d2f, "d11": zero, "d12": zero,
-        "d22": d22f, "domain": ((0.0, height), (0.0, 2 * np.pi)),
+        "position": pf, "domain": ((0.0, height), (0.0, 2 * np.pi)),
         "periodic2": True}, grid)
 
 
 def rotated_plate(R, grid):
+    """Custom chart of the unit square rigidly rotated by R."""
     R = np.asarray(R, float)
 
-    def wrap(f):
-        return lambda U, V: np.einsum("cd,xyd->xyc", R, f(U, V))
+    def pf(U, V):
+        return np.stack([U, V, np.zeros_like(U)], axis=-1) @ R.T
 
-    pf = wrap(lambda U, V: np.stack([U, V, np.zeros_like(U)], axis=-1))
-    d1f = wrap(lambda U, V: np.stack(
-        [np.ones_like(U), 0 * U, 0 * U], axis=-1))
-    d2f = wrap(lambda U, V: np.stack(
-        [0 * U, np.ones_like(U), 0 * U], axis=-1))
-    zero = lambda U, V: np.zeros(U.shape + (3,))
     return vk.build_chart("custom", {
-        "position": pf, "d1": d1f, "d2": d2f, "d11": zero, "d12": zero,
-        "d22": zero, "domain": ((0.0, 1.0), (0.0, 1.0))}, grid)
+        "position": pf, "domain": ((0.0, 1.0), (0.0, 1.0))}, grid)
 
 
 def reference_dictionary_strains(chart, degree):

@@ -570,6 +570,8 @@ BAD_INPUTS = {
     "h_ladder_above_half": (
         CYL_CFG, [("h_ladder = 0.1 0.05 0.025 0.0125",
                    "h_ladder = 0.9 0.5 0.2 0.1")], ("gamma-check",)),
+    "negative_seed": (PLATE_CFG, [("seed = 3", "seed = -1")],
+                      ("minimize", "energy")),
     "negative_kappa": (PLATE_CFG, [("kappa = 0.0", "kappa = -1")],
                        ("minimize", "gamma-check")),
     "nan_kappa": (PLATE_CFG, [("kappa = 0.0", "kappa = nan")],
@@ -651,6 +653,16 @@ def test_bad_input_is_config_error(tmp_path, case):
     cfg_path = write_cfg(tmp_path, text)
     for command in commands:
         assert cli.run([command, "--config", cfg_path]) == 2
+    assert not list((tmp_path / "out").glob("*_result.json"))
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-2"), ("--max-iter", "0"),
+                                         ("--restarts", "0")])
+def test_bad_flag_is_config_error(tmp_path, flag, value):
+    """A command-line override is held to the config file's bounds."""
+    cfg_path = write_cfg(tmp_path, PLATE_CFG)
+    for command in ("minimize", "energy"):
+        assert cli.run([command, "--config", cfg_path, flag, value]) == 2
     assert not list((tmp_path / "out").glob("*_result.json"))
 
 

@@ -182,15 +182,9 @@ def _reference_rotation(ans, h, levels):
 def _sheared_cylinder():
     """r(u, v) = (cos v, sin v, u + v/2): the unit cylinder on a sheared
     chart, whose metric and shape operator have off-diagonal entries."""
-    def field(f):
-        return lambda U, V: np.stack(f(U, V, 0.0 * U), axis=-1)
     return {
-        "position": field(lambda U, V, z: (np.cos(V), np.sin(V), U + V / 2)),
-        "d1": field(lambda U, V, z: (z, z, z + 1.0)),
-        "d2": field(lambda U, V, z: (-np.sin(V), np.cos(V), z + 0.5)),
-        "d11": field(lambda U, V, z: (z, z, z)),
-        "d12": field(lambda U, V, z: (z, z, z)),
-        "d22": field(lambda U, V, z: (-np.cos(V), -np.sin(V), z)),
+        "position": lambda U, V: np.stack(
+            [np.cos(V), np.sin(V), U + V / 2], axis=-1),
         "domain": ((0.0, 1.0), (0.0, 1.5))}
 
 
@@ -415,6 +409,27 @@ def test_study_input_validation(plate_ansatz):
         gc.convergence_study(plate_ansatz, [0.1, 0.2, 0.05, 0.02], M11)
     with pytest.raises(ValueError):
         gc.convergence_study(plate_ansatz, [0.1, 0.05], M11)
+    # the warping vectors are optimal for the ansatz's own moduli only
+    ladder = [0.1, 0.05, 0.025, 0.0125]
+    with pytest.raises(ValueError, match="moduli"):
+        gc.convergence_study(plate_ansatz, ladder, mat.ElasticModuli(1.0, 2.0))
+    assert gc.convergence_study(plate_ansatz, ladder).limit == plate_ansatz.limit
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+@pytest.mark.parametrize("moduli_name", ["M11", "anisotropic"])
+@pytest.mark.parametrize("chart_name", ["plate32", "cyl_small"])
+def test_ansatz_limit_is_total_I(request, chart_name, moduli_name, kappa):
+    """The limit the ansatz keeps from its two Q2 relaxations is total_I of
+    its own fields, bit for bit."""
+    chart = request.getfixturevalue(chart_name)
+    moduli = REFERENCE_MODULI[moduli_name]
+    x = chart.pos
+    V = 0.3 * np.sin(2.0 * x) + 0.2 * np.cos(x[..., ::-1])
+    w = VectorField3(0.1 * np.cos(3.0 * x) + 0.05 * x)
+    ans = gc.build_ansatz(chart, V, w=w, kappa=kappa, moduli=moduli)
+    total = fn.total_I(chart, ans.V, ans.B, kappa, moduli).total
+    assert ans.limit == total and ans.limit > 0
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,31 @@ def test_sphere_gauss_curvature():
     assert np.max(np.abs(gauss - 1.0)) < 1e-6
 
 
+def test_revolution_principal_curvatures():
+    """The shared meridian formulas give the classical curvatures of a
+    surface of revolution, -g''/(1+g'^2)^(3/2) along the meridian and
+    1/(g sqrt(1+g'^2)) along the parallel, for one orientation sign."""
+    ch = vk.build_chart("revolution", {"profile": [1.0, 0.3, -0.2]}, (24, 24))
+    g, gp, gpp = (ch.profile[k](ch.u1)[:, None] for k in ("g", "gp", "gpp"))
+    meridian = -gpp / (1.0 + gp * gp) ** 1.5 + 0.0 * ch.u2
+    parallel = 1.0 / (g * np.sqrt(1.0 + gp * gp)) + 0.0 * ch.u2
+    k1, k2 = geo.principal_curvatures(ch)
+    errs = [max(np.max(np.abs(k1 - np.minimum(s * meridian, s * parallel))),
+                np.max(np.abs(k2 - np.maximum(s * meridian, s * parallel))))
+            for s in (1.0, -1.0)]
+    assert min(errs) < 1e-12
+
+
+def test_sphere_second_form_closed_form():
+    """h = R diag(1, sin^2 phi) in (polar, azimuth) coordinates."""
+    R = 2.5
+    sph = vk.build_chart("sphere_patch", {"radius": R}, (12, 32))
+    sin_phi = np.sin(sph.u1)[:, None] + 0.0 * sph.u2
+    h = np.zeros(sph.shape + (2, 2))
+    h[..., 0, 0], h[..., 1, 1] = R, R * sin_phi ** 2
+    assert np.max(np.abs(sph.second_form - h)) < 1e-13 * R
+
+
 def test_degenerate_parametrization_rejected():
     collapse = lambda U, V: np.stack([U, U, np.zeros_like(U)], axis=-1)
     with pytest.raises(ChartError, match="node"):
@@ -150,17 +175,8 @@ def test_frame_form_reparametrization_invariants():
     def pf(U, V):
         return np.stack([U * U, V, np.zeros_like(U)], axis=-1)
 
-    def d1f(U, V):
-        return np.stack([2 * U, 0 * U, 0 * U], axis=-1)
-
-    def d2f(U, V):
-        return np.stack([0 * U, np.ones_like(U), 0 * U], axis=-1)
-
-    zero = lambda U, V: np.zeros(U.shape + (3,))
-    d11f = lambda U, V: np.stack([2 * np.ones_like(U), 0 * U, 0 * U], axis=-1)
     stretched = vk.build_chart("custom", {
-        "position": pf, "d1": d1f, "d2": d2f, "d11": d11f, "d12": zero,
-        "d22": zero, "domain": ((0.5, 1.5), (0.0, 1.0))}, (16, 16))
+        "position": pf, "domain": ((0.5, 1.5), (0.0, 1.0))}, (16, 16))
     b2 = geo.sym_grad(stretched, np.einsum("cd,xyd->xyc", M, stretched.pos))
     F2 = geo.frame_form(stretched, b2)
 

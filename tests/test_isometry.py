@@ -182,6 +182,21 @@ def test_cylinder_modes_in_span(cyl_small):
     assert np.max(basis.skew_residuals) < 10 * basis.tol_rel
 
 
+def test_custom_chart_keeps_rigid_motions_in_span():
+    """A custom chart's tangents and second form are differences of its
+    samples, consistent with the differenced field derivatives, so rigid
+    motions are discrete isometries: on the positions of a revolution chart
+    they lie in the isometry span."""
+    rev = vk.build_chart("revolution", {"profile": [1.0, 0.3, -0.2]},
+                         (24, 24))
+    chart = vk.build_chart("custom", {"position": rev.pos,
+                                      "domain": rev.domain,
+                                      "periodic2": True}, (24, 24))
+    basis = iso.isometry_basis(chart, n_request=40, tol=1e-8)
+    res = [iso.project_onto_basis(basis, r)[1] for r in iso.rigid_basis(chart)]
+    assert max(res) <= 1e-9
+
+
 def test_project_onto_basis_stack_matches_single_calls(cyl_small):
     """A stack of fields is projected with one set of basis rows and gives
     the coefficients and residuals of one call per field."""

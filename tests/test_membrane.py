@@ -211,17 +211,8 @@ def test_classify_custom_developable():
     def pf(S, T):
         return np.stack([np.cos(T), np.sin(T), S], axis=-1)
 
-    def d1f(S, T):
-        return np.stack([0 * S, 0 * S, np.ones_like(S)], axis=-1)
-
-    def d2f(S, T):
-        return np.stack([-np.sin(T), np.cos(T), 0 * S], axis=-1)
-
-    zero = lambda S, T: np.zeros(S.shape + (3,))
-    d22f = lambda S, T: np.stack([-np.cos(T), -np.sin(T), 0 * S], axis=-1)
     ch = vk.build_chart("custom", {
-        "position": pf, "d1": d1f, "d2": d2f, "d11": zero, "d12": zero,
-        "d22": d22f, "domain": ((0.0, 1.0), (0.0, 2 * np.pi)),
+        "position": pf, "domain": ((0.0, 1.0), (0.0, 2 * np.pi)),
         "periodic2": True}, (12, 32))
     assert mem.robustness_classify(ch).label == "Robust-Developable"
 
