@@ -516,10 +516,17 @@ def cmd_minimize(cfg, outdir, verify):
         _verify_chart(chart)
         hist = result.objective_history
         if cfg.kappa == 0:
-            # the exact minimum is attained: recompute it independently
-            J = fn.total_J(chart, result.V_star, result.B_field, cfg.kappa,
-                           moduli, load, result.rotation).total
-            if abs(J - result.value) > 1e-12 * abs(J):
+            # the exact minimum is attained: recompute it independently.
+            # A zero minimum is zero to rounding on the scale of its terms;
+            # at a nonzero one |J| is a third of that scale or more
+            parts = fn.total_J(chart, result.V_star, result.B_field,
+                               cfg.kappa, moduli, load, result.rotation)
+            J = parts.total
+            QV = result.V_star.values @ result.rotation.T
+            scale = abs(parts.bending) + geo.integrate(chart, np.abs(
+                np.einsum("xyc,xyc->xy", load.f.values, QV)))
+            zero = max(abs(J), abs(result.value)) <= 1e-12 * scale
+            if abs(J - result.value) > 1e-12 * abs(J) and not zero:
                 raise ArithmeticError("minimum disagrees with total_J")
         elif any(b - a > 1e-10 * max(abs(hist[0]), 1.0)
                  for a, b in zip(hist, hist[1:])):

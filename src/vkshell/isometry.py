@@ -6,7 +6,10 @@ both Gram matrices of weighted rows of the search fields: the near-null
 cluster of the generalized eigenproblem, solved in symmetry blocks (Fassler
 & Stiefel, Group Theoretical Methods and Their Applications, 1992) as
 standard Hermitian problems in M-orthonormal coordinates, is the discrete
-isometry space.  Within the cluster, modes are reordered by a
+isometry space.  The blocks are the rotation characters of a chart of
+revolution, and the reflection parities of the plate, whose M-orthonormal
+coordinates and rows are Kronecker products of 1-D factors.  Within the
+cluster, modes are reordered by a
 secondary Rayleigh-Ritz step with the bending seminorm, which makes the
 returned basis deterministic and smoothness-ordered (LAPACK otherwise
 returns an arbitrary rotation of the degenerate near-zero eigenspace).
@@ -19,6 +22,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import material as mat
+from . import operators as ops
 from .geometry import VectorField3, as_vector_field
 
 MAX_EIG_DOFS = 6000
@@ -411,22 +415,124 @@ def _nodal_pencil(chart):
 
         free = [(W, lambda x: fields(x, n[None]), normal_rows, False)]
     S = np.concatenate([geo.strain_rows(chart, dphi * e) for e in axes])
+    return [(S, W, lambda x: fields(x, axes),
+             lambda x: _grid_rows(chart, fields(x, axes)), False)], free
 
-    def grid_rows(x):
-        A = extend_A(chart, fields(x, axes)).values
-        return (_defect_rows(chart, A),
-                _bending_rows(chart, _derivatives(chart, A)))
 
-    return [(S, W, lambda x: fields(x, axes), grid_rows, False)], free
+def _grid_rows(chart, V):
+    """The full-grid skew-defect and bending rows of a field stack V."""
+    A = extend_A(chart, V).values
+    return _defect_rows(chart, A), _bending_rows(chart, _derivatives(chart, A))
+
+
+def _parity_units(n):
+    """Orthonormal bases (n, n_p) of the even (p = 0) and odd (p = 1)
+    vectors under the reversal J of n samples, in the coordinates
+    (e_i +- e_{n-1-i}) / sqrt(2), i < n/2; the center node of odd n is
+    even."""
+    half, I = n // 2, np.eye(n)
+    pairs = I[:, :half], I[:, ::-1][:, :half]
+    even = np.hstack([(pairs[0] + pairs[1]) / np.sqrt(2), I[:, half:n - half]])
+    return even, (pairs[0] - pairs[1]) / np.sqrt(2)
+
+
+def _axis_factors(n, h):
+    """The 1-D factors of an open axis of n nodes and spacing h, per
+    reflection parity p: (lam, X, rows) with X (n, n_p) of parity p,
+    X^T W X = I and X^T T X = diag(lam) (ascending) for the trapezoid
+    weights W and T = D^T W D, D the first difference (fd1_apply).  Both
+    commute with the reversal J (J D J = -D), so the pencil (T, W) splits
+    by parity, and X comes from the SVD of the rows sqrt(W) D of the
+    parity's W-whitened units.  rows are sqrt(W) X, sqrt(W) D X and sqrt(W) D D X, of parities p,
+    1 - p and p, each in the coordinates of _parity_units of its parity
+    (n_p, n_{1-p} and n_p rows): their products are the 1-D Grams."""
+    E = _parity_units(n)
+    D = ops.fd1_apply(np.eye(n), h)
+    w = ops.trapezoid_weights(n, h, periodic=False)
+    sw = np.sqrt(w)[:, None]
+    out = []
+    for p in (0, 1):
+        iw = (E[p].T**2 @ w)**-0.5   # E^T W E is diagonal
+        # singular vectors of the whitened rows keep X^T W X = I to
+        # roundoff relative to 1 + lam, not to the largest lam
+        _, sv, Vt = np.linalg.svd(sw * (D @ E[p]) * iw)
+        lam, X = sv[::-1]**2, E[p] @ (iw[:, None] * Vt[::-1].T)
+        DX = D @ X
+        out.append((lam, X, (E[p].T @ (sw * X), E[1 - p].T @ (sw * DX),
+                             E[p].T @ (sw * (D @ DX)))))
+    return out
+
+
+def _parity_pencils(chart):
+    """The plate's pencils (F, W, lift, rows, pair) and near-null blocks,
+    one per reflection parity (see eigh and _nodal_pencil).
+
+    The plate is a tensor product: d_k = D_k along axis k, the weights are
+    w1 (x) w2, G^{-1/2} = I and t_k = e_k.  With the 1-D factors X_k^p of
+    _axis_factors, the columns (X1^a (x) X2^b) (1 + lam1 + lam2)^{-1/2}
+    of parity (a, b) are M-orthonormal (W = 1), and every row below is a
+    Kronecker product of 1-D row factors, so no Gram is formed on the grid.
+    The reflections of either axis split the in-plane fields into four
+    pencils, u1 in parity (a, b) and u2 in parity (1 - a, 1 - b), with the
+    strain rows sqrt(w) (D1 u1, D2 u2, sqrt(1/2) (D2 u1 + D1 u2)); their
+    rows(x) are the full-grid rows of lift(x).  The normal fields w e_z of
+    parity (a, b) are four near-null blocks, exactly skew (no defect rows),
+    whose bending rows are those of sqrt(w) (D1 D1 w, D2 D2 w,
+    sqrt(2) D1 D2 w)."""
+    f = [_axis_factors(n, h) for n, h in zip(chart.shape, chart.du)]
+    scale = {(a, b): (1.0 + f[0][a][0][:, None] + f[1][b][0]).ravel()**-0.5
+             for a in (0, 1) for b in (0, 1)}
+
+    def kron_rows(a, b, i, j):
+        """Row factor i of axis 1 (0 values, 1 first and 2 second
+        differences) times row factor j of axis 2, on the M-orthonormal
+        columns of parity (a, b)."""
+        return np.kron(f[0][a][2][i], f[1][b][2][j]) * scale[a, b]
+
+    def fields(parts, x):
+        """The fields of the coefficient columns x, stacked in the order of
+        parts: (Cartesian component, parity)."""
+        V = np.zeros((x.shape[1],) + chart.shape + (3,))
+        lo = 0
+        for comp, (a, b) in parts:
+            hi = lo + scale[a, b].size
+            c = (scale[a, b][:, None] * x[lo:hi]).reshape(
+                len(f[0][a][0]), len(f[1][b][0]), -1)
+            V[..., comp] = np.einsum("xi,ijm,yj->mxy", f[0][a][1], c,
+                                     f[1][b][1])
+            lo = hi
+        return V
+
+    pencils, free = [], []
+    for u1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        u2 = (1 - u1[0], 1 - u1[1])
+        r11, r12 = kron_rows(*u1, 1, 0), kron_rows(*u1, 0, 1)
+        r22, r21 = kron_rows(*u2, 0, 1), kron_rows(*u2, 1, 0)
+        F = np.block([
+            [r11.T, np.zeros((r11.shape[1], len(r22))), np.sqrt(0.5) * r12.T],
+            [np.zeros((r22.shape[1], len(r11))), r22.T, np.sqrt(0.5) * r21.T]])
+        lift = functools.partial(fields, ((0, u1), (1, u2)))
+        pencils.append((F, np.ones((1, 1)), lift,
+                        lambda x, lift=lift: _grid_rows(chart, lift(x)),
+                        False))
+        R = np.vstack([kron_rows(*u1, 2, 0), kron_rows(*u1, 0, 2),
+                       np.sqrt(2.0) * kron_rows(*u1, 1, 1)])
+        free.append((np.eye(R.shape[1]), functools.partial(fields, ((2, u1),)),
+                     lambda x, R=R: (None, (R @ x).T), False))
+    return pencils, free
 
 
 def _near_null_blocks(chart, tol):
     """Solve the strain/mass pencil in symmetry blocks and keep the
     eigenvectors with rho <= tol rho_max over all blocks.
 
-    Returns the non-empty near-null blocks (X, lift, rows, pair) of
-    coefficient columns X (see _character_pencil and _nodal_pencil), the
-    threshold, and rho_m, the smallest rejected eigenvalue of any block.
+    The blocks are the characters of a rotation-invariant chart
+    (_character_pencil), the reflection parities of a plate
+    (_parity_pencils: four in-plane pencils and four normal blocks that need
+    no solve), or else one nodal pencil (_nodal_pencil).  Returns the
+    non-empty near-null blocks (X, lift, rows, pair) of coefficient
+    columns X, the threshold, and rho_m, the smallest rejected eigenvalue
+    of any block.
     Only the near-null eigenvectors are mapped back from M-orthonormal
     coordinates.
     """
@@ -434,6 +540,8 @@ def _near_null_blocks(chart, tol):
         pencils = [_character_pencil(chart, k)
                    for k in range(chart.shape[1] // 2 + 1)]
         near = []
+    elif chart.family == "plate":
+        pencils, near = _parity_pencils(chart)
     else:
         pencils, near = _nodal_pencil(chart)
     solved = [eigh(F, W) for F, W, *_ in pencils]
@@ -449,8 +557,10 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
 
     Solves the generalized eigenproblem K v = rho M v on the resolvable
     (sub-Nyquist) nodal fields in blocks, one per character on
-    rotation-invariant charts, else one (_nodal_pencil, capped by MAX_EIG_DOFS
-    unless the normal is constant), each as a standard Hermitian problem in
+    rotation-invariant charts, one per reflection parity on the plate (the
+    in-plane fields in four pencils, the normal fields in four blocks of
+    their own), else one (_nodal_pencil, capped by MAX_EIG_DOFS unless the
+    normal is constant), each as a standard Hermitian problem in
     M-orthonormal coordinates (eigh), and accepts eigenmodes with rho <= tol
     * rho_max over all blocks; only those are mapped back from the
     whitened coordinates.  Product aliasing near the grid's Nyquist
@@ -462,8 +572,8 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     count.  Both Grams commute with the chart's symmetries, so both Ritz
     steps run per block: on a character block, from its complex fields on
     grid column 0 (an eigenvalue of a pair block counts for both lifted
-    fields); on a flat chart's normal block, which is exactly skew, with no
-    defect Gram.  Bending values are merged in ascending order (ties by
+    fields); on a flat chart's normal blocks, which are exactly skew, with
+    no defect Gram.  Bending values are merged in ascending order (ties by
     block, then Re before Im), and only the kept vectors are lifted.
     gap_ratio is rho_m / (tol rho_max), rho_m the smallest rejected
     eigenvalue of any block (inf when every eigenvalue is accepted).

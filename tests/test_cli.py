@@ -401,6 +401,45 @@ def test_minimize_verify_recomputes_bending_minimum(tmp_path, monkeypatch):
     assert not (tmp_path / "v" / "minimize_result.json").exists()
 
 
+def _shift_minimum(monkeypatch, shift):
+    """Make cli's minimize_quadratic report value + shift(value)."""
+    exact = cli.mz.minimize_quadratic
+
+    def shifted_minimum(*args):
+        result = exact(*args)
+        return dataclasses.replace(result,
+                                   value=result.value + shift(result.value))
+
+    shifted = types.SimpleNamespace(**vars(cli.mz))
+    shifted.minimize_quadratic = shifted_minimum
+    monkeypatch.setattr(cli, "mz", shifted)
+
+
+@pytest.mark.parametrize("grid", ["12 12", "16 16"])
+def test_minimize_verify_accepts_a_zero_minimum(tmp_path, monkeypatch, grid):
+    """With 8 modes the saddle load is orthogonal to the bending pair, so
+    the minimum is 0 and J and the value differ by rounding alone: --verify
+    passes, and still catches a value moved off zero by 1e-20."""
+    cfg_path = write_cfg(tmp_path, PLATE_CFG.replace(
+        "grid = 16 16", "grid = " + grid).replace("basis_size = 12",
+                                                  "basis_size = 8"))
+    assert cli.run(["minimize", "--config", cfg_path, "--verify"]) == 0
+    value = json.loads((tmp_path / "out" / "minimize_result.json")
+                       .read_text())["value"]
+    assert abs(value) <= 1e-25
+    _shift_minimum(monkeypatch, lambda v: 1e-20)
+    assert cli.run(["minimize", "--config", cfg_path, "--verify",
+                    "--output-dir", str(tmp_path / "v")]) == 3
+
+
+def test_minimize_verify_keeps_relative_check_at_nonzero_minimum(
+        tmp_path, monkeypatch):
+    """A nonzero minimum moved by 1e-11 of itself still fails --verify."""
+    cfg_path = write_cfg(tmp_path, PLATE_CFG)
+    _shift_minimum(monkeypatch, lambda v: 1e-11 * abs(v))
+    assert cli.run(["minimize", "--config", cfg_path, "--verify"]) == 3
+
+
 def test_minimize_rigid_only_basis_is_numerical_failure(tmp_path):
     """The plate's first 4 modes lie in the rigid span, so no complement
     field is left and minimize exits 3 with the named error instead of a

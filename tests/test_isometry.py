@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,6 +8,7 @@ import vkshell as vk
 from vkshell import geometry as geo
 from vkshell import isometry as iso
 from vkshell import material as mat
+from vkshell import operators as ops
 from vkshell import presets
 
 from conftest import (isotropic_voigt, plate_sine_mode, random_rotation,
@@ -217,11 +220,16 @@ def test_project_onto_basis_stack_matches_single_calls(cyl_small):
     assert res[6] == 0.0 and np.max(res[:6]) <= 1e-8
 
 
+PLATE_BOUNDS = {"bounds": ((0.0, 2.0), (-1.0, 0.5))}
+
 FLAT_CHARTS = dict(argvalues=[
     lambda: vk.build_chart("plate", {}, (16, 16)),
     lambda: vk.build_chart("plate", {}, (20, 20)),
+    lambda: vk.build_chart("plate", {}, (9, 9)),
+    lambda: vk.build_chart("plate", PLATE_BOUNDS, (11, 14)),
     lambda: rotated_plate(random_rotation(np.random.default_rng(3)), (12, 12)),
-], ids=["plate-16x16", "plate-20x20", "rotated_plate-12x12"])
+], ids=["plate-16x16", "plate-20x20", "plate-9x9", "plate-11x14",
+        "rotated_plate-12x12"])
 
 
 @pytest.mark.parametrize("build", **FLAT_CHARTS)
@@ -429,6 +437,11 @@ REFERENCE_CHARTS = {
     "cylinder-8x15": (lambda: vk.build_chart(
         "cylinder", {"radius": 1.0, "height": 1.0}, (8, 15)), True),
     "plate-16x16": (lambda: vk.build_chart("plate", {}, (16, 16)), True),
+    # reflection-parity blocks with an odd axis (center node) and unequal
+    # axes and spacings
+    "plate-9x9": (lambda: vk.build_chart("plate", {}, (9, 9)), True),
+    "plate-11x14": (lambda: vk.build_chart("plate", PLATE_BOUNDS, (11, 14)),
+                    True),
     # custom charts: a tilted flat chart and the generic one-block path
     "rotated_plate-12x12": (lambda: rotated_plate(
         random_rotation(np.random.default_rng(3)), (12, 12)), True),
@@ -623,13 +636,57 @@ def test_flat_normal_block_is_exactly_skew(build):
     the modes, and gives the bending values, of the full-grid reference."""
     chart = build()
     near, _, _ = iso._near_null_blocks(chart, 1e-8)
-    X, lift, rows, pair = near[0]
-    assert X.shape[1] == chart.n_nodes and not pair
-    assert rows(X)[0] is None
-    A = iso.extend_A(chart, lift(X)).values
+    n = chart.normal[0, 0]
+    normal = [(X, lift, rows) for X, lift, rows, pair in near
+              if not pair and np.allclose(np.cross(lift(X), n), 0.0,
+                                          rtol=0.0, atol=1e-14)]
+    assert sum(X.shape[1] for X, _, _ in normal) == chart.n_nodes
+    assert all(rows(X)[0] is None for X, _, rows in normal)
+    A = iso.extend_A(chart, np.concatenate(
+        [lift(X) for X, lift, _ in normal])).values
     assert (np.max(np.abs(A + np.swapaxes(A, -1, -2)))
             <= 1e-13 * np.max(np.abs(A)))
     bend, _ = _full_grid_ritz(chart, 1e-8)
     basis = iso.isometry_basis(chart, n_request=10**6, tol=1e-8)
     assert len(basis) == len(bend)
     _assert_bending_close(basis.bending_ritz, bend)
+
+
+# ---------------------------------------------------------------------------
+# plate reflection-parity blocks against the generic nodal pencil
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,h", [(9, 0.125), (14, 1.5 / 13), (20, 1.0 / 19)])
+def test_axis_factors_diagonalize_the_1d_pencil(n, h):
+    """Per reflection parity, X^T W X = I and X^T T X = diag(lam) for the
+    1-D trapezoid weights W and T = D^T W D; D anticommutes with the
+    reversal J exactly, and the two parities hold all n nodes."""
+    D = ops.fd1_apply(np.eye(n), h)
+    J = np.eye(n)[::-1]
+    assert np.array_equal(J @ D @ J, -D)
+    w = ops.trapezoid_weights(n, h, periodic=False)
+    T = D.T @ (w[:, None] * D)
+    factors = iso._axis_factors(n, h)
+    assert [X.shape[1] for _, X, _ in factors] == [(n + 1) // 2, n // 2]
+    for p, (lam, X, _) in enumerate(factors):
+        assert np.array_equal(J @ X, (-1)**p * X)
+        np.testing.assert_allclose(X.T @ (w[:, None] * X), np.eye(len(lam)),
+                                   rtol=0.0, atol=1e-13)
+        assert np.max(np.abs(X.T @ T @ X - np.diag(lam))) <= 1e-13 * lam[-1]
+
+
+@pytest.mark.parametrize("grid,params", [
+    ((16, 16), {}), ((20, 20), {}), ((11, 14), PLATE_BOUNDS)],
+    ids=["plate-16x16", "plate-20x20", "plate-11x14"])
+def test_parity_blocks_match_nodal_pencil(grid, params):
+    """The plate's parity blocks give the cluster, threshold, gap ratio
+    and bending values of the same chart solved by the generic nodal
+    pencil (its family relabelled custom)."""
+    chart = vk.build_chart("plate", params, grid)
+    nodal = dataclasses.replace(chart, family="custom")
+    got = iso.isometry_basis(chart, n_request=10**6, tol=1e-8)
+    want = iso.isometry_basis(nodal, n_request=10**6, tol=1e-8)
+    assert got.cluster_size == want.cluster_size == chart.n_nodes + 3
+    assert abs(got.tol - want.tol) <= 1e-12 * want.tol
+    assert abs(got.gap_ratio - want.gap_ratio) <= 1e-8 * want.gap_ratio
+    _assert_bending_close(got.bending_ritz, want.bending_ritz)
