@@ -380,27 +380,6 @@ def test_energy_verify_catches_inconsistent_breakdown(tmp_path, monkeypatch):
     assert cli.run(["energy", "--config", cfg_path, "--verify"]) == 3
 
 
-def test_minimize_verify_recomputes_bending_minimum(tmp_path, monkeypatch):
-    """For kappa = 0, --verify recomputes J at the returned minimizer with
-    functional.total_J, so a reported value shifted by 1e-6 is caught."""
-    cfg_path = write_cfg(tmp_path, PLATE_CFG)
-    assert cli.run(["minimize", "--config", cfg_path, "--verify"]) == 0
-    exact = cli.mz.minimize_quadratic
-
-    def shifted_minimum(*args):
-        result = exact(*args)
-        return dataclasses.replace(result, value=result.value + 1e-6)
-
-    shifted = types.SimpleNamespace(**vars(cli.mz))
-    shifted.minimize_quadratic = shifted_minimum
-    monkeypatch.setattr(cli, "mz", shifted)
-    assert cli.run(["minimize", "--config", cfg_path,
-                    "--output-dir", str(tmp_path / "o")]) == 0
-    assert cli.run(["minimize", "--config", cfg_path, "--verify",
-                    "--output-dir", str(tmp_path / "v")]) == 3
-    assert not (tmp_path / "v" / "minimize_result.json").exists()
-
-
 def _shift_minimum(monkeypatch, shift):
     """Make cli's minimize_quadratic report value + shift(value)."""
     exact = cli.mz.minimize_quadratic
@@ -413,6 +392,19 @@ def _shift_minimum(monkeypatch, shift):
     shifted = types.SimpleNamespace(**vars(cli.mz))
     shifted.minimize_quadratic = shifted_minimum
     monkeypatch.setattr(cli, "mz", shifted)
+
+
+def test_minimize_verify_recomputes_bending_minimum(tmp_path, monkeypatch):
+    """For kappa = 0, --verify recomputes J at the returned minimizer with
+    functional.total_J, so a reported value shifted by 1e-6 is caught."""
+    cfg_path = write_cfg(tmp_path, PLATE_CFG)
+    assert cli.run(["minimize", "--config", cfg_path, "--verify"]) == 0
+    _shift_minimum(monkeypatch, lambda v: 1e-6)
+    assert cli.run(["minimize", "--config", cfg_path,
+                    "--output-dir", str(tmp_path / "o")]) == 0
+    assert cli.run(["minimize", "--config", cfg_path, "--verify",
+                    "--output-dir", str(tmp_path / "v")]) == 3
+    assert not (tmp_path / "v" / "minimize_result.json").exists()
 
 
 @pytest.mark.parametrize("grid", ["12 12", "16 16"])
