@@ -6,13 +6,14 @@ both Gram matrices of weighted rows of the search fields: the near-null
 cluster of the generalized eigenproblem, solved in symmetry blocks (Fassler
 & Stiefel, Group Theoretical Methods and Their Applications, 1992) as
 standard Hermitian problems in M-orthonormal coordinates, is the discrete
-isometry space.  The blocks are the rotation characters of a chart of
-revolution, and the reflection parities of the plate, whose M-orthonormal
-coordinates and rows are Kronecker products of 1-D factors.  Within the
-cluster, modes are reordered by a
-secondary Rayleigh-Ritz step with the bending seminorm, which makes the
-returned basis deterministic and smoothness-ordered (LAPACK otherwise
-returns an arbitrary rotation of the degenerate near-zero eigenspace).
+isometry space.  The blocks (see eigh) are the rotation characters of a
+chart of revolution, the reflection parities of the plate, whose
+M-orthonormal coordinates and rows are Kronecker products of 1-D
+factors, and else one block of whitened nodal fields.
+Within the cluster, modes are reordered by a secondary Rayleigh-Ritz
+step with the bending seminorm, which makes the returned basis
+deterministic and smoothness-ordered (LAPACK otherwise returns an
+arbitrary rotation of the degenerate near-zero eigenspace).
 """
 
 import functools
@@ -279,22 +280,21 @@ def _whitener(M):
     return np.linalg.inv(L).conj().T
 
 
-def _blockwise(A, X):
-    """A applied to each run of len(A) rows of X."""
-    n, m = len(A), X.shape[1]
-    return (A @ X.reshape(len(X) // n, n, m)).reshape(X.shape)
-
-
-def eigh(F, W):
+def eigh(F, W=None):
     """Eigenvalues (ascending) and eigenvectors of the pencil
-    K x = rho M x with K = F F^H and M block diagonal, one block
-    (W W^H)^{-1} per run of len(W) rows of F.
+    K x = rho M x of a symmetry block (F, W, lift, rows, pair), with
+    K = F F^H and M = (W W^H)^{-1}, or M = I when W is None (coordinates
+    that are M-orthonormal as built).
 
     Solved as the standard Hermitian problem of the whitened rows W^H F:
-    the eigenvectors z returned are M-orthonormal coordinates, and
-    x = W z, blockwise, are the pencil's (M-orthonormal) eigenvectors.
+    the eigenvectors z returned are M-orthonormal coordinates, and x = W z
+    are the pencil's (M-orthonormal) eigenvectors.  A block whose F has no
+    columns (no strain) has the eigenvalues 0 and the identity as
+    eigenvectors, with no solve.
     """
-    Fw = _blockwise(W.conj().T, F)
+    if not F.shape[1]:
+        return np.zeros(len(F)), np.eye(len(F))
+    Fw = F if W is None else W.conj().T @ F
     try:
         return np.linalg.eigh(Fw @ Fw.conj().T)
     except np.linalg.LinAlgError as exc:
@@ -369,24 +369,17 @@ def _character_pencil(chart, k):
 
 
 def _nodal_pencil(chart):
-    """The pencil (F, W, lift, rows, pair) on the fields e phi (see eigh),
-    and the near-null blocks that need no solve.  phi is a nodal unit
-    field, along a closed axis times the real Fourier basis without
-    harmonic N2/2, and e a Cartesian axis; the mass holds one copy of the
-    W^{1,2} Gram B of the phi per axis, and W = chol(B)^{-T} whitens it;
-    rows(x) are the full-grid skew-defect and bending rows of lift(x).
-    With a constant normal n, e is in-plane, and the fields w n form a
-    block (W, lift, rows, pair) of M-orthonormal columns W: their strain
-    rows vanish, and their skew extensions
-    A = n (x) grad w - grad w (x) n are exactly skew, so rows(x) gives no
-    defect rows, and bending rows from the form -sym(d_i grad w . t_j) of
-    (d_i A) n = -d_i grad w + (d_i grad w . n) n."""
-    n1, n2 = chart.shape
-    normal = chart.normal.reshape(-1, 3)
-    flat = np.allclose(normal, normal[0], rtol=0.0, atol=1e-12)
-    if not flat and 3 * chart.n_nodes > MAX_EIG_DOFS:
+    """The one block (F, W, lift, rows, pair) of a chart without symmetry
+    (see eigh), on the 3N fields e psi, capped at MAX_EIG_DOFS dofs.  e is
+    a Cartesian axis, and psi = L^{-1} phi are the nodal unit fields phi
+    (along a closed axis, times the real Fourier basis without harmonic
+    N2/2) whitened once by the Cholesky factor L of their W^{1,2} Gram, so
+    the fields e psi are M-orthonormal as built and W is None.  rows(x)
+    are the full-grid skew-defect and bending rows of lift(x)."""
+    if 3 * chart.n_nodes > MAX_EIG_DOFS:
         raise ValueError("grid too large for a dense strain pencil (%d dofs "
                          "> %d)" % (3 * chart.n_nodes, MAX_EIG_DOFS))
+    n1, n2 = chart.shape
     T = np.eye(n2)
     if chart.periodic2:
         th = np.outer(np.arange(n2), np.arange(1, (n2 + 1) // 2)) * 2 * np.pi / n2
@@ -395,28 +388,16 @@ def _nodal_pencil(chart):
     phi = np.einsum("ab,jq->aqbj", np.eye(n1), T).reshape(-1, n1, n2, 1)
     dphi = _partials(chart, phi)
     rows = _mass_rows(chart, phi, dphi)
-    W = _whitener(rows @ rows.T)
-    nodal = phi.reshape(len(phi), -1).T   # (nodes, unit fields)
+    Wt = _whitener(rows @ rows.T).T
+    psi, dpsi = (np.tensordot(Wt, X, axes=1) for X in (phi, dphi))
+    nodal = psi.reshape(len(psi), -1).T   # (nodes, unit fields)
 
-    def fields(x, axes):
-        W = nodal @ x.reshape(len(axes), len(phi), -1)
-        return np.einsum("anm,ac->mnc", W, axes).reshape(
-            (-1,) + chart.shape + (3,))
+    def lift(x):
+        V = nodal @ x.reshape(3, len(psi), -1)
+        return V.T.reshape((-1,) + chart.shape + (3,))
 
-    axes, free = np.eye(3), []
-    if flat:
-        n, t = normal[0], chart.t1[0, 0] / np.linalg.norm(chart.t1[0, 0])
-        axes = np.array([t, np.cross(n, t)])
-
-        def normal_rows(x):
-            w = (nodal @ x).T.reshape((-1,) + chart.shape + (1,))
-            grad_w = geo.lift(chart, _partials(chart, w))[..., 0, :]
-            return None, -geo.strain_rows(chart, _partials(chart, grad_w))
-
-        free = [(W, lambda x: fields(x, n[None]), normal_rows, False)]
-    S = np.concatenate([geo.strain_rows(chart, dphi * e) for e in axes])
-    return [(S, W, lambda x: fields(x, axes),
-             lambda x: _grid_rows(chart, fields(x, axes)), False)], free
+    S = np.concatenate([geo.strain_rows(chart, dpsi * e) for e in np.eye(3)])
+    return [(S, None, lift, lambda x: _grid_rows(chart, lift(x)), False)]
 
 
 def _grid_rows(chart, V):
@@ -464,20 +445,20 @@ def _axis_factors(n, h):
 
 
 def _parity_pencils(chart):
-    """The plate's pencils (F, W, lift, rows, pair) and near-null blocks,
-    one per reflection parity (see eigh and _nodal_pencil).
+    """The plate's eight blocks (F, W, lift, rows, pair): the normal
+    fields of each reflection parity, then four in-plane pencils (see eigh).
 
     The plate is a tensor product: d_k = D_k along axis k, the weights are
     w1 (x) w2, G^{-1/2} = I and t_k = e_k.  With the 1-D factors X_k^p of
     _axis_factors, the columns (X1^a (x) X2^b) (1 + lam1 + lam2)^{-1/2}
-    of parity (a, b) are M-orthonormal (W = 1), and every row below is a
+    of parity (a, b) are M-orthonormal (W is None), and every row below is a
     Kronecker product of 1-D row factors, so no Gram is formed on the grid.
     The reflections of either axis split the in-plane fields into four
     pencils, u1 in parity (a, b) and u2 in parity (1 - a, 1 - b), with the
     strain rows sqrt(w) (D1 u1, D2 u2, sqrt(1/2) (D2 u1 + D1 u2)); their
     rows(x) are the full-grid rows of lift(x).  The normal fields w e_z of
-    parity (a, b) are four near-null blocks, exactly skew (no defect rows),
-    whose bending rows are those of sqrt(w) (D1 D1 w, D2 D2 w,
+    parity (a, b) carry no strain (F has no columns), and are exactly skew
+    (no defect rows), with the bending rows of sqrt(w) (D1 D1 w, D2 D2 w,
     sqrt(2) D1 D2 w)."""
     f = [_axis_factors(n, h) for n, h in zip(chart.shape, chart.du)]
     scale = {(a, b): (1.0 + f[0][a][0][:, None] + f[1][b][0]).ravel()**-0.5
@@ -503,7 +484,7 @@ def _parity_pencils(chart):
             lo = hi
         return V
 
-    pencils, free = [], []
+    normal, pencils = [], []
     for u1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
         u2 = (1 - u1[0], 1 - u1[1])
         r11, r12 = kron_rows(*u1, 1, 0), kron_rows(*u1, 0, 1)
@@ -512,43 +493,42 @@ def _parity_pencils(chart):
             [r11.T, np.zeros((r11.shape[1], len(r22))), np.sqrt(0.5) * r12.T],
             [np.zeros((r22.shape[1], len(r11))), r22.T, np.sqrt(0.5) * r21.T]])
         lift = functools.partial(fields, ((0, u1), (1, u2)))
-        pencils.append((F, np.ones((1, 1)), lift,
+        pencils.append((F, None, lift,
                         lambda x, lift=lift: _grid_rows(chart, lift(x)),
                         False))
         R = np.vstack([kron_rows(*u1, 2, 0), kron_rows(*u1, 0, 2),
                        np.sqrt(2.0) * kron_rows(*u1, 1, 1)])
-        free.append((np.eye(R.shape[1]), functools.partial(fields, ((2, u1),)),
-                     lambda x, R=R: (None, (R @ x).T), False))
-    return pencils, free
+        normal.append((np.zeros((R.shape[1], 0)), None,
+                       functools.partial(fields, ((2, u1),)),
+                       lambda x, R=R: (None, (R @ x).T), False))
+    return normal + pencils
 
 
 def _near_null_blocks(chart, tol):
-    """Solve the strain/mass pencil in symmetry blocks and keep the
-    eigenvectors with rho <= tol rho_max over all blocks.
+    """Solve the strain/mass pencil in symmetry blocks (F, W, lift, rows,
+    pair) and keep the eigenvectors with rho <= tol rho_max over all
+    blocks.
 
     The blocks are the characters of a rotation-invariant chart
     (_character_pencil), the reflection parities of a plate
-    (_parity_pencils: four in-plane pencils and four normal blocks that need
-    no solve), or else one nodal pencil (_nodal_pencil).  Returns the
-    non-empty near-null blocks (X, lift, rows, pair) of coefficient
+    (_parity_pencils), or else one nodal block (_nodal_pencil).  Returns
+    the non-empty near-null blocks (X, lift, rows, pair) of coefficient
     columns X, the threshold, and rho_m, the smallest rejected eigenvalue
-    of any block.
-    Only the near-null eigenvectors are mapped back from M-orthonormal
-    coordinates.
+    of any block.  Only the near-null eigenvectors of a block with a
+    whitener W are mapped back from M-orthonormal coordinates, X = W Z.
     """
     if geo.rotation_invariant(chart):
-        pencils = [_character_pencil(chart, k)
-                   for k in range(chart.shape[1] // 2 + 1)]
-        near = []
+        blocks = [_character_pencil(chart, k)
+                  for k in range(chart.shape[1] // 2 + 1)]
     elif chart.family == "plate":
-        pencils, near = _parity_pencils(chart)
+        blocks = _parity_pencils(chart)
     else:
-        pencils, near = _nodal_pencil(chart)
-    solved = [eigh(F, W) for F, W, *_ in pencils]
+        blocks = _nodal_pencil(chart)
+    solved = [eigh(F, W) for F, W, *_ in blocks]
     thresh = tol * max(float(ev[-1]) for ev, _ in solved)
     rho_m = min(ev[ev > thresh].min(initial=np.inf) for ev, _ in solved)
-    near = near + [(_blockwise(W, Z[:, ev <= thresh]),) + tuple(rest)
-                   for (ev, Z), (_, W, *rest) in zip(solved, pencils)]
+    near = [(Z[:, ev <= thresh] if W is None else W @ Z[:, ev <= thresh],)
+            + tuple(rest) for (ev, Z), (_, W, *rest) in zip(solved, blocks)]
     return [b for b in near if b[0].shape[1]], thresh, rho_m
 
 
@@ -559,20 +539,19 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     (sub-Nyquist) nodal fields in blocks, one per character on
     rotation-invariant charts, one per reflection parity on the plate (the
     in-plane fields in four pencils, the normal fields in four blocks of
-    their own), else one (_nodal_pencil, capped by MAX_EIG_DOFS unless the
-    normal is constant), each as a standard Hermitian problem in
-    M-orthonormal coordinates (eigh), and accepts eigenmodes with rho <= tol
-    * rho_max over all blocks; only those are mapped back from the
-    whitened coordinates.  Product aliasing near the grid's Nyquist
-    frequency pollutes some of them: a Rayleigh-Ritz step with the Gram of the
-    weighted symmetric defects of the skew extensions drops every direction
-    whose defect eigenvalue exceeds max((10 tol)^2, 1e-10 s_max), s_max the
-    largest one.  The rest is reordered by the bending seminorm and at most
-    n_request modes are returned; cluster_size still reports the raw near-null
-    count.  Both Grams commute with the chart's symmetries, so both Ritz
+    their own), else one (_nodal_pencil, capped by MAX_EIG_DOFS), each as a
+    standard Hermitian problem in M-orthonormal coordinates (eigh), and
+    accepts eigenmodes with rho <= tol * rho_max over all blocks; only
+    those are mapped back from whitened coordinates.  Product aliasing near
+    the grid's Nyquist frequency pollutes some of them: a Rayleigh-Ritz
+    step with the Gram of the weighted symmetric defects of the skew
+    extensions drops every direction whose defect eigenvalue exceeds
+    max((10 tol)^2, 1e-10 s_max), s_max the largest one.  The rest is
+    reordered by the bending seminorm and at most n_request modes are
+    returned; cluster_size still reports the raw near-null count.  Both Grams commute with the chart's symmetries, so both Ritz
     steps run per block: on a character block, from its complex fields on
     grid column 0 (an eigenvalue of a pair block counts for both lifted
-    fields); on a flat chart's normal blocks, which are exactly skew, with
+    fields); on the plate's normal blocks, which are exactly skew, with
     no defect Gram.  Bending values are merged in ascending order (ties by
     block, then Re before Im), and only the kept vectors are lifted.
     gap_ratio is rho_m / (tol rho_max), rho_m the smallest rejected

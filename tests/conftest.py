@@ -56,15 +56,15 @@ def rotated_cylinder(R, grid, radius=1.0, height=1.0):
         "periodic2": True}, grid)
 
 
-def rotated_plate(R, grid):
-    """Custom chart of the unit square rigidly rotated by R."""
+def rotated_plate(R, grid, bounds=((0.0, 1.0), (0.0, 1.0))):
+    """Custom chart of the plate on bounds (the unit square) rigidly
+    rotated by R."""
     R = np.asarray(R, float)
 
     def pf(U, V):
         return np.stack([U, V, np.zeros_like(U)], axis=-1) @ R.T
 
-    return vk.build_chart("custom", {
-        "position": pf, "domain": ((0.0, 1.0), (0.0, 1.0))}, grid)
+    return vk.build_chart("custom", {"position": pf, "domain": bounds}, grid)
 
 
 def reference_dictionary_strains(chart, degree):

@@ -286,3 +286,39 @@ def test_frame_invariance_of_energies(cyl_small):
         assert abs(tot - base_I) <= 1e-10 * abs(base_I)
         assert abs(bend - base_bend) <= 1e-10 * abs(base_bend)
         assert abs(totJ - base_J) <= 1e-10 * max(abs(base_J), 1.0)
+
+
+PRESET_CHARTS = dict(argvalues=[
+    lambda: geo.build_chart("plate", {}, (9, 9)),
+    lambda: geo.build_chart("cylinder", {"radius": 1.0, "height": 1.0},
+                            (8, 16)),
+], ids=["plate-9x9", "cylinder-8x16"])
+
+
+@pytest.mark.parametrize("build", **PRESET_CHARTS)
+def test_load_presets_along_e_z(build):
+    """normal_linear1 is u1 - mid(u1), antisymmetric under the reversal of
+    u1; normal_sine vanishes on the parameter boundary; axial_shear is
+    cos 2 u2 whatever u1; all three point along e_z."""
+    chart = build()
+    (a1, b1), _ = chart.domain
+    loads = {name: presets.load_preset(chart, name) for name in
+             ("normal_linear1", "normal_sine", "axial_shear")}
+    for vals in loads.values():
+        assert vals.shape == chart.shape + (3,)
+        assert not np.any(vals[..., :2])
+    lin = loads["normal_linear1"][..., 2]
+    assert np.array_equal(lin, np.broadcast_to(
+        chart.u1[:, None] - 0.5 * (a1 + b1), chart.shape))
+    assert np.max(np.abs(lin[::-1] + lin)) <= 1e-15
+    sine = loads["normal_sine"][..., 2]
+    edges = [sine[0], sine[-1], sine[:, 0]]
+    if not chart.periodic2:
+        edges.append(sine[:, -1])
+    assert max(np.max(np.abs(e)) for e in edges) <= 1e-15
+    assert np.max(np.abs(sine)) > 0.5
+    shear = loads["axial_shear"][..., 2]
+    assert np.array_equal(shear, np.broadcast_to(np.cos(2 * chart.u2),
+                                                 chart.shape))
+    with pytest.raises(KeyError):
+        presets.load_preset(chart, "normal_cubic")

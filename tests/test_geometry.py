@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,24 @@ def test_invalid_revolution_profile():
     with pytest.raises(ChartError):
         vk.build_chart("revolution", {"profile": (-1.0, 0.0),
                                       "s_range": (0.0, 1.0)}, (8, 8))
+
+
+def test_callable_revolution_profile_matches_coefficients():
+    """A callable profile with its two derivatives builds, bit for bit,
+    the chart of the same polynomial given by its coefficients; without
+    the derivatives it is rejected."""
+    p = np.polynomial.Polynomial([1.0, 0.0, 0.3])
+    want = vk.build_chart("revolution", {"profile": (1.0, 0.0, 0.3)}, (10, 12))
+    got = vk.build_chart("revolution", {
+        "profile": p, "profile_d1": p.deriv(1), "profile_d2": p.deriv(2)},
+        (10, 12))
+    arrays = [f.name for f in dataclasses.fields(want)
+              if isinstance(getattr(want, f.name), np.ndarray)]
+    assert "pos" in arrays and "second_form" in arrays
+    for name in arrays:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    with pytest.raises(ChartError, match="profile_d1"):
+        vk.build_chart("revolution", {"profile": p}, (10, 12))
 
 
 def test_unit_normals_and_frames(plate32, cyl_small):

@@ -222,14 +222,16 @@ def test_project_onto_basis_stack_matches_single_calls(cyl_small):
 
 PLATE_BOUNDS = {"bounds": ((0.0, 2.0), (-1.0, 0.5))}
 
-FLAT_CHARTS = dict(argvalues=[
+PLATE_CHARTS = dict(argvalues=[
     lambda: vk.build_chart("plate", {}, (16, 16)),
     lambda: vk.build_chart("plate", {}, (20, 20)),
     lambda: vk.build_chart("plate", {}, (9, 9)),
     lambda: vk.build_chart("plate", PLATE_BOUNDS, (11, 14)),
+], ids=["plate-16x16", "plate-20x20", "plate-9x9", "plate-11x14"])
+
+FLAT_CHARTS = dict(argvalues=PLATE_CHARTS["argvalues"] + [
     lambda: rotated_plate(random_rotation(np.random.default_rng(3)), (12, 12)),
-], ids=["plate-16x16", "plate-20x20", "plate-9x9", "plate-11x14",
-        "rotated_plate-12x12"])
+], ids=PLATE_CHARTS["ids"] + ["rotated_plate-12x12"])
 
 
 @pytest.mark.parametrize("build", **FLAT_CHARTS)
@@ -514,22 +516,25 @@ def _assert_eigh_matches_generalized(F, W, K, M):
     rho, Z = iso.eigh(F, W)
     ev = scipy.linalg.eigh(K, M, eigvals_only=True)
     assert np.max(np.abs(rho - ev)) <= 1e-12 * ev[-1]
-    X = iso._blockwise(W, Z)
+    X = Z if W is None else W @ Z
     assert np.max(np.abs(X.conj().T @ M @ X - np.eye(len(X)))) <= 1e-12
 
 
 def test_eigh_matches_generalized_solver_on_nodal_pencil():
-    """The whitened solve of the in-plane nodal pencil of a plate matches
-    scipy's generalized eigensolve of the dense reference pencil: the
-    strain Gram and mass of the in-plane dofs, assembled independently."""
+    """The nodal block of a plate spans all 3N dofs in coordinates that
+    are M-orthonormal as built (W is None): its solve matches scipy's
+    generalized eigensolve of the dense reference pencil, assembled
+    independently, and its eigenvectors lift to M-orthonormal fields."""
     chart = vk.build_chart("plate", {}, (12, 12))
-    (F, W, *_), = iso._nodal_pencil(chart)[0]
-    n, t = chart.normal[0, 0], chart.t1[0, 0] / np.linalg.norm(chart.t1[0, 0])
-    E = np.kron(np.stack([t, np.cross(n, t)], axis=1), np.eye(chart.n_nodes))
-    RE = membrane_strain_operator(chart) @ E
-    K, M = RE.T @ RE, E.T @ sobolev_mass_matrix(chart) @ E
-    assert np.max(np.abs(F @ F.T - K)) <= 1e-12 * np.max(np.abs(K))
-    _assert_eigh_matches_generalized(F, W, K, M)
+    (F, W, lift, *_), = iso._nodal_pencil(chart)
+    assert W is None and len(F) == 3 * chart.n_nodes
+    R = membrane_strain_operator(chart)
+    rho, Z = iso.eigh(F)
+    ev = scipy.linalg.eigh(R.T @ R, sobolev_mass_matrix(chart),
+                           eigvals_only=True)
+    assert np.max(np.abs(rho - ev)) <= 1e-12 * ev[-1]
+    rows = iso._mass_rows(chart, lift(Z))
+    assert np.max(np.abs(rows @ rows.T - np.eye(len(Z)))) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [0, 3, 8])
@@ -566,6 +571,11 @@ def test_cylinder_above_dense_cap():
                               chart.shape)
     with pytest.raises(ValueError, match="too large"):
         iso.isometry_basis(tilted, n_request=40, tol=1e-8)
+    # a tilted flat chart takes the same capped block
+    plate = rotated_plate(random_rotation(np.random.default_rng(5)), (46, 46))
+    assert 3 * plate.n_nodes > iso.MAX_EIG_DOFS
+    with pytest.raises(ValueError, match="too large"):
+        iso.isometry_basis(plate, n_request=40, tol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +639,10 @@ def test_character_ritz_matches_full_grid_reference(name, tol):
     assert np.max(np.abs(s_new - s_ref)) <= 1e-10 * s_ref[-1]
 
 
-@pytest.mark.parametrize("build", **FLAT_CHARTS)
+@pytest.mark.parametrize("build", **PLATE_CHARTS)
 def test_flat_normal_block_is_exactly_skew(build):
-    """The normal fields w n of a flat chart have skew extensions to
-    roundoff, so their block needs no defect Gram; the basis still keeps
+    """The normal fields w n of the plate have skew extensions to
+    roundoff, so their blocks need no defect Gram; the basis still keeps
     the modes, and gives the bending values, of the full-grid reference."""
     chart = build()
     near, _, _ = iso._near_null_blocks(chart, 1e-8)
@@ -676,17 +686,21 @@ def test_axis_factors_diagonalize_the_1d_pencil(n, h):
 
 
 @pytest.mark.parametrize("grid,params", [
-    ((16, 16), {}), ((20, 20), {}), ((11, 14), PLATE_BOUNDS)],
-    ids=["plate-16x16", "plate-20x20", "plate-11x14"])
+    ((16, 16), {}), ((20, 20), {}), ((11, 14), PLATE_BOUNDS),
+    ((12, 12), {})],
+    ids=["plate-16x16", "plate-20x20", "plate-11x14", "plate-12x12"])
 def test_parity_blocks_match_nodal_pencil(grid, params):
     """The plate's parity blocks give the cluster, threshold, gap ratio
     and bending values of the same chart solved by the generic nodal
-    pencil (its family relabelled custom)."""
+    pencil: with its family relabelled custom, and tilted by a rotation
+    (a custom chart of sampled positions)."""
     chart = vk.build_chart("plate", params, grid)
-    nodal = dataclasses.replace(chart, family="custom")
     got = iso.isometry_basis(chart, n_request=10**6, tol=1e-8)
-    want = iso.isometry_basis(nodal, n_request=10**6, tol=1e-8)
-    assert got.cluster_size == want.cluster_size == chart.n_nodes + 3
-    assert abs(got.tol - want.tol) <= 1e-12 * want.tol
-    assert abs(got.gap_ratio - want.gap_ratio) <= 1e-8 * want.gap_ratio
-    _assert_bending_close(got.bending_ritz, want.bending_ritz)
+    R = random_rotation(np.random.default_rng(3))
+    for nodal in (dataclasses.replace(chart, family="custom"),
+                  rotated_plate(R, grid, **params)):
+        want = iso.isometry_basis(nodal, n_request=10**6, tol=1e-8)
+        assert got.cluster_size == want.cluster_size == chart.n_nodes + 3
+        assert abs(got.tol - want.tol) <= 1e-12 * want.tol
+        assert abs(got.gap_ratio - want.gap_ratio) <= 1e-8 * want.gap_ratio
+        _assert_bending_close(got.bending_ritz, want.bending_ritz)
