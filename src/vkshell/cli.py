@@ -2,7 +2,10 @@
 deterministic JSON/CSV artifacts with a run manifest.
 
 The config is a flat INI file with sections [surface], [moduli],
-[scaling], [load], [solver], [output].  Every run writes
+[scaling], [load], [solver], [output].  Every subcommand runs in one
+frame (``run``): the config is read and checked, the chart is built, the
+chart checks run under --verify, and the subcommand, a function of the
+built chart, returns the payload of its result JSON.  Every run writes
 ``<command>_result.json`` (byte-identical across reruns with the same
 config and seed) and ``manifest.json`` (config echo with all defaults,
 package versions, timings).  Exit codes: 0 success, 2 config error,
@@ -39,10 +42,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-SUBCOMMANDS = ("surface", "isometries", "membrane", "energy", "minimize",
-               "gamma-check")
-
-
 @dataclass
 class RunConfig:
     family: str = "plate"
@@ -70,17 +69,32 @@ class RunConfig:
     sample_count: int = 64
     output_dir: str = "out"
 
-    def echo(self):
-        d = asdict(self)
-        d["surface_params"] = {k: (list(v) if isinstance(v, tuple) else v)
-                               for k, v in d["surface_params"].items()}
-        for key in ("grid", "h_ladder"):
-            d[key] = list(d[key])
-        return d
-
 
 def _floats(text):
     return tuple(float(x) for x in text.replace(",", " ").split())
+
+
+# [section] key -> RunConfig field, for every section but [surface].  Each
+# value is read by the type of its field's default (_READERS); "lambda"
+# comes after "lam", so it wins when both are given.
+_KEYS = {("moduli", "mu"): "mu", ("moduli", "lam"): "lam",
+         ("moduli", "lambda"): "lam",
+         ("scaling", "kappa"): "kappa", ("scaling", "e_rule"): "e_rule",
+         ("load", "preset"): "load_preset", ("load", "csv"): "load_csv",
+         ("load", "remove_mean"): "remove_mean",
+         ("output", "directory"): "output_dir"}
+_KEYS.update((("solver", name), name) for name in (
+    "tol", "max_iter", "restarts", "seed", "basis_size", "basis_tol",
+    "dictionary_degree", "fourier_order", "t_quad", "sample_count",
+    "h_ladder", "mode", "target_preset"))
+
+_READERS = {
+    bool: configparser.ConfigParser.getboolean,
+    int: configparser.ConfigParser.getint,
+    float: configparser.ConfigParser.getfloat,
+    tuple: lambda cp, section, key: _floats(cp.get(section, key)),
+    str: lambda cp, section, key: cp.get(section, key).strip(),
+}
 
 
 def parse_config(path, overrides=None):
@@ -123,40 +137,11 @@ def parse_config(path, overrides=None):
             if "theta_scheme" in s:
                 params["theta_scheme"] = s["theta_scheme"].strip()
             cfg.surface_params = params
-        if cp.has_section("moduli"):
-            m = cp["moduli"]
-            cfg.mu = m.getfloat("mu", cfg.mu)
-            cfg.lam = m.getfloat("lambda", m.getfloat("lam", cfg.lam))
-        if cp.has_section("scaling"):
-            sc = cp["scaling"]
-            cfg.kappa = sc.getfloat("kappa", cfg.kappa)
-            cfg.e_rule = sc.get("e_rule", cfg.e_rule).strip()
-            gc.thickness_scaling(cfg.e_rule, cfg.kappa)
-        if cp.has_section("load"):
-            ld = cp["load"]
-            cfg.load_preset = ld.get("preset", cfg.load_preset).strip()
-            cfg.load_csv = ld.get("csv", cfg.load_csv).strip()
-            cfg.remove_mean = ld.getboolean("remove_mean", cfg.remove_mean)
-        if cp.has_section("solver"):
-            sv = cp["solver"]
-            cfg.tol = sv.getfloat("tol", cfg.tol)
-            cfg.max_iter = sv.getint("max_iter", cfg.max_iter)
-            cfg.restarts = sv.getint("restarts", cfg.restarts)
-            cfg.seed = sv.getint("seed", cfg.seed)
-            cfg.basis_size = sv.getint("basis_size", cfg.basis_size)
-            cfg.basis_tol = sv.getfloat("basis_tol", cfg.basis_tol)
-            cfg.dictionary_degree = sv.getint("dictionary_degree",
-                                              cfg.dictionary_degree)
-            cfg.fourier_order = sv.getint("fourier_order", cfg.fourier_order)
-            cfg.t_quad = sv.getint("t_quad", cfg.t_quad)
-            cfg.sample_count = sv.getint("sample_count", cfg.sample_count)
-            if "h_ladder" in sv:
-                cfg.h_ladder = _floats(sv["h_ladder"])
-            cfg.mode = sv.get("mode", cfg.mode).strip()
-            cfg.target_preset = sv.get("target_preset", cfg.target_preset).strip()
-        if cp.has_section("output"):
-            out = cp["output"]
-            cfg.output_dir = out.get("directory", cfg.output_dir).strip()
+        for (section, key), name in _KEYS.items():
+            if cp.has_option(section, key):
+                reader = _READERS[type(getattr(RunConfig, name))]
+                setattr(cfg, name, reader(cp, section, key))
+        gc.thickness_scaling(cfg.e_rule, cfg.kappa)
     except (ValueError, KeyError, configparser.Error) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -336,8 +321,7 @@ def _verify_projection(chart, target, proj, degree):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_surface(cfg, outdir, verify):
-    chart = _build_chart(cfg)
+def cmd_surface(cfg, chart, outdir, checks):
     report = mem.robustness_classify(chart)
     payload = {
         "family": chart.family,
@@ -347,9 +331,8 @@ def cmd_surface(cfg, outdir, verify):
         "robustness": report.label,
         "evidence": report.evidence,
     }
-    if verify:
-        payload["verify"] = _verify_chart(chart)
-    write_json(outdir / "surface_result.json", payload)
+    if checks is not None:
+        payload["verify"] = checks
     write_field_csv(outdir / "surface_nodes.csv", chart, [
         ("sqrt_g", chart.sqrt_g),
         ("h11", chart.second_form[..., 0, 0]),
@@ -359,8 +342,7 @@ def cmd_surface(cfg, outdir, verify):
     return payload
 
 
-def cmd_isometries(cfg, outdir, verify):
-    chart = _build_chart(cfg)
+def cmd_isometries(cfg, chart, outdir, checks):
     basis = iso.isometry_basis(chart, n_request=cfg.basis_size,
                                tol=cfg.basis_tol)
     payload = {
@@ -373,12 +355,10 @@ def cmd_isometries(cfg, outdir, verify):
         "threshold": basis.tol,
         "empty": basis.empty,
     }
-    if verify:
-        _verify_chart(chart)
+    if checks is not None:
         _verify_basis(chart, basis)
         payload["rigid_residual"] = float(np.max(iso.project_onto_basis(
             basis, iso._rigid_fields(chart))[1]))
-    write_json(outdir / "isometries_result.json", payload)
     for k, mode in enumerate(basis.modes):
         _write_vector_csv(outdir / ("isometry_mode_%03d.csv" % k), chart, "v",
                           mode)
@@ -411,18 +391,19 @@ def _membrane_target(preset, chart):
     raise ConfigError("unknown membrane target %r" % (preset,))
 
 
-def _fourier_order(cfg, chart):
-    """[solver] fourier_order, checked against the circumferential grid."""
+def _solve_membrane(cfg, chart, target):
+    """The revolution membrane solve at [solver] fourier_order, checked
+    against the circumferential grid."""
     if not 0 <= cfg.fourier_order <= chart.shape[1] // 2:
         raise ConfigError("[solver] fourier_order must lie in [0, %d] on a "
                           "grid with %d circumferential nodes, got %d"
                           % (chart.shape[1] // 2, chart.shape[1],
                              cfg.fourier_order))
-    return cfg.fourier_order
+    return mem.solve_revolution_membrane(chart, target,
+                                         fourier_order=cfg.fourier_order)
 
 
-def cmd_membrane(cfg, outdir, verify):
-    chart = _build_chart(cfg)
+def cmd_membrane(cfg, chart, outdir, checks):
     preset = cfg.target_preset or DEFAULT_TARGETS.get(chart.family)
     if preset is None:
         raise ConfigError("no default membrane target on a %s chart; set "
@@ -430,8 +411,7 @@ def cmd_membrane(cfg, outdir, verify):
     target = _membrane_target(preset, chart)
     payload = {"target_preset": preset}
     if chart.family in ("cylinder", "revolution"):
-        sol = mem.solve_revolution_membrane(
-            chart, target, fourier_order=_fourier_order(cfg, chart))
+        sol = _solve_membrane(cfg, chart, target)
         payload.update({"residual": sol.residual,
                         "fourier_order": sol.fourier_order,
                         "flagged": sol.flagged})
@@ -440,15 +420,12 @@ def cmd_membrane(cfg, outdir, verify):
     payload["projection_residual"] = proj.residual
     payload["projection_rank"] = proj.rank
     payload["dictionary_degree"] = cfg.dictionary_degree
-    if verify:
-        _verify_chart(chart)
+    if checks is not None:
         _verify_projection(chart, target, proj, cfg.dictionary_degree)
-    write_json(outdir / "membrane_result.json", payload)
     return payload
 
 
-def cmd_energy(cfg, outdir, verify):
-    chart = _build_chart(cfg)
+def cmd_energy(cfg, chart, outdir, checks):
     moduli = _moduli(cfg)
     V = _mode_field(cfg, chart)
     zero = FormField2(np.zeros(chart.shape + (2, 2)))
@@ -471,17 +448,14 @@ def cmd_energy(cfg, outdir, verify):
         "best_J": best_J,
         "best_rotation": [[float(x) for x in row] for row in Q],
     }
-    if verify:
-        _verify_chart(chart)
+    if checks is not None:
         J = fn.total_J(chart, V, zero, cfg.kappa, moduli, load, Q).total
         if abs(J - best_J["total"]) > 1e-12 * abs(J):
             raise ArithmeticError("energy breakdown is inconsistent")
-    write_json(outdir / "energy_result.json", payload)
     return payload
 
 
-def cmd_minimize(cfg, outdir, verify):
-    chart = _build_chart(cfg)
+def cmd_minimize(cfg, chart, outdir, checks):
     moduli = _moduli(cfg)
     basis = iso.isometry_basis(chart, n_request=cfg.basis_size,
                                tol=cfg.basis_tol)
@@ -512,8 +486,7 @@ def cmd_minimize(cfg, outdir, verify):
         "rotation": [[float(x) for x in row] for row in result.rotation],
         "seed": cfg.seed,
     }
-    if verify:
-        _verify_chart(chart)
+    if checks is not None:
         hist = result.objective_history
         if cfg.kappa == 0:
             # the exact minimum is attained: recompute it independently.
@@ -531,14 +504,12 @@ def cmd_minimize(cfg, outdir, verify):
         elif any(b - a > 1e-10 * max(abs(hist[0]), 1.0)
                  for a, b in zip(hist, hist[1:])):
             raise ArithmeticError("objective sequence increased")
-    write_json(outdir / "minimize_result.json", payload)
     _write_vector_csv(outdir / "minimize_V.csv", chart, "v",
                       result.V_star.values)
     return payload
 
 
-def cmd_gamma_check(cfg, outdir, verify):
-    chart = _build_chart(cfg)
+def cmd_gamma_check(cfg, chart, outdir, checks):
     moduli = _moduli(cfg)
     V = _mode_field(cfg, chart)
     w = None
@@ -550,8 +521,7 @@ def cmd_gamma_check(cfg, outdir, verify):
         A = iso.extend_A(chart, V)
         target = fn.a_squared_tan(chart, A)
         target = FormField2(0.5 * cfg.kappa * target.coeff)
-        w = mem.solve_revolution_membrane(
-            chart, target, fourier_order=_fourier_order(cfg, chart)).w
+        w = _solve_membrane(cfg, chart, target).w
     ansatz = gc.build_ansatz(chart, V, w=w, kappa=cfg.kappa, moduli=moduli,
                              e_rule=gc.thickness_scaling(cfg.e_rule,
                                                          cfg.kappa))
@@ -567,9 +537,6 @@ def cmd_gamma_check(cfg, outdir, verify):
         "rows": [{k: (None if isinstance(v, float) and np.isnan(v) else float(v))
                   for k, v in row.items()} for row in table.rows],
     }
-    if verify:
-        _verify_chart(chart)
-    write_json(outdir / "gamma_check_result.json", payload)
     columns = ["h", "energy", "ratio", "error", "slope"]
     _write_csv(outdir / "gamma_check_table.csv", columns,
                [[row[k] for k in columns] for row in table.rows])
@@ -587,11 +554,14 @@ DISPATCH = {
 
 
 def run(argv):
+    """Run one subcommand on the command line ``argv`` and return its exit
+    code.  The result JSON and the manifest are written only when the
+    subcommand and every check pass."""
     parser = argparse.ArgumentParser(
         prog="vkshell",
         description="Shell-limit energies: evaluation, minimization, "
                     "and thin-limit verification.")
-    parser.add_argument("command", choices=SUBCOMMANDS)
+    parser.add_argument("command", choices=DISPATCH)
     parser.add_argument("--config", required=True)
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--verify", action="store_true")
@@ -614,7 +584,9 @@ def run(argv):
         return 2
 
     try:
-        DISPATCH[args.command](cfg, outdir, args.verify)
+        chart = _build_chart(cfg)
+        checks = _verify_chart(chart) if args.verify else None
+        payload = DISPATCH[args.command](cfg, chart, outdir, checks)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -626,9 +598,11 @@ def run(argv):
         print(json.dumps(diag, sort_keys=True), file=sys.stderr)
         return 3
 
+    write_json(outdir / ("%s_result.json" % args.command.replace("-", "_")),
+               payload)
     manifest = {
         "command": args.command,
-        "config": cfg.echo(),
+        "config": asdict(cfg),
         "versions": {
             "vkshell": __version__,
             "numpy": np.__version__,

@@ -9,10 +9,10 @@ gradient and Hessian are evaluated in closed form and drive Newton's
 method with an exact line search (Nocedal & Wright, Numerical
 Optimization, ch. 3): along any direction the objective is a quartic in
 the step length, minimized over the real roots of its cubic derivative.
-The iteration accepts only steps that lower the objective, so the
-objective history is non-increasing, and every run names its stop
-reason: converged, iteration cap, or a stall within 100 tol; any other
-stop raises.
+The iteration accepts a step when the quartic's gain f(t) - f(0) at it
+is negative, so the objective history is non-increasing up to rounding,
+and every run names its stop reason: converged, iteration cap, or a
+stall within 100 tol; any other stop raises.
 """
 
 from dataclasses import dataclass
@@ -147,10 +147,12 @@ def _line_quartic(xi, d, pair, G, ell):
 def _line_step(c):
     """Global minimizer t of the quartic with ascending coefficients c
     (c4 = |b|^2 >= 0), among the real parts of the roots of its
-    derivative."""
+    derivative, and its gain t(c1 + t(c2 + t(c3 + t c4))) = f(t) - f(0),
+    which has no cancellation against c0."""
     t = np.roots(c[:0:-1] * np.arange(4, 0, -1)).real
     gain = t * (c[1] + t * (c[2] + t * (c[3] + t * c[4])))
-    return float(t[np.argmin(gain)])
+    k = np.argmin(gain)
+    return float(t[k]), float(gain[k])
 
 
 def _newton(pair, G, ell, xi0, opts):
@@ -160,7 +162,10 @@ def _newton(pair, G, ell, xi0, opts):
     The direction d = -Q diag(1/max(|lambda|, floor)) Q^T g, from the
     eigendecomposition of the closed-form Hessian, always descends; the
     step is the global minimizer of f along d (_line_step).  A step is
-    taken only if it lowers f, so the objective history decreases.
+    taken when its gain on the line quartic is negative, so the objective
+    history is non-increasing up to rounding: the gain is exact to the
+    rounding of the coefficients, where re-evaluating f near its minimum
+    can cancel it.
     Returns the iterate, value, gradient norm, iteration count, objective
     history and stop reason: "converged" at |g| <= tol, "max_iter" at the
     cap, or "stalled" when a step gains nothing and |g| <= 100 tol.  A
@@ -180,9 +185,8 @@ def _newton(pair, G, ell, xi0, opts):
         lam, Q = np.linalg.eigh(hess)
         floor = np.sqrt(np.finfo(float).eps) * np.abs(lam).max()
         d = -Q @ ((Q.T @ grad) / np.maximum(np.abs(lam), floor))
-        trial = xi + _line_step(_line_quartic(xi, d, pair, G, ell)) * d
-        parts = _quartic_parts(trial, pair, G, ell)
-        if not parts[0] < value:
+        t, gain = _line_step(_line_quartic(xi, d, pair, G, ell))
+        if not gain < 0:
             if grad_norm <= 100.0 * opts.tol:
                 reason = "stalled"
                 break
@@ -190,7 +194,8 @@ def _newton(pair, G, ell, xi0, opts):
                 "Newton step gains nothing",
                 diagnostics={"iteration": iters, "objective": value,
                              "gradient_norm": grad_norm})
-        xi, (value, grad, hess) = trial, parts
+        xi = xi + t * d
+        value, grad, hess = _quartic_parts(xi, pair, G, ell)
         history.append(value)
         iters += 1
     return xi, value, grad_norm, iters, history, reason

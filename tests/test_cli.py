@@ -1,9 +1,11 @@
+import configparser
 import csv
 import dataclasses
 import json
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +95,7 @@ def write_cfg(tmp_path, text, name="run.cfg", out="out"):
 def test_parse_config_defaults_echoed(tmp_path):
     cfg_path = write_cfg(tmp_path, PLATE_CFG)
     cfg = cli.parse_config(cfg_path)
-    echo = cfg.echo()
+    echo = json.loads(json.dumps(dataclasses.asdict(cfg)))
     # every field is recorded, including untouched defaults
     assert echo["grid"] == [16, 16]
     assert echo["restarts"] == 2
@@ -656,6 +658,22 @@ BAD_INPUTS = {
     "cylinder_mode_on_sphere_patch": (
         CYL_CFG, [("family = cylinder", "family = sphere_patch")],
         ("gamma-check",)),
+    "plate_bounds_three_numbers": (PLATE_CFG, [("grid = 16 16",
+                                                "grid = 16 16\n"
+                                                "bounds = 0 1 0")],
+                                   ("surface",)),
+    "s_range_one_number": (CYL_CFG, [("height = 1.0", "s_range = 1")],
+                           ("surface",)),
+    "unknown_mode": (PLATE_CFG, [("seed = 3", "seed = 3\nmode = bogus")],
+                     ("energy", "gamma-check")),
+    "ovalization_target_on_plate": (
+        PLATE_CFG, [("seed = 3", "seed = 3\ntarget_preset = ovalization_a2")],
+        ("membrane",)),
+    "unknown_target_preset": (
+        CYL_CFG, [("[solver]", "[solver]\ntarget_preset = bogus")],
+        ("membrane",)),
+    "short_load_csv": (PLATE_CFG, [("preset = normal_saddle", "csv = SHORT")],
+                       ("energy", "minimize")),
 }
 for _key, _value, _commands in (
         ("mu", "-1", ("energy", "minimize")), ("mu", "0", ("energy",)),
@@ -676,11 +694,15 @@ for _key, _value, _commands in (
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_config_error(tmp_path, case):
-    """Each input exits 2 before any result is written."""
+    """Each input exits 2 before any result is written.  MISSING names a
+    file that does not exist, SHORT a node CSV of one row."""
     text, edits, commands = BAD_INPUTS[case]
+    short = tmp_path / "short.csv"
+    short.write_text("fx,fy,fz\n0,0,0\n")
     for old, new in edits:
-        text = text.replace(old, new.replace("MISSING",
-                                             str(tmp_path / "missing.csv")))
+        text = text.replace(old, new.replace(
+            "MISSING", str(tmp_path / "missing.csv")).replace("SHORT",
+                                                             str(short)))
     cfg_path = write_cfg(tmp_path, text)
     for command in commands:
         assert cli.run([command, "--config", cfg_path]) == 2
@@ -710,6 +732,44 @@ def test_late_chart_error_is_numerical_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_build_chart", corrupted)
     cfg_path = write_cfg(tmp_path, PLATE_CFG)
     assert cli.run(["membrane", "--config", cfg_path]) == 3
+
+
+def test_solver_failure_reports_diagnostics(tmp_path, monkeypatch, capsys):
+    """A MinimizationError exits 3 with its diagnostics in the stderr
+    JSON, and no result is written."""
+    def failing(*args, **kwargs):
+        raise cli.mz.MinimizationError("Newton step gains nothing",
+                                       diagnostics={"iteration": 4,
+                                                    "gradient_norm": 0.5})
+
+    monkeypatch.setattr(cli.mz, "minimize_J", failing)
+    cfg_path = write_cfg(tmp_path, CYL_CFG)
+    assert cli.run(["minimize", "--config", cfg_path]) == 3
+    diag = json.loads(capsys.readouterr().err)
+    assert diag == {"error": "Newton step gains nothing",
+                    "type": "MinimizationError",
+                    "diagnostics": {"iteration": 4, "gradient_norm": 0.5}}
+    assert not (tmp_path / "out" / "minimize_result.json").exists()
+
+
+def test_readme_example_config(tmp_path):
+    """The README's example config runs every subcommand with --verify, and
+    every key of its sections but [surface] is one the config reader
+    knows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    text = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert "directory = out\n" in text
+    cfg_path = tmp_path / "readme.cfg"
+    cfg_path.write_text(text.replace("directory = out\n", "directory = %s\n"
+                                     % (tmp_path / "out")), encoding="utf-8")
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp.read(cfg_path, encoding="utf-8")
+    keys = {(sec, key) for sec in cp.sections() if sec != "surface"
+            for key in cp[sec]}
+    assert keys and keys <= set(cli._KEYS)
+    for command in cli.DISPATCH:
+        assert cli.run([command, "--config", str(cfg_path), "--verify"]) == 0
 
 
 def test_negative_kappa_flag_is_config_error(tmp_path):

@@ -245,6 +245,28 @@ def test_stop_reasons(cyl_problem):
     assert quad.stop_reason == "converged"
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-10])
+def test_newton_decides_steps_near_the_minimum_by_the_line_gain(cyl_problem,
+                                                                tol):
+    """At kappa = 100 a restart reaches |g| = 1.8e-7 where the re-evaluated
+    objective no longer falls in floating point, although the line
+    quartic's gain is negative; the run still converges with a named stop
+    reason, at the minimum of the unseeded start alone."""
+    chart, basis, load = cyl_problem
+
+    def solve(restarts):
+        return mz.minimize_J(chart, basis, load, [np.eye(3)], 100.0, M11,
+                             dict_degree=3, opts=mz.SolverOptions(
+                                 tol=tol, restarts=restarts, seed=0))
+
+    res = solve(3)
+    assert res.stop_reason == "converged" and res.gradient_norm <= tol
+    assert abs(res.value - solve(1).value) <= 1e-12 * abs(res.value)
+    hist = res.objective_history
+    assert all(b - a <= 1e-10 * max(abs(hist[0]), 1.0)
+               for a, b in zip(hist, hist[1:]))
+
+
 def test_anisotropic_moduli_in_both_minimizers(cyl_problem):
     """Anisotropic moduli run through both minimizers; the isotropic
     tensor written as a Voigt matrix reproduces the isotropic results."""
@@ -325,17 +347,25 @@ def test_anisotropic_results_are_frame_invariant():
 
 
 @pytest.mark.parametrize("grad, outcome", [(1e-9, "message"), (1e-3, "raise")])
-def test_solver_failure_is_named_or_raised(grad, outcome):
-    """A Newton step that gains nothing stops the iteration: the stop is
-    named "stalled" only when |g| <= 100 tol, else MinimizationError is
-    raised.  On lam (|xi|^2 - 2 xi_1), lam the power of two that puts the
-    gradient 2^-39 lam of the start xi0 = (1 + 2^-40, 0) nearest grad, the
-    exact Newton step to (1, 0) leaves the value -lam unchanged in
-    floating point."""
+def test_solver_failure_is_named_or_raised(monkeypatch, grad, outcome):
+    """A Newton step whose gain on the line quartic is not negative stops
+    the iteration: the stop is named "stalled" only when |g| <= 100 tol,
+    else MinimizationError is raised.  On lam (|xi|^2 - 2 xi_1), lam the
+    power of two that puts the gradient 2^-39 lam of the start
+    xi0 = (1 + 2^-40, 0) nearest grad, the exact Newton step to (1, 0)
+    leaves the value -lam unchanged in floating point, but its gain
+    -2^-80 lam is negative, so the step is taken.  A line step reported
+    with gain 0 reaches the stop branches."""
     lam = 2.0 ** np.round(np.log2(grad * 2.0**39))
     pair, G, ell = np.zeros((2, 2, 1)), lam * np.eye(2), np.array([2 * lam, 0])
     xi0 = np.array([1.0 + 2.0**-40, 0.0])
     opts = mz.SolverOptions(tol=1e-10)
+    xi, value, grad_norm, iters, history, reason = mz._newton(
+        pair, G, ell, xi0, opts)
+    assert reason == "converged" and iters == 1 and grad_norm == 0.0
+    assert history == [-lam, -lam] and np.array_equal(xi, [1.0, 0.0])
+    line_step = mz._line_step
+    monkeypatch.setattr(mz, "_line_step", lambda c: (line_step(c)[0], 0.0))
     if outcome == "raise":
         with pytest.raises(mz.MinimizationError) as err:
             mz._newton(pair, G, ell, xi0, opts)
@@ -364,7 +394,8 @@ def test_line_quartic_is_the_objective_along_the_line():
     for t in (-1.7, -0.3, 0.0, 0.4, 1.0, 2.5):
         want = mz._quartic_parts(xi + t * d, pair, G, ell)[0]
         assert abs(poly(t) - want) <= 1e-12 * abs(want)
-    t = mz._line_step(c)
+    t, gain = mz._line_step(c)
+    assert abs(gain - (poly(t) - c[0])) <= 1e-12 * abs(c[0])
     for h in (1e-6, 1e-3, 1e-1, 1.0):
         assert poly(t) <= min(poly(t - h), poly(t + h))
     assert poly(t) <= np.min(poly(np.linspace(t - 10.0, t + 10.0, 2001)))
