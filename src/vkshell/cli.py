@@ -280,14 +280,23 @@ def _verify_chart(chart):
 def _verify_basis(chart, basis):
     """Full-grid checks of the returned modes, apart from the blocked solve
     and the combinations it takes: strain Rayleigh quotients at most the
-    threshold, M-orthonormality, the skew residuals and a bending Gram
-    diagonal with bending_ritz on it, all recomputed from basis.modes."""
-    strain = np.sum(geo.frame_rows(geo.frame_form(chart, geo.tangential_form(
-        chart, iso._partials(chart, basis.modes))), chart.quad_w)**2, axis=-1)
-    rows = iso._mass_rows(chart, basis.modes)
+    threshold and equal to rayleigh (to 1e-12 rho_max), M-orthonormality,
+    the skew residuals and a bending Gram diagonal with bending_ritz on
+    it, all recomputed from basis.modes.  Returns the largest relative
+    residual of the rigid motions' projections onto the modes, from the
+    same mass rows."""
+    P = iso._partials(chart, basis.modes)
+    strain = np.sum(geo.frame_rows(geo.frame_form(
+        chart, geo.tangential_form(chart, P)), chart.quad_w)**2, axis=-1)
+    rows = iso._mass_rows(chart, basis.modes, P)
+    del P   # the partials need not live through the skew extensions
     gram = rows @ rows.T
     if np.any(strain > basis.tol * np.diag(gram)):
         raise ArithmeticError("isometry mode Rayleigh quotient above threshold")
+    if np.any(np.abs(strain / np.diag(gram) - basis.rayleigh)
+              > 1e-12 * basis.tol / basis.tol_rel):
+        raise ArithmeticError("isometry rayleigh values disagree with the "
+                              "modes' strain Rayleigh quotients")
     if np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) > 1e-10:
         raise ArithmeticError("isometry modes are not M-orthonormal")
     A = iso.extend_A(chart, basis.modes)
@@ -301,6 +310,9 @@ def _verify_basis(chart, basis):
             > 1e-10 * max(1.0, np.max(np.abs(ritz), initial=0.0))):
         raise ArithmeticError("bending Gram of the modes is not diagonal "
                               "with bending_ritz on it")
+    _, resid = iso._projection(
+        iso._mass_rows(chart, iso._rigid_fields(chart)), rows)
+    return float(np.max(resid))
 
 
 def _verify_projection(chart, target, proj, degree):
@@ -356,9 +368,7 @@ def cmd_isometries(cfg, chart, outdir, checks):
         "empty": basis.empty,
     }
     if checks is not None:
-        _verify_basis(chart, basis)
-        payload["rigid_residual"] = float(np.max(iso.project_onto_basis(
-            basis, iso._rigid_fields(chart))[1]))
+        payload["rigid_residual"] = _verify_basis(chart, basis)
     for k, mode in enumerate(basis.modes):
         _write_vector_csv(outdir / ("isometry_mode_%03d.csv" % k), chart, "v",
                           mode)

@@ -6,8 +6,9 @@ both Gram matrices of weighted rows of the search fields: the near-null
 cluster of the generalized eigenproblem, solved in symmetry blocks (Fassler
 & Stiefel, Group Theoretical Methods and Their Applications, 1992) as
 standard Hermitian problems in M-orthonormal coordinates, is the discrete
-isometry space.  The blocks (see eigh) are the rotation characters of a
-chart of revolution, the reflection parities of the plate, whose
+isometry space.  The blocks (see _near_null_blocks) are the rotation
+characters of a chart of revolution, all assembled in one batched pass
+from one grid column, the reflection parities of the plate, whose
 M-orthonormal coordinates and rows are Kronecker products of 1-D
 factors, and else one block of whitened nodal fields.
 Within the cluster, modes are reordered by a secondary Rayleigh-Ritz
@@ -135,8 +136,13 @@ def _extension(chart, V, P, dvn, cols=slice(None)):
 def _skew_residual(A):
     """Maximal symmetric defect |A + A^T| over the nodes of one field
     (N1, N2, 3, 3), or per field of a stack (m, N1, N2, 3, 3)."""
-    return np.max(np.linalg.norm(A + np.swapaxes(A, -1, -2), axis=(-2, -1)),
-                  axis=(-2, -1))
+    return _defect_max(A + np.swapaxes(A, -1, -2))
+
+
+def _defect_max(defect):
+    """Maximal node norm of the symmetric defects (N1, N2, 3, 3) of one
+    field, or per field of a stack (m, N1, N2, 3, 3)."""
+    return np.max(np.linalg.norm(defect, axis=(-2, -1)), axis=(-2, -1))
 
 
 def bending_form(chart, A):
@@ -251,11 +257,12 @@ def rigid_complement_gram(chart, basis, moduli):
     return fields, A, 0.5 * (G + G.T)
 
 
-def _defect_rows(chart, A, cols=slice(None)):
-    """Rows sqrt(w) (A + A^T) of skew fields A (m, N1, n, 3, 3) on the grid
-    columns cols: their Gram is the symmetric-defect form."""
+def _defect_rows(chart, defect, cols=slice(None)):
+    """Rows sqrt(w) (A + A^T) of the symmetric defects (m, N1, n, 3, 3) of
+    skew fields A on the grid columns cols: their Gram is the
+    symmetric-defect form."""
     sw = np.sqrt(chart.quad_w[:, cols])[..., None, None]
-    return ((A + np.swapaxes(A, -1, -2)) * sw).reshape(len(A), -1)
+    return (defect * sw).reshape(len(defect), -1)
 
 
 def _bending_rows(chart, dA, cols=slice(None)):
@@ -269,22 +276,21 @@ def _bending_rows(chart, dA, cols=slice(None)):
 # isometry basis
 # ---------------------------------------------------------------------------
 
-def _whitener(M):
-    """W = L^{-H} for the Cholesky factor L of a mass block M = L L^H, so
-    that W^H M W = I.  A mass that is not positive definite raises
-    ArithmeticError."""
+def _cholesky(M):
+    """Cholesky factor L, L L^H = M, of a mass block or of each of a stack
+    of them.  A mass that is not positive definite raises ArithmeticError."""
     try:
-        L = np.linalg.cholesky(M)
+        return np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(_PENCIL_FAILURE) from exc
-    return np.linalg.inv(L).conj().T
 
 
 def eigh(F, W=None):
     """Eigenvalues (ascending) and eigenvectors of the pencil
-    K x = rho M x of a symmetry block (F, W, lift, rows, pair), with
-    K = F F^H and M = (W W^H)^{-1}, or M = I when W is None (coordinates
-    that are M-orthonormal as built).
+    K x = rho M x of a symmetry block F, with K = F F^H and
+    M = (W W^H)^{-1}, or M = I when W is None (coordinates that are
+    M-orthonormal as built).  F (n, r) may be a stack (..., n, r) of blocks
+    of one shape, solved in one call, with W None or a matching stack.
 
     Solved as the standard Hermitian problem of the whitened rows W^H F:
     the eigenvectors z returned are M-orthonormal coordinates, and x = W z
@@ -292,90 +298,184 @@ def eigh(F, W=None):
     columns (no strain) has the eigenvalues 0 and the identity as
     eigenvectors, with no solve.
     """
-    if not F.shape[1]:
-        return np.zeros(len(F)), np.eye(len(F))
-    Fw = F if W is None else W.conj().T @ F
+    if not F.shape[-1]:
+        n = F.shape[-2]
+        return (np.zeros(F.shape[:-1]),
+                np.broadcast_to(np.eye(n), F.shape[:-1] + (n,)).copy())
+    Fw = F if W is None else np.swapaxes(W.conj(), -1, -2) @ F
     try:
-        return np.linalg.eigh(Fw @ Fw.conj().T)
+        return np.linalg.eigh(Fw @ np.swapaxes(Fw.conj(), -1, -2))
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(_PENCIL_FAILURE) from exc
 
 
-def _character_pencil(chart, k):
-    """The pencil (F, W, lift, rows, pair) of character k of a
-    rotation-invariant chart (see eigh).
+def _character_pencils(chart):
+    """The blocks of the characters k = 0 .. N2/2 of a rotation-invariant
+    chart, assembled in one batched pass from grid column 0 (see
+    _near_null_blocks): their whitened strain rows F (M = I, see eigh),
+    stacked by width, and near.
 
-    The search fields are profile unit vectors times e_z e^{ik theta}, e_+
-    e^{i(k+1) theta} and e_- e^{i(k-1) theta} (geometry.SPIN_UNITS, with
-    e_+- = (e_x -+ i e_y)/sqrt(2)), less every part of Cartesian harmonic
-    N2/2.  Their rows at column j are a phase (and a rotation) times those
-    at column 0: K = N2 S0^H S0 and M = N2 M0^H M0, so F = sqrt(N2)
-    conj(S0) and W whitens M (at most 3 N1 square).  If 2k = 0 mod N2 the
-    e_+- parts are combined into real fields; else pair is True, and lift
-    phases each column to a real largest entry and returns sqrt(2) Re and
-    sqrt(2) Im of its field (which cover character N2 - k).  rows(x) gives
-    the skew-defect and bending rows of the fields of columns x on column
-    0, times sqrt(N2), so that their Hermitian Grams are those of the
-    lifted fields (of each of the pair).  Every spin component of V, V.n
-    and A is one sampled harmonic h, and its theta-derivative is mu(h), the
-    value of d2(e^{ih theta}) at column 0, times itself: exact for either
-    theta scheme and past the Nyquist frequency.
+    Character k holds the fields e_a U_s e^{ih theta}, h = k + SPIN_SHIFTS[s]
+    (the profile unit e_a times geometry.SPIN_UNITS[s]), less every part of
+    Cartesian harmonic N2/2.  Their rows at column j are a phase (and a
+    rotation) times those at column 0, so the Grams are N2 times those of
+    the rows on column 0.  There d1 is the axial difference matrix D1, and
+    d2 multiplies harmonic h by mu(h), the value of d2(e^{ih theta}) at
+    column 0, read for every harmonic from one d2 of the sampled table:
+    exact for either theta scheme and past the Nyquist frequency.  So the
+    strain rows of e_a U_s are D1[:, a] alpha_s + delta_a mu(h) beta_s,
+    alpha_s and beta_s the node rows of the partials (P_1, P_2) = (U_s, 0)
+    and (0, U_s).  The spin units are orthonormal, so the mass is block
+    diagonal over the spins, with one N1-square block M_h = L_h L_h^H per
+    harmonic, and the rows of spin s are whitened as L_h^{-1} conj(S_s).
+    If 2k = 0 mod N2 the e_+- fields are conjugate, and they combine into
+    the real fields sqrt(2) Re and sqrt(2) Im of the e_+ field (rows
+    sqrt(2) Re F_+ and sqrt(2) Im F_+); else pair is True, and each column
+    stands for the fields sqrt(2) Re and sqrt(2) Im of its complex field,
+    which cover character N2 - k.
+
+    near(Zs) takes the near-null columns of every block at once: their
+    spin coordinates x = L_h^{-H} z, and from them the skew extension A on
+    column 0 (each spin component of V, V.n and A is one sampled harmonic,
+    so its theta-derivative is mu times itself) and the defect and bending
+    rows, times sqrt(N2) so that their Grams are those of the lifted fields
+    (of each of a pair).
     """
     n1, n2 = chart.shape
-    harm = k + geo.SPIN_SHIFTS
+    col, U, shifts = slice(0, 1), geo.SPIN_UNITS, geo.SPIN_SHIFTS
+    ks = np.arange(n2 // 2 + 1)
+    harm = ks[:, None] + shifts
     keep = (harm - n2 / 2) % n2 != 0
-    G = geo.SPIN_UNITS[keep, None] * np.exp(
-        2j * np.pi / n2 * np.outer(harm[keep], np.arange(n2)))[..., None]
-    real = (2 * k) % n2 == 0
-    if real:
-        G = np.concatenate([G[:-2], np.tensordot(
-            [[1, 1], [-1j, 1j]], G[-2:], axes=1) / np.sqrt(2)]).real
-    dG = chart.d2(G) if real else chart.d2(G.real) + 1j * chart.d2(G.imag)
-    eye = np.eye(n1)   # unit profile fields: values, d1 and d2 on column 0
+    pair = (2 * ks) % n2 != 0
+    wave = np.exp(2j * np.pi / n2
+                  * (np.outer(np.arange(n2), np.arange(n2)) % n2))
+    mu = (chart.d2(wave.real) + 1j * chart.d2(wave.imag))[:, 0]
+    eye = np.eye(n1)
     D1 = chart.d1(eye)
-    V = np.einsum("ab,pc->pabc", eye, G[:, 0]).reshape(-1, n1, 1, 3)
-    dunit = np.stack([D1.T, eye], -1)
-    P = np.einsum("abd,pdc->pabdc", dunit, np.stack([G[:, 0], dG[:, 0]], 1))
-    P = P.reshape(-1, n1, 1, 2, 3)
-    col = slice(0, 1)
-    S = geo.strain_rows(chart, P, col)
-    Mr = _mass_rows(chart, V, P, col)
-    E = np.exp(2j * np.pi / n2 * np.outer(k + np.arange(-2, 3),
-                                          np.arange(n2)))
-    mu = (chart.d2(E.real) + 1j * chart.d2(E.imag))[:, 0]   # h = k-2 .. k+2
-    U = geo.SPIN_UNITS
-    mu_A = mu[2 + geo.SPIN_SHIFTS[:, None] - geo.SPIN_SHIFTS]
+    # the mass of the scalar profile units of harmonic h = -1 .. N2/2 + 1
+    hs = np.arange(-1, n2 // 2 + 2)
+    P = np.stack(np.broadcast_arrays(D1.T, mu[hs % n2, None, None] * eye), -1)
+    rows = _mass_rows(chart, np.tile(eye, (len(hs), 1))[:, :, None, None],
+                      P.reshape(-1, n1, 1, 2, 1), col).reshape(len(hs), n1, -1)
+    L = _cholesky(n2 * (rows.conj() @ np.swapaxes(rows, -1, -2)))
+    rhs = np.broadcast_to(np.hstack([D1.T, eye]), (len(hs), n1, 2 * n1))
+    LD, Linv = np.split(np.linalg.solve(L, rhs), 2, axis=-1)
+    # alpha and beta: strain rows (r, node) of the unit partials, per spin
+    unit = np.repeat(np.einsum("ij,sc->sijc", np.eye(2), U)[:, :, None, None],
+                     n1, axis=2).reshape(6, n1, 1, 2, 3)
+    ab = geo.strain_rows(chart, unit, col).conj().reshape(3, 2, 3, n1)
+    h = harm + 1
+    F = np.sqrt(n2) * (LD[h][..., None, :] * ab[:, 0, None]
+                       + mu[harm % n2].conj()[..., None, None, None]
+                       * Linv[h][..., None, :] * ab[:, 1, None])
+    F = F.reshape(len(ks), 3, n1, 3 * n1)
+    real_z = shifts == 0
 
-    def rows(x):
-        V0, P0 = (np.tensordot(x.T, X, axes=1) for X in (V, P))
-        vn = np.einsum("mxyc,xyc->mxy", V0, chart.normal[:, col])
-        A = _extension(chart, V0, P0, np.stack([D1 @ vn, mu[2] * vn], -1),
-                       col)
+    def block(k):
+        if pair[k]:
+            return F[k, keep[k]].reshape(-1, 3 * n1)
+        return np.concatenate([F[k, keep[k] & real_z].real.reshape(-1, 3 * n1),
+                               np.sqrt(2) * F[k, 1].real,
+                               np.sqrt(2) * F[k, 1].imag])
+
+    # k = 0, the run of characters with every spin, then those next to N2/2
+    kf = 1 + int(np.sum(pair & keep.all(axis=1)))
+    stacks = ([block(0)[None], F[1:kf].reshape(-1, 3 * n1, 3 * n1)]
+              + [block(k)[None] for k in ks[kf:]])
+
+    def near(Zs):
+        x, kc = [], []
+        for k, Z in zip(ks, Zs):
+            z = Z.reshape(len(Z) // n1, n1, Z.shape[1])
+            c = np.zeros((3,) + z.shape[1:], complex)
+            if pair[k]:
+                c[keep[k]] = z
+            else:
+                c[keep[k] & real_z] = z[:-2]
+                c[1] = (z[-2] + 1j * z[-1]) / np.sqrt(2)
+                c[2] = c[1].conj()
+            x.append(np.moveaxis(
+                np.swapaxes(Linv[h[k]].conj(), -1, -2) @ c, -1, 0))
+            kc.append(np.full(z.shape[2], k))
+        x, kc = np.concatenate(x), np.concatenate(kc)
+        V = np.einsum("msa,sc->mac", x, U)
+        dV = np.einsum("msa,sc->mac", mu[harm[kc] % n2][..., None] * x, U)
+        P = np.stack([D1 @ V, dV], axis=-2)[:, :, None]
+        V = V[:, :, None]
+        vn = np.einsum("mayc,ayc->may", V, chart.normal[:, col])
+        A = _extension(chart, V, P, np.stack(
+            [D1 @ vn, mu[kc % n2, None, None] * vn], -1), col)
+        mu_A = mu[(kc[:, None, None] + shifts[:, None] - shifts) % n2]
         dA = ((D1 @ A.reshape(len(A), n1, 9)).reshape(A.shape),
-              U.T @ (mu_A * (U.conj() @ A @ U.T)) @ U.conj())
-        out = (np.sqrt(n2) * _defect_rows(chart, A, col),
-               np.sqrt(n2) * _bending_rows(chart, dA, col))
-        return tuple(r.real for r in out) if real else out
+              U.T @ (mu_A[:, None, None] * (U.conj() @ A @ U.T)) @ U.conj())
+        defect = A + np.swapaxes(A, -1, -2)
+        D = np.sqrt(n2) * _defect_rows(chart, defect, col)
+        B = np.sqrt(n2) * _bending_rows(chart, dA, col)
+        out, lo = [], 0
+        for k, Z in zip(ks, Zs):
+            s = slice(lo, lo + Z.shape[1])
+            lo = s.stop
+            cast = np.asarray if pair[k] else np.real
+            out.append((cast(D[s]), cast(B[s]), functools.partial(
+                _character_finish, x[s], cast(defect[s, :, 0]),
+                U[:, None, :] * wave[harm[k] % n2][..., None],
+                wave[2 * k % n2] if pair[k] else None), pair[k]))
+        return out
 
-    def lift(x):
-        if not real:
-            x = x * np.exp(-1j * np.angle(
-                x[np.argmax(np.abs(x), axis=0), np.arange(x.shape[1])]))
-        F = np.einsum("pim,pjc->mijc", x.reshape(len(G), n1, -1), G)
-        return F if real else np.sqrt(2) * np.concatenate([F.real, F.imag])
+    return [a for a in stacks if len(a)], near
 
-    return (np.sqrt(n2) * S.conj(), _whitener(n2 * (Mr.conj() @ Mr.T)),
-            lift, rows, not real)
+
+def _character_finish(x, defect, waves, twice, C):
+    """The fields and skew residuals of the combinations C (m, p) of the
+    near-null columns of a character block, from their spin coordinates x
+    (m, 3, N1) and column-0 symmetric defects X (m, N1, 3, 3); waves
+    (3, N2, 3) are the spin units times their sampled harmonics.
+
+    A real block's field is real, and its defect at column j is X rotated.
+    twice = e^{2ik theta_j} of a pair block: each column is phased to a
+    real largest entry and gives the fields sqrt(2) Re and sqrt(2) Im of its
+    complex field, whose defects at column j are R_j sqrt(2) Re and
+    sqrt(2) Im of e^{ik theta_j} X, R_j^T, of squared norms
+    |X|^2 +- Re(e^{2ik theta_j} X:X).
+    """
+    y = np.tensordot(C.T, x, axes=1)
+    X = np.tensordot(C.T, defect, axes=1)
+    if twice is None:
+        return (np.einsum("psa,sjc->pajc", y, waves).real,
+                np.max(np.linalg.norm(X, axis=(-2, -1)), axis=-1))
+    flat = y.reshape(len(y), -1)
+    turn = np.exp(-1j * np.angle(
+        flat[np.arange(len(y)), np.argmax(np.abs(flat), axis=1)]))
+    y, X = y * turn[:, None, None], X * turn[:, None, None, None]
+    V = np.sqrt(2) * np.einsum("psa,sjc->pajc", y, waves)
+    sq = np.sum(np.abs(X)**2, axis=(-2, -1))[..., None]
+    cross = np.real(np.sum(X * X, axis=(-2, -1))[..., None] * twice)
+    skew = [np.sqrt(np.maximum(sq + sign * cross, 0.0)).max(axis=(-2, -1))
+            for sign in (1.0, -1.0)]
+    return np.concatenate([V.real, V.imag]), np.concatenate(skew)
+
+
+def _grid_block(chart, lift, Z):
+    """The full-grid defect and bending rows of the fields lift(Z), and
+    their finish (see _near_null_blocks), from one extend_A."""
+    A = extend_A(chart, lift(Z)).values
+    defect = A + np.swapaxes(A, -1, -2)
+
+    def finish(C):
+        return lift(Z @ C), _defect_max(np.tensordot(C.T, defect, axes=1))
+
+    return (_defect_rows(chart, defect),
+            _bending_rows(chart, _derivatives(chart, A)), finish, False)
 
 
 def _nodal_pencil(chart):
-    """The one block (F, W, lift, rows, pair) of a chart without symmetry
-    (see eigh), on the 3N fields e psi, capped at MAX_EIG_DOFS dofs.  e is
-    a Cartesian axis, and psi = L^{-1} phi are the nodal unit fields phi
-    (along a closed axis, times the real Fourier basis without harmonic
-    N2/2) whitened once by the Cholesky factor L of their W^{1,2} Gram, so
-    the fields e psi are M-orthonormal as built and W is None.  rows(x)
-    are the full-grid skew-defect and bending rows of lift(x)."""
+    """The one block of a chart without symmetry (see _near_null_blocks),
+    on the 3N fields e psi, capped at MAX_EIG_DOFS dofs.  e is a Cartesian
+    axis, and psi = L^{-1} phi are the nodal unit fields phi (along a
+    closed axis, times the real Fourier basis without harmonic N2/2)
+    whitened once by the Cholesky factor L of their W^{1,2} Gram, so the
+    fields e psi are M-orthonormal as built.  Its near-null rows are the
+    full-grid rows of the lifted fields."""
     if 3 * chart.n_nodes > MAX_EIG_DOFS:
         raise ValueError("grid too large for a dense strain pencil (%d dofs "
                          "> %d)" % (3 * chart.n_nodes, MAX_EIG_DOFS))
@@ -388,8 +488,9 @@ def _nodal_pencil(chart):
     phi = np.einsum("ab,jq->aqbj", np.eye(n1), T).reshape(-1, n1, n2, 1)
     dphi = _partials(chart, phi)
     rows = _mass_rows(chart, phi, dphi)
-    Wt = _whitener(rows @ rows.T).T
-    psi, dpsi = (np.tensordot(Wt, X, axes=1) for X in (phi, dphi))
+    L = _cholesky(rows @ rows.T)
+    psi, dpsi = (np.linalg.solve(L, X.reshape(len(X), -1)).reshape(X.shape)
+                 for X in (phi, dphi))
     nodal = psi.reshape(len(psi), -1).T   # (nodes, unit fields)
 
     def lift(x):
@@ -397,13 +498,8 @@ def _nodal_pencil(chart):
         return V.T.reshape((-1,) + chart.shape + (3,))
 
     S = np.concatenate([geo.strain_rows(chart, dpsi * e) for e in np.eye(3)])
-    return [(S, None, lift, lambda x: _grid_rows(chart, lift(x)), False)]
-
-
-def _grid_rows(chart, V):
-    """The full-grid skew-defect and bending rows of a field stack V."""
-    A = extend_A(chart, V).values
-    return _defect_rows(chart, A), _bending_rows(chart, _derivatives(chart, A))
+    return [S[None]], lambda Zs: [
+        _grid_block(chart, lift, Zs[0]) if Zs[0].shape[1] else None]
 
 
 def _parity_units(n):
@@ -445,21 +541,21 @@ def _axis_factors(n, h):
 
 
 def _parity_pencils(chart):
-    """The plate's eight blocks (F, W, lift, rows, pair): the normal
-    fields of each reflection parity, then four in-plane pencils (see eigh).
+    """The plate's eight blocks (see _near_null_blocks): the normal fields
+    of each reflection parity, then four in-plane pencils.
 
     The plate is a tensor product: d_k = D_k along axis k, the weights are
     w1 (x) w2, G^{-1/2} = I and t_k = e_k.  With the 1-D factors X_k^p of
     _axis_factors, the columns (X1^a (x) X2^b) (1 + lam1 + lam2)^{-1/2}
-    of parity (a, b) are M-orthonormal (W is None), and every row below is a
-    Kronecker product of 1-D row factors, so no Gram is formed on the grid.
+    of parity (a, b) are M-orthonormal, and every row below is a Kronecker
+    product of 1-D row factors, so no Gram is formed on the grid.
     The reflections of either axis split the in-plane fields into four
     pencils, u1 in parity (a, b) and u2 in parity (1 - a, 1 - b), with the
     strain rows sqrt(w) (D1 u1, D2 u2, sqrt(1/2) (D2 u1 + D1 u2)); their
-    rows(x) are the full-grid rows of lift(x).  The normal fields w e_z of
-    parity (a, b) carry no strain (F has no columns), and are exactly skew
-    (no defect rows), with the bending rows of sqrt(w) (D1 D1 w, D2 D2 w,
-    sqrt(2) D1 D2 w)."""
+    near-null rows are the full-grid rows of the lifted fields.  The normal
+    fields w e_z of parity (a, b) carry no strain (F has no columns), and
+    are exactly skew (no defect rows, skew residuals 0), with the bending
+    rows of sqrt(w) (D1 D1 w, D2 D2 w, sqrt(2) D1 D2 w)."""
     f = [_axis_factors(n, h) for n, h in zip(chart.shape, chart.du)]
     scale = {(a, b): (1.0 + f[0][a][0][:, None] + f[1][b][0]).ravel()**-0.5
              for a in (0, 1) for b in (0, 1)}
@@ -479,10 +575,13 @@ def _parity_pencils(chart):
             hi = lo + scale[a, b].size
             c = (scale[a, b][:, None] * x[lo:hi]).reshape(
                 len(f[0][a][0]), len(f[1][b][0]), -1)
-            V[..., comp] = np.einsum("xi,ijm,yj->mxy", f[0][a][1], c,
-                                     f[1][b][1])
+            V[..., comp] = f[0][a][1] @ np.moveaxis(c, -1, 0) @ f[1][b][1].T
             lo = hi
         return V
+
+    def normal_block(lift, R, Z):
+        return (None, (R @ Z).T,
+                lambda C: (lift(Z @ C), np.zeros(C.shape[1])), False)
 
     normal, pencils = [], []
     for u1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -493,43 +592,47 @@ def _parity_pencils(chart):
             [r11.T, np.zeros((r11.shape[1], len(r22))), np.sqrt(0.5) * r12.T],
             [np.zeros((r22.shape[1], len(r11))), r22.T, np.sqrt(0.5) * r21.T]])
         lift = functools.partial(fields, ((0, u1), (1, u2)))
-        pencils.append((F, None, lift,
-                        lambda x, lift=lift: _grid_rows(chart, lift(x)),
-                        False))
+        pencils.append((F, functools.partial(_grid_block, chart, lift)))
         R = np.vstack([kron_rows(*u1, 2, 0), kron_rows(*u1, 0, 2),
                        np.sqrt(2.0) * kron_rows(*u1, 1, 1)])
-        normal.append((np.zeros((R.shape[1], 0)), None,
-                       functools.partial(fields, ((2, u1),)),
-                       lambda x, R=R: (None, (R @ x).T), False))
-    return normal + pencils
+        normal.append((np.zeros((R.shape[1], 0)), functools.partial(
+            normal_block, functools.partial(fields, ((2, u1),)), R)))
+    stacks, rows = zip(*[(F[None], rows) for F, rows in normal + pencils])
+    return list(stacks), lambda Zs: [r(Z) if Z.shape[1] else None
+                                     for r, Z in zip(rows, Zs)]
 
 
 def _near_null_blocks(chart, tol):
-    """Solve the strain/mass pencil in symmetry blocks (F, W, lift, rows,
-    pair) and keep the eigenvectors with rho <= tol rho_max over all
-    blocks.
+    """Solve the strain/mass pencil in symmetry blocks and keep the
+    eigenvectors with rho <= tol rho_max over all blocks.
 
     The blocks are the characters of a rotation-invariant chart
-    (_character_pencil), the reflection parities of a plate
-    (_parity_pencils), or else one nodal block (_nodal_pencil).  Returns
-    the non-empty near-null blocks (X, lift, rows, pair) of coefficient
-    columns X, the threshold, and rho_m, the smallest rejected eigenvalue
-    of any block.  Only the near-null eigenvectors of a block with a
-    whitener W are mapped back from M-orthonormal coordinates, X = W Z.
+    (_character_pencils), the reflection parities of a plate
+    (_parity_pencils), or else one nodal block (_nodal_pencil).  Each
+    family gives the blocks' strain rows F in M-orthonormal coordinates,
+    in stacks of blocks solved by one eigh call each, and near(Zs): for
+    the near-null coefficient columns Z of every block (possibly none), the
+    rows (D, Bend) of their symmetric defects (None when exactly skew) and
+    bending forms, finish(C), the fields and skew residuals of the
+    combinations C of the columns (cos before sin within a pair), and the
+    pair flag.  Returns the non-empty near-null blocks (S, D, Bend, finish,
+    pair), S the strain rows Z^T conj(F) of the columns, the threshold,
+    and rho_m, the smallest rejected eigenvalue of any block.
     """
     if geo.rotation_invariant(chart):
-        blocks = [_character_pencil(chart, k)
-                  for k in range(chart.shape[1] // 2 + 1)]
+        stacks, near = _character_pencils(chart)
     elif chart.family == "plate":
-        blocks = _parity_pencils(chart)
+        stacks, near = _parity_pencils(chart)
     else:
-        blocks = _nodal_pencil(chart)
-    solved = [eigh(F, W) for F, W, *_ in blocks]
+        stacks, near = _nodal_pencil(chart)
+    solved = [b for stack in stacks for b in zip(*eigh(stack))]
     thresh = tol * max(float(ev[-1]) for ev, _ in solved)
     rho_m = min(ev[ev > thresh].min(initial=np.inf) for ev, _ in solved)
-    near = [(Z[:, ev <= thresh] if W is None else W @ Z[:, ev <= thresh],)
-            + tuple(rest) for (ev, Z), (_, W, *rest) in zip(solved, blocks)]
-    return [b for b in near if b[0].shape[1]], thresh, rho_m
+    Zs = [Z[:, ev <= thresh] for ev, Z in solved]
+    S = [Z.T @ F.conj() for Z, F in zip(Zs, (F for a in stacks for F in a))]
+    del stacks, solved   # the whole blocks are not needed past here
+    return ([(s,) + rows for s, Z, rows in zip(S, Zs, near(Zs))
+             if Z.shape[1]], thresh, rho_m)
 
 
 def isometry_basis(chart, n_request=40, tol=1e-8):
@@ -541,21 +644,26 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     in-plane fields in four pencils, the normal fields in four blocks of
     their own), else one (_nodal_pencil, capped by MAX_EIG_DOFS), each as a
     standard Hermitian problem in M-orthonormal coordinates (eigh), and
-    accepts eigenmodes with rho <= tol * rho_max over all blocks; only
-    those are mapped back from whitened coordinates.  Product aliasing near
-    the grid's Nyquist frequency pollutes some of them: a Rayleigh-Ritz
-    step with the Gram of the weighted symmetric defects of the skew
-    extensions drops every direction whose defect eigenvalue exceeds
-    max((10 tol)^2, 1e-10 s_max), s_max the largest one.  The rest is
-    reordered by the bending seminorm and at most n_request modes are
-    returned; cluster_size still reports the raw near-null count.  Both Grams commute with the chart's symmetries, so both Ritz
-    steps run per block: on a character block, from its complex fields on
-    grid column 0 (an eigenvalue of a pair block counts for both lifted
-    fields); on the plate's normal blocks, which are exactly skew, with
-    no defect Gram.  Bending values are merged in ascending order (ties by
-    block, then Re before Im), and only the kept vectors are lifted.
-    gap_ratio is rho_m / (tol rho_max), rho_m the smallest rejected
-    eigenvalue of any block (inf when every eigenvalue is accepted).
+    accepts eigenmodes with rho <= tol * rho_max over all blocks.  Product
+    aliasing near the grid's Nyquist frequency pollutes some of them: a
+    Rayleigh-Ritz step with the Gram of the weighted symmetric defects of
+    the skew extensions drops every direction whose defect eigenvalue
+    exceeds max((10 tol)^2, 1e-10 s_max), s_max the largest one.  The rest
+    is reordered by the bending seminorm and at most n_request modes are
+    returned; cluster_size still reports the raw near-null count.  Both
+    Grams commute with the chart's symmetries, so both Ritz steps run per
+    block: on a character block, from its complex fields on grid column 0
+    (an eigenvalue of a pair block counts for both lifted fields); on the
+    plate's normal blocks, which are exactly skew, with no defect Gram.
+    Bending values are merged in ascending order (ties by block, then Re
+    before Im), and only the kept vectors are lifted.  The returned modes'
+    numbers come from their blocks as well: rayleigh is the squared norm of
+    each kept column's strain rows, and skew_residuals the largest node
+    norm of its symmetric defect (on a character block from column 0 and
+    the character's phases, see _character_finish; 0 on the plate's normal
+    blocks).  gap_ratio is rho_m / (tol rho_max), rho_m the smallest
+    rejected eigenvalue of any block (inf when every eigenvalue is
+    accepted).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -565,14 +673,11 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
 
     # split off modes whose skew extension is polluted by grid aliasing:
     # Rayleigh-Ritz with the symmetric-defect form separates them exactly
-    steps = []
-    for X, _, rows, _ in near:
-        D, Bend = rows(X)
-        s, Q = (None, None) if D is None else np.linalg.eigh(D.conj() @ D.T)
-        steps.append((Bend, s, Q))
+    defects = [(None, None) if D is None else np.linalg.eigh(D.conj() @ D.T)
+               for _, D, _, _, _ in near]
     # bimodal spectrum: machine-zero defects vs order-one aliased modes;
     # the cut must sit above the Gram's own eigenvalue roundoff
-    s_max = max((float(s[-1]) for _, s, _ in steps if s is not None),
+    s_max = max((float(s[-1]) for s, _ in defects if s is not None),
                 default=0.0)
     s_cut = max((10.0 * tol)**2, 1e-10 * s_max)
 
@@ -580,7 +685,7 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     # bending rows rotated into the kept defect directions; a pair block
     # lists each value twice, for its Re and its Im field
     vals, coeffs = [], []
-    for (_, _, _, pair), (Bend, s, Q) in zip(near, steps):
+    for (_, _, Bend, _, pair), (s, Q) in zip(near, defects):
         if Q is not None:
             Q = Q[:, s <= s_cut]
             Bend = Q.T @ Bend
@@ -592,22 +697,33 @@ def isometry_basis(chart, n_request=40, tol=1e-8):
     order = np.argsort(vals, kind="stable")[:n_request]
 
     modes = np.empty((order.size,) + chart.shape + (3,))
-    for (X, lift, _, pair), C, lo, hi in zip(near, coeffs, offsets,
-                                             offsets[1:]):
+    rayleigh, skew = np.empty(order.size), np.empty(order.size)
+    for (S, _, _, finish, pair), C, lo, hi in zip(near, coeffs, offsets,
+                                                  offsets[1:]):
         sel = np.flatnonzero((order >= lo) & (order < hi))
         if sel.size:
             col, part = np.divmod(order[sel] - lo, 1 + pair)
             cols, pos = np.unique(col, return_inverse=True)
-            F = lift(X @ C[:, cols])
-            modes[sel] = F.reshape((1 + pair, -1) + F.shape[1:])[part, pos]
+            fields, res = finish(C[:, cols])
+            modes[sel] = fields[part * cols.size + pos]
+            skew[sel] = res[part * cols.size + pos]
+            rayleigh[sel] = np.sum(np.abs(C[:, cols].T @ S)**2, axis=1)[pos]
     return IsometryBasis(
-        modes=modes,
-        rayleigh=np.sum(geo.strain_rows(chart, _partials(chart, modes))**2,
-                        axis=1),
-        bending_ritz=vals[order], tol=thresh, tol_rel=tol,
-        chart=chart, gap_ratio=float(rho_m / thresh),
-        cluster_size=sum((1 + b[3]) * b[0].shape[1] for b in near),
-        skew_residuals=extend_A(chart, modes).skew_residual)
+        modes=modes, rayleigh=rayleigh, bending_ritz=vals[order], tol=thresh,
+        tol_rel=tol, chart=chart, gap_ratio=float(rho_m / thresh),
+        cluster_size=int(sum((1 + b[4]) * len(b[0]) for b in near)),
+        skew_residuals=skew)
+
+
+def _projection(v, rows):
+    """Coefficients (k, m) and W^{1,2}-relative residuals (k,) of the
+    M-orthogonal projection of k fields, given by their mass rows v, onto
+    the span of m M-orthonormal modes with the mass rows rows."""
+    coeffs = v @ rows.T
+    res = v - coeffs @ rows
+    norm2 = np.einsum("ij,ij->i", v, v)
+    return coeffs, np.sqrt(np.einsum("ij,ij->i", res, res)
+                           / np.where(norm2 > 0, norm2, np.inf))
 
 
 def project_onto_basis(basis, fld):
@@ -618,13 +734,8 @@ def project_onto_basis(basis, fld):
     (k,) from one set of basis rows.
     """
     V, single = _field_stack(basis.chart, fld)
-    v = _mass_rows(basis.chart, V)
-    rows = _mass_rows(basis.chart, basis.modes)
-    coeffs = v @ rows.T
-    res = v - coeffs @ rows
-    norm2 = np.einsum("ij,ij->i", v, v)
-    resid = np.sqrt(np.einsum("ij,ij->i", res, res)
-                    / np.where(norm2 > 0, norm2, np.inf))
+    coeffs, resid = _projection(_mass_rows(basis.chart, V),
+                                _mass_rows(basis.chart, basis.modes))
     return (coeffs[0], float(resid[0])) if single else (coeffs, resid)
 
 

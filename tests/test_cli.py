@@ -317,6 +317,31 @@ def test_isometries_verify_catches_corrupt_basis(tmp_path, monkeypatch):
     assert cli.run(["isometries", "--config", cfg_path, "--verify"]) == 3
 
 
+def test_isometries_verify_compares_rayleigh_with_full_grid(tmp_path,
+                                                           monkeypatch):
+    """rayleigh is read off the blocks, and --verify compares it with the
+    modes' full-grid strain Rayleigh quotients to 1e-12 rho_max: a value
+    raised by 1e-10 rho_max exits 3 and writes no result JSON."""
+    solve = iso.isometry_basis
+
+    def raised(chart, **kwargs):
+        basis = solve(chart, **kwargs)
+        return dataclasses.replace(basis, rayleigh=basis.rayleigh
+                                   + 1e-10 * basis.tol / basis.tol_rel)
+
+    monkeypatch.setattr(iso, "isometry_basis", raised)
+    cfg_path = write_cfg(tmp_path, CYL_CFG)
+    result = tmp_path / "out" / "isometries_result.json"
+    assert cli.run(["isometries", "--config", cfg_path]) == 0
+    result.unlink()
+    assert cli.run(["isometries", "--config", cfg_path, "--verify"]) == 3
+    assert not result.exists()
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0},
+                           (16, 32))
+    with pytest.raises(ArithmeticError, match="rayleigh"):
+        cli._verify_basis(chart, raised(chart, n_request=12))
+
+
 def test_verify_chart_checks_frame_lengths():
     """The frame check is one Gram check, so a frame vector that is
     orthogonal to the others but not unit fails it."""

@@ -510,48 +510,76 @@ def test_gap_ratio_against_dense_pencil():
     assert basis.gap_ratio > 1e3
 
 
-def _assert_eigh_matches_generalized(F, W, K, M):
-    """iso.eigh on (F, W) against scipy's generalized solver on (K, M):
-    eigenvalues within 1e-12 rho_max, back-mapped vectors M-orthonormal."""
-    rho, Z = iso.eigh(F, W)
-    ev = scipy.linalg.eigh(K, M, eigvals_only=True)
-    assert np.max(np.abs(rho - ev)) <= 1e-12 * ev[-1]
-    X = Z if W is None else W @ Z
-    assert np.max(np.abs(X.conj().T @ M @ X - np.eye(len(X)))) <= 1e-12
-
-
 def test_eigh_matches_generalized_solver_on_nodal_pencil():
     """The nodal block of a plate spans all 3N dofs in coordinates that
-    are M-orthonormal as built (W is None): its solve matches scipy's
-    generalized eigensolve of the dense reference pencil, assembled
-    independently, and its eigenvectors lift to M-orthonormal fields."""
+    are M-orthonormal as built: its solve matches scipy's generalized
+    eigensolve of the dense reference pencil, assembled independently, and
+    its eigenvectors lift to M-orthonormal fields."""
     chart = vk.build_chart("plate", {}, (12, 12))
-    (F, W, lift, *_), = iso._nodal_pencil(chart)
-    assert W is None and len(F) == 3 * chart.n_nodes
+    ((F,),), near = iso._nodal_pencil(chart)
+    assert len(F) == 3 * chart.n_nodes
     R = membrane_strain_operator(chart)
     rho, Z = iso.eigh(F)
     ev = scipy.linalg.eigh(R.T @ R, sobolev_mass_matrix(chart),
                            eigvals_only=True)
     assert np.max(np.abs(rho - ev)) <= 1e-12 * ev[-1]
-    rows = iso._mass_rows(chart, lift(Z))
+    rows = iso._mass_rows(chart, _lifted(near, [Z], 0))
     assert np.max(np.abs(rows @ rows.T - np.eye(len(Z)))) <= 1e-12
+
+
+def _lifted(near, Zs, b):
+    """The fields of the columns Zs[b] of block b (both fields of each
+    column of a pair block), through the blocks' near rows."""
+    return near(Zs)[b][2](np.eye(Zs[b].shape[1]))[0]
+
+
+def _dense_character_rows(chart, k):
+    """Full-grid strain and mass rows (fields x rows) of the unit fields
+    e_a U_s e^{i h theta}, h = k + SPIN_SHIFTS[s], of character k less
+    harmonic N2/2, from the chart's derivatives of every field on every
+    node.  For 2k = 0 mod N2 these complex fields span the real block's
+    fields over C, so the pencil has the same eigenvalues."""
+    n1, n2 = chart.shape
+    theta = 2 * np.pi * np.arange(n2) / n2
+    V = np.concatenate([
+        np.einsum("ab,j,c->abjc", np.eye(n1), np.exp(1j * (k + s) * theta), U)
+        for s, U in zip(geo.SPIN_SHIFTS, geo.SPIN_UNITS)
+        if (k + s - n2 / 2) % n2 != 0])
+    P = iso._partials(chart, V.real) + 1j * iso._partials(chart, V.imag)
+    return geo.strain_rows(chart, P), iso._mass_rows(chart, V, P)
+
+
+def _character_blocks(chart):
+    """The blocks F of a rotation-invariant chart in character order, and
+    their near rows."""
+    stacks, near = iso._character_pencils(chart)
+    return [F for stack in stacks for F in stack], near
 
 
 @pytest.mark.parametrize("k", [0, 3, 8])
 def test_eigh_matches_generalized_solver_on_character_pencils(k):
-    """Real (k = 0, N2/2) and complex character pencils of a cylinder:
-    the whitened solve against scipy's generalized one on K = F F^H and
-    the mass (W W^H)^{-1} that W whitens."""
+    """Real (k = 0, N2/2) and complex character blocks of a cylinder: the
+    solve of the block as built (whitened per spin) against scipy's
+    generalized one on the dense full-grid pencil of the same character,
+    and the M-orthonormality of the lifted eigenvectors."""
     chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0}, (8, 16))
-    F, W, *_ = iso._character_pencil(chart, k)
-    Winv = np.linalg.inv(W)
-    _assert_eigh_matches_generalized(F, W, F @ F.conj().T,
-                                     Winv.conj().T @ Winv)
+    Fs, near = _character_blocks(chart)
+    S, Mr = _dense_character_rows(chart, k)
+    rho, Z = iso.eigh(Fs[k])
+    ev = scipy.linalg.eigh(S.conj() @ S.T, Mr.conj() @ Mr.T,
+                           eigvals_only=True)
+    assert np.max(np.abs(rho - ev)) <= 1e-12 * ev[-1]
+    Zs = [np.zeros((len(F), 0)) for F in Fs]
+    Zs[k] = Z
+    fields = _lifted(near, Zs, k)
+    assert len(fields) == (1 + (k % 8 != 0)) * len(Z)
+    rows = iso._mass_rows(chart, fields)
+    assert np.max(np.abs(rows @ rows.T - np.eye(len(rows)))) <= 1e-12
 
 
 def test_mass_not_positive_definite_is_named():
     with pytest.raises(ArithmeticError, match="membrane-strain pencil"):
-        iso._whitener(np.diag([1.0, -1.0]))
+        iso._cholesky(np.diag([1.0, -1.0]))
 
 
 def test_cylinder_above_dense_cap():
@@ -588,7 +616,8 @@ def _full_grid_ritz(chart, tol):
     skew-defect eigenvalues, of the real near-null cluster on the full
     grid."""
     near, _, _ = iso._near_null_blocks(chart, tol)
-    cluster = np.concatenate([lift(X) for X, lift, _, _ in near])
+    cluster = np.concatenate([finish(np.eye(len(S)))[0]
+                              for S, _, _, finish, _ in near])
     A = iso.extend_A(chart, cluster).values
     sw = np.sqrt(chart.quad_w)[..., None, None]
     srows = ((A + np.swapaxes(A, -1, -2)) * sw).reshape(len(A), -1)
@@ -631,12 +660,97 @@ def test_character_ritz_matches_full_grid_reference(name, tol):
     _assert_bending_close(basis.bending_ritz, bend)
     near, _, _ = iso._near_null_blocks(chart, tol)
     s_new = []
-    for X, _, rows, pair in near:
-        D = rows(X)[0]
+    for _, D, _, _, pair in near:
         s_new.append(np.repeat(np.linalg.eigvalsh(D.conj() @ D.T), 1 + pair))
     s_new = np.sort(np.concatenate(s_new))
     assert s_new.shape == s_ref.shape
     assert np.max(np.abs(s_new - s_ref)) <= 1e-10 * s_ref[-1]
+
+
+# ---------------------------------------------------------------------------
+# character blocks from one grid column, and the returned modes' numbers
+# read off the blocks, against full-grid references
+# ---------------------------------------------------------------------------
+
+ROTATION_CHARTS = dict(
+    {name: REFERENCE_CHARTS[name][0] for name in (
+        "cylinder-8x16", "cylinder-8x15", "revolution-10x12",
+        "sphere_patch-10x16")},
+    **{"cylinder-16x48": lambda: vk.build_chart(
+        "cylinder", {"radius": 1.0, "height": 1.0}, (16, 48))})
+
+
+@pytest.mark.parametrize("name", list(ROTATION_CHARTS))
+def test_character_blocks_match_dense_reference(name):
+    """Every character block (k = 0 and N2/2, and the blocks next to N2/2
+    that lose a spin, included) has the eigenvalues of the dense full-grid
+    pencil of its character, to 1e-12 rho_max."""
+    chart = ROTATION_CHARTS[name]()
+    n1, n2 = chart.shape
+    Fs, _ = _character_blocks(chart)
+    reduced = {n2 // 2 - 1, n2 // 2} if n2 % 2 == 0 else set()
+    assert [len(F) for F in Fs] == [(2 if k in reduced else 3) * n1
+                                    for k in range(n2 // 2 + 1)]
+    evs = [iso.eigh(F)[0] for F in Fs]
+    rho_max = max(ev[-1] for ev in evs)
+    for k, ev in enumerate(evs):
+        S, Mr = _dense_character_rows(chart, k)
+        want = scipy.linalg.eigh(S.conj() @ S.T, Mr.conj() @ Mr.T,
+                                 eigvals_only=True)
+        assert np.max(np.abs(ev - want)) <= 1e-12 * rho_max
+
+
+def test_character_path_stays_on_grid_column_zero(monkeypatch):
+    """On a rotation-invariant chart isometry_basis runs no extend_A and
+    geometry.strain_rows only on grid column 0, and it reads the d2
+    multipliers of every character from one table (two chart.d2 calls,
+    for its real and imaginary parts)."""
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0},
+                           (16, 48))
+    strain_rows, d2, d2_calls = geo.strain_rows, type(chart).d2, []
+
+    def column_rows(chart, P, cols=slice(None)):
+        assert cols == slice(0, 1)
+        return strain_rows(chart, P, cols)
+
+    def counted(self, f):
+        d2_calls.append(np.shape(f))
+        return d2(self, f)
+
+    monkeypatch.setattr(geo, "strain_rows", column_rows)
+    monkeypatch.setattr(iso, "extend_A", None)
+    monkeypatch.setattr(type(chart), "d2", counted)
+    assert len(iso.isometry_basis(chart, n_request=20)) == 20
+    assert d2_calls == [(48, 48), (48, 48)]
+
+
+MODE_NUMBER_CASES = (
+    [(name, 1e-2) for name in ROTATION_CHARTS]
+    + [(name, 1e-8) for name in ("cylinder-8x16", "cylinder-8x15",
+                                 "cylinder-16x48", "plate-20x20",
+                                 "rotated_cylinder-8x16")])
+
+
+@pytest.mark.parametrize("name,tol", MODE_NUMBER_CASES)
+def test_mode_numbers_match_full_grid(name, tol):
+    """rayleigh and skew_residuals, read off the blocks, equal the
+    full-grid strain Rayleigh quotients of the returned modes (to 1e-12
+    rho_max) and the skew residuals of their extend_A (to 1e-12 plus 1e-8
+    relative): the bounds of isometries --verify."""
+    charts = dict(ROTATION_CHARTS, **{
+        "plate-20x20": lambda: vk.build_chart("plate", {}, (20, 20)),
+        "rotated_cylinder-8x16": REFERENCE_CHARTS["rotated_cylinder-8x16"][0]})
+    chart = charts[name]()
+    basis = iso.isometry_basis(chart, n_request=10**6, tol=tol)
+    assert len(basis)
+    P = iso._partials(chart, basis.modes)
+    rows = iso._mass_rows(chart, basis.modes, P)
+    quotient = (np.sum(geo.strain_rows(chart, P)**2, axis=1)
+                / np.einsum("ij,ij->i", rows, rows))
+    assert np.all(np.abs(basis.rayleigh - quotient)
+                  <= 1e-12 * basis.tol / tol)
+    skew = iso.extend_A(chart, basis.modes).skew_residual
+    assert np.all(np.abs(basis.skew_residuals - skew) <= 1e-12 + 1e-8 * skew)
 
 
 @pytest.mark.parametrize("build", **PLATE_CHARTS)
@@ -647,13 +761,15 @@ def test_flat_normal_block_is_exactly_skew(build):
     chart = build()
     near, _, _ = iso._near_null_blocks(chart, 1e-8)
     n = chart.normal[0, 0]
-    normal = [(X, lift, rows) for X, lift, rows, pair in near
-              if not pair and np.allclose(np.cross(lift(X), n), 0.0,
-                                          rtol=0.0, atol=1e-14)]
-    assert sum(X.shape[1] for X, _, _ in normal) == chart.n_nodes
-    assert all(rows(X)[0] is None for X, _, rows in normal)
+    normal = [(D, finish(np.eye(len(S)))) for S, D, _, finish, pair in near
+              if not pair and np.allclose(
+                  np.cross(finish(np.eye(len(S)))[0], n), 0.0,
+                  rtol=0.0, atol=1e-14)]
+    assert sum(len(V) for _, (V, _) in normal) == chart.n_nodes
+    assert all(D is None for D, _ in normal)
+    assert all(np.all(skew == 0.0) for _, (_, skew) in normal)
     A = iso.extend_A(chart, np.concatenate(
-        [lift(X) for X, lift, _ in normal])).values
+        [V for _, (V, _) in normal])).values
     assert (np.max(np.abs(A + np.swapaxes(A, -1, -2)))
             <= 1e-13 * np.max(np.abs(A)))
     bend, _ = _full_grid_ritz(chart, 1e-8)
