@@ -231,16 +231,19 @@ def q2_rows(F_frame, moduli, weights, frame=None):
 
     For frame fields (..., N1, N2, 2, 2), node weights (N1, N2) and the
     chart frame (N1, N2, 3, 3) returns rows with |rows|^2 =
-    sum_nodes weights Q2(F): the Cholesky factor of q2_frame_matrix, one
-    per node when Q varies.
+    sum_nodes weights Q2(F): v L sqrt(w) at every node, one matmul with the
+    Cholesky factor L of q2_frame_matrix, or one per node when Q varies.
     """
     F = np.asarray(F_frame, dtype=float)
     lead, n = F.shape[:-4], F.shape[-4] * F.shape[-3]
     L = np.linalg.cholesky(q2_frame_matrix(moduli, frame)[0])
-    L = np.broadcast_to(L.reshape(-1, 3, 3), (n, 3, 3))
     v = _frame_vector(F).reshape(lead + (n, 3))
-    return np.einsum("...nk,nkl,n->...ln", v, L,
-                     np.sqrt(np.ravel(weights))).reshape(lead + (-1,))
+    if L.ndim == 2:
+        rows = v @ L
+    else:
+        rows = (v[..., None, :] @ L.reshape(n, 3, 3))[..., 0, :]
+    rows *= np.sqrt(np.ravel(weights))[:, None]
+    return np.swapaxes(rows, -1, -2).reshape(lead + (-1,))
 
 
 def q2_value(F_frame, moduli, frame=None):

@@ -3,7 +3,9 @@ a finite-strain dictionary and the optimal-rotation candidates.
 
 The bending-only problem is an exactly solvable symmetric linear system
 on the rigid-complemented basis.  With a positive stretching coupling the
-strain coefficients are eliminated exactly by linear least squares, which
+quadratic displacement effect (kappa/2) (A^2)_tan is bilinear in the basis
+modes, so its Q2 rows are formed once per unordered mode pair.  The strain
+coefficients are eliminated exactly by linear least squares, which
 leaves an explicit quartic polynomial in the isometry coefficients.  Its
 gradient and Hessian are evaluated in closed form and drive Newton's
 method with an exact line search (Nocedal & Wright, Numerical
@@ -92,24 +94,36 @@ def _load_vector(chart, load, rotation, fields):
     return fn.load_work(chart, load, rotation, fields)
 
 
-def _pair_frames(chart, A, kappa):
-    """Frame coefficients of (kappa/2) sym(A_i A_j)_tan on every pair of a
-    stack of skew fields A (p, N1, N2, 3, 3).
+def _pair_rows(chart, A, kappa, moduli, weights, frame):
+    """q2_rows of the frame forms (kappa/2) sym(A_i A_j)_tan of a stack of
+    skew fields A (p, N1, N2, 3, 3), one row per unordered pair i <= j,
+    packed (p(p+1)/2, 3 N) in np.triu_indices order.
 
-    With the chart's frame vectors e_a, the frame entry of A_i A_j is
-    e_b . A_i A_j e_a = (A_i^T e_b) . (A_j e_a): both factors are formed
-    once per mode and one batched product over the nodes gives every pair.
+    The frame entry e_b . A_i A_j e_a is (A_i^T e_b) . (A_j e_a): both
+    factors are formed once per mode by one batched matmul over the nodes,
+    and for each i one more gives A_i A_j and A_j A_i for every j >= i.
     A is not assumed exactly skew.
     """
     p, n = len(A), chart.n_nodes
-    A = A.reshape(p, n, 3, 3)
     e = np.stack([chart.frame_e1, chart.frame_e2], axis=-1).reshape(n, 3, 2)
-    Ae = np.einsum("pncd,nda->ncpa", A, e).reshape(n, 3, 2 * p)
-    ATe = np.einsum("pndc,ndb->ncpb", A, e).reshape(n, 3, 2 * p)
-    K = (np.swapaxes(ATe, 1, 2) @ Ae).reshape(n, p, 2, p, 2)
-    K = K.transpose(1, 3, 0, 4, 2).reshape(p, p, *chart.shape, 2, 2)
-    K = K + np.swapaxes(K, 0, 1)
-    return 0.125 * kappa * (K + np.swapaxes(K, -1, -2))
+    A = np.moveaxis(A.reshape(p, n, 3, 3), 0, 1)
+    Ae = (A.reshape(n, 3 * p, 3) @ e).reshape(n, p, 3, 2)
+    ATe = (np.swapaxes(A, 2, 3).reshape(n, 3 * p, 3) @ e).reshape(n, p, 3, 2)
+    # per node: columns U[:, :, i] = A_i e, rows T[:, i] = (A_i^T e)^T
+    U, T = Ae.transpose(0, 2, 1, 3).copy(), np.swapaxes(ATe, 2, 3).copy()
+    rows, start = np.empty((p * (p + 1) // 2, 3 * n)), 0
+    for i in range(p):
+        m = p - i
+        # K[:, j - i, b, a] = e_b . (A_i A_j + A_j A_i) e_a for j >= i
+        K = (T[:, i] @ U[:, :, i:].reshape(n, 3, 2 * m)).reshape(n, 2, m, 2)
+        K = K.transpose(0, 2, 1, 3) + (
+            T[:, i:].reshape(n, 2 * m, 3) @ U[:, :, i]).reshape(n, m, 2, 2)
+        F = 0.125 * kappa * (K + np.swapaxes(K, -1, -2))
+        rows[start:start + m] = mat.q2_rows(
+            F.transpose(1, 0, 2, 3).reshape(m, *chart.shape, 2, 2),
+            moduli, weights, frame)
+        start += m
+    return rows
 
 
 def _quartic_parts(xi, pair, G, ell):
@@ -250,14 +264,16 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     """Minimize the full limit functional over displacement and strain.
 
     The quadratic displacement effect is bilinear in the basis skew
-    fields, so its weighted rows on every mode pair form one tensor C.
-    The strain coefficients solve a linear least-squares problem at every
-    displacement; eliminating them projects C once onto the complement of
-    the strain dictionary and leaves the explicit quartic
+    fields, so its weighted rows C_ij = C_ji are formed once per unordered
+    mode pair (_pair_rows).  The strain coefficients solve a linear
+    least-squares problem at every displacement; eliminating them projects
+    the packed rows once onto the complement of the strain dictionary,
+    unpacked into the explicit quartic
 
         f(xi) = |sum_ij xi_i xi_j P C_ij|^2 + xi.G xi - l.xi
 
-    in the isometry coefficients.  f is minimized by Newton's method on
+    in the isometry coefficients, and their dictionary coordinates give
+    the optimal strain.  f is minimized by Newton's method on
     its closed-form gradient and Hessian with an exact line search
     (_newton).  Runs every rotation candidate
     and the configured number of seeded restarts; the best pair is
@@ -279,11 +295,15 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
         chart, gens, lambda F: mat.q2_rows(F, moduli, w, frame))
     colsq, colsr = np.linalg.qr(cols, mode="reduced")
 
-    # split the pair rows into dictionary coordinates (which give the
-    # optimal strain) and the complement (which enters the objective)
-    pair = mat.q2_rows(_pair_frames(chart, A, kappa), moduli, w, frame)
-    pair_dict = pair @ colsq
-    pair -= pair_dict @ colsq.T
+    # split the packed pair rows into dictionary coordinates (which give
+    # the optimal strain) and the complement (which enters the objective),
+    # then unpack the complement into the symmetric (p, p, 3 N) tensor
+    packed = _pair_rows(chart, A, kappa, moduli, w, frame)
+    packed_dict = packed @ colsq
+    packed -= packed_dict @ colsq.T
+    iu, ju = np.triu_indices(p)
+    pair = np.empty((p, p, packed.shape[1]))
+    pair[iu, ju] = pair[ju, iu] = packed
 
     rng = np.random.default_rng(opts.seed)
     starts = [np.zeros(p)]
@@ -302,7 +322,8 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
             best = (k, run)
 
     k, (xi, value, grad_norm, iters, history, reason) = best
-    beta = np.linalg.solve(colsr, np.einsum("i,j,ijk->k", xi, xi, pair_dict))
+    weight = np.where(iu == ju, 1.0, 2.0) * xi[iu] * xi[ju]
+    beta = np.linalg.solve(colsr, weight @ packed_dict)
     coeffs, _, B_field = mem._dictionary_field(chart, gens, kept_idx, beta)
     vfield = VectorField3(np.tensordot(xi, fields, axes=1))
     return MinimizationResult(

@@ -263,6 +263,25 @@ def test_anisotropic_q2_in_chart_frame():
         assert np.max(np.abs(value - 10.0)) <= 1e-12
 
 
+def test_q2_rows_of_a_stack_on_a_curved_chart():
+    """On a cylinder, the rows of a stack of forms are the rows of each
+    form stacked, and each form's squared rows are its weighted Q2
+    integral, with one Cholesky factor (isotropic moduli) and one per node
+    (anisotropic moduli)."""
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0}, (8, 16))
+    rng = np.random.default_rng(5)
+    F = rng.normal(size=(4,) + chart.shape + (2, 2))
+    F = F + np.swapaxes(F, -1, -2)
+    w = rng.uniform(0.5, 2.0, size=chart.shape)
+    for moduli in (mat.ElasticModuli(1.3, 0.6), anisotropic_voigt(rng)):
+        rows = mat.q2_rows(F, moduli, w, chart.frame)
+        assert rows.shape == (4, 3 * chart.n_nodes)
+        assert np.array_equal(rows, np.stack(
+            [mat.q2_rows(Fk, moduli, w, chart.frame) for Fk in F]))
+        want = np.sum(w * mat.q2_value(F, moduli, chart.frame), axis=(1, 2))
+        assert np.max(np.abs(np.sum(rows**2, axis=1) - want) / want) <= 1e-12
+
+
 def test_q2_oracle_sweep_in_random_frames():
     """The Schur complement of q2_relax and the normal equations of
     q2_numeric agree, value and completion, in random per-node frames."""

@@ -193,6 +193,32 @@ def test_b_field_is_the_coefficient_combination(cyl_problem):
         <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("grid, anisotropic", [((12, 32), False),
+                                               ((8, 16), True)])
+def test_packed_pair_rows_give_the_stretching_energy(grid, anisotropic):
+    """Contracted with c_ij = (2 - delta_ij) xi_i xi_j, the packed pair rows
+    give rows y of the field V = sum xi_i V_i with |y|^2 its stretching
+    energy at B = 0, on the one Cholesky factor of isotropic moduli and
+    the per-node factors of anisotropic ones."""
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0}, grid)
+    rng = np.random.default_rng(11)
+    moduli = anisotropic_voigt(rng) if anisotropic else M11
+    basis = iso.isometry_basis(chart, n_request=12, tol=1e-8)
+    fields, A, _ = iso.rigid_complement_gram(chart, basis, moduli)
+    p, kappa = len(fields), 1.3
+    rows = mz._pair_rows(chart, A, kappa, moduli, 0.5 * chart.quad_w,
+                         chart.frame)
+    assert rows.shape == (p * (p + 1) // 2, 3 * chart.n_nodes)
+    iu, ju = np.triu_indices(p)
+    zero = geo.FormField2(np.zeros(chart.shape + (2, 2)))
+    for _ in range(3):
+        xi = rng.standard_normal(p)
+        y = (np.where(iu == ju, 1.0, 2.0) * xi[iu] * xi[ju]) @ rows
+        A_xi = iso.extend_A(chart, np.tensordot(xi, fields, axes=1))
+        want = fn.stretching_energy(chart, zero, A_xi, kappa, moduli)
+        assert abs(y @ y - want) <= 1e-12 * want
+
+
 def test_quartic_derivatives_match_central_differences():
     """Closed-form gradient and Hessian of the reduced quartic against
     central differences of its value at a random point."""
