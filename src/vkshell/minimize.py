@@ -6,11 +6,14 @@ on the rigid-complemented basis.  With a positive stretching coupling the
 quadratic displacement effect (kappa/2) (A^2)_tan is bilinear in the basis
 modes, so its Q2 rows are formed once per unordered mode pair.  The strain
 coefficients are eliminated exactly by linear least squares, which
-leaves an explicit quartic polynomial in the isometry coefficients.  Its
-gradient and Hessian are evaluated in closed form and drive Newton's
-method with an exact line search (Nocedal & Wright, Numerical
-Optimization, ch. 3): along any direction the objective is a quartic in
-the step length, minimized over the real roots of its cubic derivative.
+leaves an explicit quartic polynomial in the isometry coefficients.  It
+reads the projected pair rows P only through P P^T, so they are replaced
+once by the square R factor of P^T = Q R, and a Newton step costs the
+same on any grid.  Its gradient and Hessian are evaluated in closed form
+and drive Newton's method with an exact line search (Nocedal & Wright,
+Numerical Optimization, ch. 3): along any direction the objective is a
+quartic in the step length, minimized over the real roots of its cubic
+derivative.
 The iteration accepts a step when the quartic's gain f(t) - f(0) at it
 is negative, so the objective history is non-increasing up to rounding,
 and every run names its stop reason: converged, iteration cap, or a
@@ -162,7 +165,12 @@ def _line_step(c):
     """Global minimizer t of the quartic with ascending coefficients c
     (c4 = |b|^2 >= 0), among the real parts of the roots of its
     derivative, and its gain t(c1 + t(c2 + t(c3 + t c4))) = f(t) - f(0),
-    which has no cancellation against c0."""
+    which has no cancellation against c0.  A quartic unbounded below, its
+    leading term of odd degree or negative, raises MinimizationError."""
+    lead = np.flatnonzero(c[1:])[-1] + 1
+    if lead % 2 or c[lead] < 0:
+        raise MinimizationError("objective is unbounded below along the "
+                                "Newton direction")
     t = np.roots(c[:0:-1] * np.arange(4, 0, -1)).real
     gain = t * (c[1] + t * (c[2] + t * (c[3] + t * c[4])))
     k = np.argmin(gain)
@@ -183,7 +191,8 @@ def _newton(pair, G, ell, xi0, opts):
     Returns the iterate, value, gradient norm, iteration count, objective
     history and stop reason: "converged" at |g| <= tol, "max_iter" at the
     cap, or "stalled" when a step gains nothing and |g| <= 100 tol.  A
-    stall farther out raises MinimizationError.
+    stall farther out, a zero Hessian and an objective unbounded below
+    along d raise MinimizationError.
     """
     xi = np.asarray(xi0, float)
     value, grad, hess = _quartic_parts(xi, pair, G, ell)
@@ -196,18 +205,23 @@ def _newton(pair, G, ell, xi0, opts):
         if iters >= opts.max_iter:
             reason = "max_iter"
             break
+        diagnostics = {"iteration": iters, "objective": value,
+                       "gradient_norm": grad_norm}
         lam, Q = np.linalg.eigh(hess)
         floor = np.sqrt(np.finfo(float).eps) * np.abs(lam).max()
+        if not floor > 0:
+            raise MinimizationError("Hessian is zero, so no Newton "
+                                    "direction is defined", diagnostics)
         d = -Q @ ((Q.T @ grad) / np.maximum(np.abs(lam), floor))
-        t, gain = _line_step(_line_quartic(xi, d, pair, G, ell))
+        try:
+            t, gain = _line_step(_line_quartic(xi, d, pair, G, ell))
+        except MinimizationError as err:
+            raise MinimizationError(str(err), diagnostics) from None
         if not gain < 0:
             if grad_norm <= 100.0 * opts.tol:
                 reason = "stalled"
                 break
-            raise MinimizationError(
-                "Newton step gains nothing",
-                diagnostics={"iteration": iters, "objective": value,
-                             "gradient_norm": grad_norm})
+            raise MinimizationError("Newton step gains nothing", diagnostics)
         xi = xi + t * d
         value, grad, hess = _quartic_parts(xi, pair, G, ell)
         history.append(value)
@@ -268,14 +282,18 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     mode pair (_pair_rows).  The strain coefficients solve a linear
     least-squares problem at every displacement; eliminating them projects
     the packed rows once onto the complement of the strain dictionary,
-    unpacked into the explicit quartic
+    which leaves the explicit quartic
 
-        f(xi) = |sum_ij xi_i xi_j P C_ij|^2 + xi.G xi - l.xi
+        f(xi) = |P^T c|^2 + xi.G xi - l.xi,   c_ij = (2 - delta_ij) xi_i xi_j,
 
-    in the isometry coefficients, and their dictionary coordinates give
-    the optimal strain.  f is minimized by Newton's method on
-    its closed-form gradient and Hessian with an exact line search
-    (_newton).  Runs every rotation candidate
+    in the isometry coefficients, with P the projected rows, one per pair
+    i <= j; their dictionary coordinates give the optimal strain.  f reads
+    P only through P P^T, so P is replaced by the R factor of P^T = Q R,
+    p' x p' with p' = p (p + 1) / 2 when 3 N >= p': |R c| = |P^T c| with
+    the accuracy of the rows, which the Gram P P^T would square.  R^T is
+    unpacked into the symmetric (p, p, p') tensor of the quartic, and f is
+    minimized by Newton's method on its closed-form gradient and Hessian
+    with an exact line search (_newton).  Runs every rotation candidate
     and the configured number of seeded restarts; the best pair is
     returned with the solver's stop reason.
     """
@@ -296,11 +314,13 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     colsq, colsr = np.linalg.qr(cols, mode="reduced")
 
     # split the packed pair rows into dictionary coordinates (which give
-    # the optimal strain) and the complement (which enters the objective),
-    # then unpack the complement into the symmetric (p, p, 3 N) tensor
+    # the optimal strain) and the complement P (which enters the objective
+    # only through P P^T), then replace P by the R factor of P^T = Q R and
+    # unpack it into the symmetric (p, p, p') tensor, p' = p (p + 1) / 2
     packed = _pair_rows(chart, A, kappa, moduli, w, frame)
     packed_dict = packed @ colsq
     packed -= packed_dict @ colsq.T
+    packed = np.linalg.qr(packed.T, mode="r").T
     iu, ju = np.triu_indices(p)
     pair = np.empty((p, p, packed.shape[1]))
     pair[iu, ju] = pair[ju, iu] = packed
