@@ -289,7 +289,6 @@ def _verify_basis(chart, basis):
     strain = np.sum(geo.frame_rows(geo.frame_form(
         chart, geo.tangential_form(chart, P)), chart.quad_w)**2, axis=-1)
     rows = iso._mass_rows(chart, basis.modes, P)
-    del P   # the partials need not live through the skew extensions
     gram = rows @ rows.T
     if np.any(strain > basis.tol * np.diag(gram)):
         raise ArithmeticError("isometry mode Rayleigh quotient above threshold")
@@ -299,7 +298,11 @@ def _verify_basis(chart, basis):
                               "modes' strain Rayleigh quotients")
     if np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) > 1e-10:
         raise ArithmeticError("isometry modes are not M-orthonormal")
-    A = iso.extend_A(chart, basis.modes)
+    # extend_A of the modes, on the partials P already taken
+    vn = np.einsum("mxyc,xyc->mxy", basis.modes, chart.normal)
+    A = iso.SkewField(iso._extension(chart, basis.modes, P, np.stack(
+        iso._derivatives(chart, vn), axis=-1)))
+    del P, vn
     skew = basis.skew_residuals
     if np.any(np.abs(A.skew_residual - skew) > 1e-12 + 1e-8 * skew):
         raise ArithmeticError("isometry skew residuals disagree with the "
@@ -528,10 +531,9 @@ def cmd_gamma_check(cfg, chart, outdir, checks):
             raise ConfigError("mode %r at kappa > 0 needs a cylinder or "
                               "revolution chart for its membrane solve, "
                               "not %s" % (cfg.mode, chart.family))
-        A = iso.extend_A(chart, V)
-        target = fn.a_squared_tan(chart, A)
-        target = FormField2(0.5 * cfg.kappa * target.coeff)
-        w = _solve_membrane(cfg, chart, target).w
+
+        def w(target):   # build_ansatz passes (kappa/2)(A^2)_tan
+            return _solve_membrane(cfg, chart, target).w
     ansatz = gc.build_ansatz(chart, V, w=w, kappa=cfg.kappa, moduli=moduli,
                              e_rule=gc.thickness_scaling(cfg.e_rule,
                                                          cfg.kappa))

@@ -12,13 +12,19 @@ g_j = t_j + t h d_j n = sum_i M_ij t_i, M = I + t h S with S the chart's
 2x2 shape operator: F = sum_k (a_k + d_k) (x) b_k with the rows
 a = (n, g_1, g_2), the increments d = (col - n, P_1, P_2) and the dual
 basis b = (n, g^1, g^2), where g^j = sum_k (M^-1)_jk dual_k come from
-adj(M) / det M and det M = det(I + t h Pi) is the volume factor.  One
-level builder, _level, returns a, d, adj(M) and det M, and everything
-reads it: rescaled_gradient (and so the rotation-field diagnostics) forms
-F on b; the energy ladder does not, since W depends on F only through
-F^T F.  energy_3d reads the strain Gram D (2E = F^T F - I on b) and b's
-dual Gram diag(1, K), which material.svk_density, the one St.
-Venant-Kirchhoff definition, turns into the density; the value is
+adj(M) / det M and det M = det(I + t h Pi) is the volume factor.  The
+increments are one contraction of five fixed stacks,
+
+    d = sqrt(e(h)) (Y_0 / h + Y_1 + t Y_2 + t h Y_3 + t^2 h Y_4),
+
+which the ansatz holds component-major in one array (stacks).  One
+function, _level, returns a, d, adj(M) and det M on a slice of grid rows,
+and everything reads it: rescaled_gradient (and so the rotation-field
+diagnostics) forms F on b; the energy ladder does not, since W depends
+on F only through F^T F.  energy_3d reads the strain Gram D
+(2E = F^T F - I on b) and b's dual Gram diag(1, K), which
+material.svk_density, the one St. Venant-Kirchhoff definition, turns
+into the density, one block of grid rows at a time; the value is
 invariant under a left rotation of the deformation.
 """
 
@@ -32,6 +38,13 @@ from . import isometry as iso
 from . import material as mat
 from . import operators as ops
 from .geometry import FormField2, VectorField3, as_vector_field
+
+# Offsets in RecoveryAnsatz.stacks of Y_0 .. Y_4, each written
+# component-major as (column row, P_1, P_2) x 3 components; the zero
+# column rows of Y_3 and Y_4 are not stored.
+_STACKS = (0, 9, 18, 27, 33)
+# grid nodes per block of rows in energy_3d: the ladder's working set
+_BLOCK_NODES = 4096
 
 
 @dataclass
@@ -47,15 +60,10 @@ class RecoveryAnsatz:
     e_rule: object
     moduli: object
     limit: float             # total_I(V, B): the two relaxed Q2 integrals
-    # node vectors and partial vectors (N1, N2, 2, 3) of the gradient
-    An: np.ndarray
-    wn_vec: np.ndarray
-    dV: np.ndarray
-    dw: np.ndarray
-    dAn: np.ndarray
-    dwn: np.ndarray
-    dd0: np.ndarray
-    dd1: np.ndarray
+    # (39, N1, N2): Y_0 = (A n; d_i V), Y_1 = (d0 - w_n; d_i w),
+    # Y_2 = (d1; d_i(A n)), Y_3 = (d_i(d0 - w_n)), Y_4 = (d_i d1 / 2), with
+    # w_n = (n . d_i w) dual_i
+    stacks: np.ndarray
 
     def e(self, h):
         return float(self.e_rule(h))
@@ -98,6 +106,12 @@ def thickness_scaling(name, kappa):
                      % (name,))
 
 
+def _put(Y, at, x):
+    """Write the node arrays x (N1, N2, ...) into Y[at:], component-major."""
+    x = x.reshape(x.shape[:2] + (-1,))
+    Y[at:at + x.shape[-1]] = np.moveaxis(x, -1, 0)
+
+
 def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
     """Assemble the recovery family's node data for a smooth displacement.
 
@@ -107,107 +121,114 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
         d1 = 2 c(sym bending form) - lift(n . (d_i A) n),
 
     with c the minimizing completion vector of the relaxed tangential
-    form.  For kappa = 0 the second-order displacement is dropped.
+    form.  w is a field, or a callable that returns one from the membrane
+    target FormField2 (kappa/2)(A^2)_tan, so that a caller who solves for
+    w shares this function's skew extension and (A^2)_tan.  For kappa = 0
+    the second-order displacement is dropped.
     """
     if moduli is None:
         moduli = mat.ElasticModuli(1.0, 1.0)
     V = as_vector_field(V)
-    if kappa == 0.0 or w is None:
-        w = VectorField3(np.zeros(chart.shape + (3,)))
-    else:
-        w = as_vector_field(w)
     if e_rule is None:
         e_rule = thickness_scaling("kappa2h4", kappa)
-
     A = iso.extend_A(chart, V)
     Avals = A.values
     n = chart.normal
-    dw = iso._partials(chart, w.values[None])[0]
-    B = geo.tangential_form(chart, dw)
-
-    # quadratic displacement effect
-    a2 = fn.a_squared_tan(chart, A)
-    A2n = np.einsum("xycd,xyde,xye->xyc", Avals, Avals, n)
-    nA2n = np.einsum("xyc,xyc->xy", n, A2n)
-
-    arg0 = FormField2(B.coeff - 0.5 * kappa * a2.coeff)
-    q0 = mat.q2_relax(geo.frame_form(chart, arg0), moduli, chart.frame)
-    d0 = 2.0 * q0.c + kappa * A2n - 0.5 * kappa * nA2n[..., None] * n
+    target = FormField2(0.5 * kappa * fn.a_squared_tan(chart, A).coeff)
+    if kappa == 0.0 or w is None:
+        w = VectorField3(np.zeros(chart.shape + (3,)))
+    else:
+        w = as_vector_field(w(target) if callable(w) else w)
 
     bend_dirs = iso.bending_direction_field(chart, A)   # (d_i A) n
-    bform = geo.tangential_form(chart, bend_dirs)        # bending_form(A)
-    q1 = mat.q2_relax(geo.frame_form(chart, bform), moduli, chart.frame)
+    q1 = mat.q2_relax(geo.frame_form(chart, geo.tangential_form(
+        chart, bend_dirs)), moduli, chart.frame)         # bending_form(A)
     omega = -np.einsum("xyc,xyic->xyi", n, bend_dirs)
     d1 = 2.0 * q1.c + geo.tangential_vector_from_covector(
         chart, omega[..., 0], omega[..., 1])
-    limit = (float(0.5 * geo.integrate(chart, q0.value))
-             + float(geo.integrate(chart, q1.value) / 24.0))
+    bending = float(geo.integrate(chart, q1.value) / 24.0)
+    del q1, omega      # full-grid inputs are dropped once used
 
-    dn = np.stack([chart.dn1, chart.dn2], axis=-2)
-    wn_vec = geo.lift(chart, dw @ n[..., None])[..., 0, :]  # (n.d_i w) dual_i
-    dV, dwn, dd0, dd1 = iso._partials(chart, np.stack([V.values, wn_vec,
-                                                       d0, d1]))
+    def partials(f):   # (N1, N2, 2, 3), one field at a time
+        return iso._partials(chart, f[None])[0]
+
+    Y = np.empty((39,) + chart.shape)
+    y0, y1, y2, y3, y4 = _STACKS
+    _put(Y, y0, np.einsum("xycd,xyd->xyc", Avals, n))
+    _put(Y, y0 + 3, partials(V.values))
+    _put(Y, y2, d1)
     # d_i(A n) = (d_i A) n + A d_i n, consistent with the bending form
-    dAn = bend_dirs + dn @ np.swapaxes(Avals, -1, -2)
+    dn = np.stack([chart.dn1, chart.dn2], axis=-2)
+    _put(Y, y2 + 3, bend_dirs + dn @ np.swapaxes(Avals, -1, -2))
+    del bend_dirs, dn
+    _put(Y, y4, 0.5 * partials(d1))
+
+    dw = partials(w.values)
+    B = geo.tangential_form(chart, dw)
+    _put(Y, y1 + 3, dw)
+    wn_vec = geo.lift(chart, dw @ n[..., None])[..., 0, :]  # (n.d_i w) dual_i
+    del dw
+
+    arg0 = geo.frame_form(chart, FormField2(B.coeff - target.coeff))
+    del target
+    q0 = mat.q2_relax(arg0, moduli, chart.frame)
+    del arg0
+    limit = float(0.5 * geo.integrate(chart, q0.value)) + bending
+    # quadratic displacement effect
+    A2n = np.einsum("xycd,xyde,xye->xyc", Avals, Avals, n)
+    nA2n = np.einsum("xyc,xyc->xy", n, A2n)
+    d0 = 2.0 * q0.c + kappa * A2n - 0.5 * kappa * nA2n[..., None] * n
+    del q0, A2n, nA2n
+    col = d0 - wn_vec
+    del wn_vec
+    _put(Y, y1, col)
+    _put(Y, y3, partials(col))
     return RecoveryAnsatz(
         chart=chart, V=V, w=w, A=A, B=B, d0=d0, d1=d1, kappa=kappa,
-        e_rule=e_rule, moduli=moduli, limit=limit,
-        An=np.einsum("xycd,xyd->xyc", Avals, n), wn_vec=wn_vec, dV=dV,
-        dw=dw, dAn=dAn, dwn=dwn, dd0=dd0, dd1=dd1)
+        e_rule=e_rule, moduli=moduli, limit=limit, stacks=Y)
 
 
-def _increments(ansatz, h, t):
-    """col - n (N1, N2, 3) and P_j (N1, N2, 2, 3) at level t: the parts
-    of the gradient's rows besides the shifted frame (n, g_1, g_2), where
-    P_j are the partials of the deformation besides the shift t h d_j n."""
-    s = t * h
-    se = np.sqrt(ansatz.e(h))
-    dcol = ((se / h) * ansatz.An - se * ansatz.wn_vec + se * ansatz.d0
-            + t * se * ansatz.d1)
-    P = ((se / h) * ansatz.dV + se * ansatz.dw + t * se * ansatz.dAn
-         - s * se * ansatz.dwn + s * se * ansatz.dd0
-         + (t * t / 2) * h * se * ansatz.dd1)
-    return dcol, P
-
-
-def _shift(chart, s):
+def _shift(chart, s, rows=slice(None)):
     """Entries (row-major) of adj(M) and the volume factor det M of
-    M = I + s S, one (N1, N2) array each."""
-    S = chart.shape_op
+    M = I + s S on the grid rows rows, one (n, N2) array each."""
+    S = chart.shape_op[rows]
     m11, m22 = 1.0 + s * S[..., 0, 0], 1.0 + s * S[..., 1, 1]
     m12, m21 = s * S[..., 0, 1], s * S[..., 1, 0]
     return (m22, -m12, -m21, m11), m11 * m22 - m12 * m21
 
 
-def _level(ansatz, h, t):
-    """The gradient's rows at thickness level t: the shifted frame
-    a = (n, g_1, g_2) and the increments d = (col - n, P_1, P_2), each
-    (3, 3, N1, N2) component-major so that every contraction runs over
-    whole node arrays, then _shift's adj(M) and det M.  On the dual basis
-    b = (n, g^1, g^2) the gradient is F = sum_k (a_k + d_k) (x) b_k."""
+def _level(ansatz, h, t, rows=slice(None)):
+    """The gradient's rows at thickness level t on the grid rows rows: the
+    shifted frame a = (n, g_1, g_2) and the increments d = (col - n, P_1,
+    P_2), each (3, 3, n, N2) component-major so that every contraction
+    runs over whole node arrays, then _shift's adj(M) and det M.  On the
+    dual basis b = (n, g^1, g^2) the gradient is F = sum_k (a_k + d_k)
+    (x) b_k.  d is one matrix product of the stacks with their five
+    coefficients."""
     chart = ansatz.chart
     s = t * h
-    dcol, P = _increments(ansatz, h, t)
-    d = np.empty((3, 3) + chart.shape)
-    d[0] = np.moveaxis(dcol, -1, 0)
-    d[1:] = np.moveaxis(P, (-2, -1), (0, 1))
-    del dcol, P                    # one copy of the increments at a time
+    c = np.sqrt(ansatz.e(h)) * np.array([1.0 / h, 1.0, t, s, t * s])
+    eye = np.eye(9)
+    C = np.hstack([ck * (eye if k < 3 else eye[:, 3:])
+                   for k, ck in enumerate(c)])
+    Y = ansatz.stacks[:, rows]
+    d = (C @ Y.reshape(len(Y), -1)).reshape((3, 3) + Y.shape[1:])
     a = np.empty_like(d)
-    a[0] = np.moveaxis(chart.normal, -1, 0)
+    a[0] = np.moveaxis(chart.normal[rows], -1, 0)
     for j, (tj, dnj) in enumerate(((chart.t1, chart.dn1),
                                    (chart.t2, chart.dn2))):
-        np.multiply(np.moveaxis(dnj, -1, 0), s, out=a[1 + j])
-        a[1 + j] += np.moveaxis(tj, -1, 0)
-    return (a, d) + _shift(chart, s)
+        np.multiply(np.moveaxis(dnj[rows], -1, 0), s, out=a[1 + j])
+        a[1 + j] += np.moveaxis(tj[rows], -1, 0)
+    return (a, d) + _shift(chart, s, rows)
 
 
-def _dual_rows(chart, adj, vol):
-    """The dual basis b = (n, g^1, g^2) (N1, N2, 3, 3), with
-    g^j = sum_k (M^-1)_jk dual_k and M^-1 = adj(M) / det M."""
+def _dual_rows(chart, adj, vol, rows=slice(None)):
+    """The dual basis b = (n, g^1, g^2) (n, N2, 3, 3) on the grid rows
+    rows, with g^j = sum_k (M^-1)_jk dual_k and M^-1 = adj(M) / det M."""
     a11, a12, a21, a22 = (a[..., None] for a in adj)
-    d1, d2 = chart.dual[..., 0, :], chart.dual[..., 1, :]
+    d1, d2 = chart.dual[rows, :, 0, :], chart.dual[rows, :, 1, :]
     v = vol[..., None]
-    return np.stack([chart.normal, (a11 * d1 + a12 * d2) / v,
+    return np.stack([chart.normal[rows], (a11 * d1 + a12 * d2) / v,
                      (a21 * d1 + a22 * d2) / v], axis=-2)
 
 
@@ -237,16 +258,17 @@ def _gauss_levels(ansatz, h, t_quad):
     return zip(*ops.gauss_legendre(t_quad))
 
 
-def _dual_gram(chart, adj, vol):
+def _dual_gram(chart, adj, vol, rows=slice(None)):
     """K = adj(M) g^-1 adj(M)^T / det(M)^2, the Gram of the dual vectors
-    g^j: an (N1, N2, 2, 2) view of component-major storage."""
+    g^j on the grid rows rows: an (n, N2, 2, 2) view of component-major
+    storage."""
     a11, a12, a21, a22 = adj
-    G = chart.metric_inv
+    G = chart.metric_inv[rows]
     g11, g12, g22 = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
     r11, r12 = a11 * g11 + a12 * g12, a11 * g12 + a12 * g22   # adj g^-1
     r21, r22 = a21 * g11 + a22 * g12, a21 * g12 + a22 * g22
     scale = 1.0 / (vol * vol)
-    K = np.empty((2, 2) + chart.shape)
+    K = np.empty((2, 2) + vol.shape)
     K[0, 0] = (r11 * a11 + r12 * a12) * scale
     K[0, 1] = K[1, 0] = (r11 * a21 + r12 * a22) * scale
     K[1, 1] = (r21 * a21 + r22 * a22) * scale
@@ -262,27 +284,39 @@ def energy_3d(ansatz, h, moduli=None, t_quad=4, rotate=None):
     components D = a d^T + d a^T + d d^T = m d^T + d m^T, m = a + d/2, on
     the dual basis b, free of the cancellation in F^T F - I.
     material.svk_density reads D with the dual Gram K (isotropic moduli)
-    or with the dual basis (anisotropic).  F^T F does not change under a
-    left rotation of F, so ``rotate`` does not enter the value.
+    or with the dual basis (anisotropic).  Each level is summed over
+    blocks of grid rows of about _BLOCK_NODES nodes, so its arrays do
+    not grow with the grid.  F^T F does not change under a left
+    rotation of F, so ``rotate`` does not enter the value.
     """
     if moduli is None:
         moduli = mat.ElasticModuli(1.0, 1.0)
-    chart = ansatz.chart
+    n1, n2 = ansatz.chart.shape
+    step = max(1, _BLOCK_NODES // n2)
+    blocks = [slice(r, r + step) for r in range(0, n1, step)]
     total = 0.0
     for t, wt in _gauss_levels(ansatz, h, t_quad):
-        m, d, adj, vol = _level(ansatz, h, t)
-        m += 0.5 * d
-        D = np.einsum("ac...,bc...->ab...", m, d)          # m d^T
-        del m, d
-        D += np.swapaxes(D, 0, 1)      # numpy buffers the overlapping view
-        D = np.moveaxis(D, (0, 1), (-2, -1))
-        if moduli.isotropic:
-            W = mat.svk_density(D, moduli,
-                                dual_gram=_dual_gram(chart, adj, vol))
-        else:
-            W = mat.svk_density(D, moduli, basis=_dual_rows(chart, adj, vol))
-        total += wt * geo.integrate(chart, W * vol)
+        total += wt * sum(_block_energy(ansatz, h, t, rows, moduli)
+                          for rows in blocks)
     return float(total)
+
+
+def _block_energy(ansatz, h, t, rows, moduli):
+    """The surface integral of W det M at level t over the grid rows rows;
+    its arrays are freed before the next block is formed."""
+    chart = ansatz.chart
+    m, d, adj, vol = _level(ansatz, h, t, rows)
+    m += 0.5 * d
+    D = np.einsum("ac...,bc...->ab...", m, d)          # m d^T
+    del m, d
+    D += np.swapaxes(D, 0, 1)      # numpy buffers the overlapping view
+    D = np.moveaxis(D, (0, 1), (-2, -1))
+    if moduli.isotropic:
+        W = mat.svk_density(D, moduli,
+                            dual_gram=_dual_gram(chart, adj, vol, rows))
+    else:
+        W = mat.svk_density(D, moduli, basis=_dual_rows(chart, adj, vol, rows))
+    return np.sum(chart.quad_w[rows] * (W * vol))
 
 
 def convergence_study(ansatz, h_list, moduli=None, t_quad=4):

@@ -325,10 +325,11 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     pair = np.empty((p, p, packed.shape[1]))
     pair[iu, ju] = pair[ju, iu] = packed
 
-    rng = np.random.default_rng(opts.seed)
     starts = [np.zeros(p)]
-    for _ in range(max(opts.restarts - 1, 0)):
-        starts.append(0.1 * rng.standard_normal(p))
+    if opts.restarts > 1:    # the first use imports numpy.random
+        rng = np.random.default_rng(opts.seed)
+        starts += [0.1 * rng.standard_normal(p)
+                   for _ in range(opts.restarts - 1)]
 
     table = []
     best = None

@@ -500,6 +500,34 @@ def test_gamma_check_subcommand(tmp_path):
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
+def test_gamma_check_forms_the_skew_extension_once(tmp_path, monkeypatch):
+    """One gamma-check at kappa = 1 with a membrane-solved w forms the skew
+    extension of V and its (A^2)_tan once: the membrane target is handed
+    to the solve by build_ansatz."""
+    calls = {"extend_A": 0, "a_squared_tan": 0}
+    for module, name in ((iso, "extend_A"), (fn, "a_squared_tan")):
+        def counted(*args, _func=getattr(module, name), _name=name, **kw):
+            calls[_name] += 1
+            return _func(*args, **kw)
+        monkeypatch.setattr(module, name, counted)
+    cfg_path = write_cfg(tmp_path, CYL_CFG)
+    assert cli.run(["gamma-check", "--config", cfg_path, "--verify"]) == 0
+    assert calls == {"extend_A": 1, "a_squared_tan": 1}
+
+
+def test_one_start_minimize_leaves_out_numpy_random(tmp_path):
+    """minimize with one start draws no seeded start, so a fresh
+    interpreter never imports numpy.random."""
+    cfg_path = write_cfg(tmp_path, CYL_CFG)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from vkshell.cli import run; "
+         "code = run(['minimize', '--config', %r, '--restarts', '1']); "
+         "print(code, 'numpy.random' in sys.modules)" % cfg_path],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.split() == ["0", "False"]
+
+
 def test_membrane_plate_projection_path(tmp_path):
     text = PLATE_CFG.replace("[solver]",
                              "[solver]\ntarget_preset = plate_nonrobust")
