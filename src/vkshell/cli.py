@@ -266,9 +266,11 @@ def _write_vector_csv(path, chart, prefix, values):
 def _verify_chart(chart):
     n_err = float(np.max(np.abs(
         np.linalg.norm(chart.normal, axis=-1) - 1.0)))
-    frame = chart.frame
-    orth = float(np.max(np.abs(frame @ np.swapaxes(frame, -1, -2)
-                               - np.eye(3))))
+    # the entries of frame frame^T - I, one pair of frame vectors at a time
+    e = (chart.frame_e1, chart.frame_e2, chart.normal)
+    orth = max(float(np.max(np.abs(np.einsum("xyc,xyc->xy", e[i], e[j])
+                                   - float(i == j))))
+               for i in range(3) for j in range(i, 3))
     spd = bool(np.all(chart.sqrt_g > 0))
     checks = {"unit_normal": n_err <= 1e-12, "frame_orthonormal": orth <= 1e-12,
               "metric_spd": spd}
@@ -277,18 +279,38 @@ def _verify_chart(chart):
     return checks
 
 
+# modes x grid nodes per chunk of _verify_basis: the working set of the
+# partials, skew extensions and bending forms it takes of the modes
+_VERIFY_NODES = 4096
+
+
 def _verify_basis(chart, basis):
     """Full-grid checks of the returned modes, apart from the blocked solve
     and the combinations it takes: strain Rayleigh quotients at most the
     threshold and equal to rayleigh (to 1e-12 rho_max), M-orthonormality,
     the skew residuals and a bending Gram diagonal with bending_ritz on
-    it, all recomputed from basis.modes.  Returns the largest relative
-    residual of the rigid motions' projections onto the modes, from the
-    same mass rows."""
-    P = iso._partials(chart, basis.modes)
-    strain = np.sum(geo.frame_rows(geo.frame_form(
-        chart, geo.tangential_form(chart, P)), chart.quad_w)**2, axis=-1)
-    rows = iso._mass_rows(chart, basis.modes, P)
+    it, all recomputed from basis.modes, a chunk of about _VERIFY_NODES
+    mode-nodes at a time.  Returns the largest relative residual of the
+    rigid motions' projections onto the modes, from the same mass rows."""
+    step = max(1, _VERIFY_NODES // chart.n_nodes)
+    parts = []      # per chunk: strain, mass rows, skew residuals, bending
+    # (an empty basis is one empty chunk)
+    for k in range(0, max(len(basis.modes), 1), step):
+        V = basis.modes[k:k + step]
+        P = iso._partials(chart, V)
+        strain = np.sum(geo.frame_rows(geo.frame_form(
+            chart, geo.tangential_form(chart, P)), chart.quad_w)**2, axis=-1)
+        rows = iso._mass_rows(chart, V, P)
+        # extend_A of the modes, on the partials P already taken
+        vn = np.einsum("mxyc,xyc->mxy", V, chart.normal)
+        A = iso.SkewField(iso._extension(chart, V, P, np.stack(
+            iso._derivatives(chart, vn), axis=-1)))
+        del P, vn
+        parts.append((strain, rows, A.skew_residual, geo.frame_rows(
+            iso._bending_frames(chart, A.values), chart.quad_w)))
+        del A
+    strain, rows, skew_res, bend = map(np.concatenate, zip(*parts))
+    del parts
     gram = rows @ rows.T
     if np.any(strain > basis.tol * np.diag(gram)):
         raise ArithmeticError("isometry mode Rayleigh quotient above threshold")
@@ -298,16 +320,10 @@ def _verify_basis(chart, basis):
                               "modes' strain Rayleigh quotients")
     if np.max(np.abs(gram - np.eye(len(gram))), initial=0.0) > 1e-10:
         raise ArithmeticError("isometry modes are not M-orthonormal")
-    # extend_A of the modes, on the partials P already taken
-    vn = np.einsum("mxyc,xyc->mxy", basis.modes, chart.normal)
-    A = iso.SkewField(iso._extension(chart, basis.modes, P, np.stack(
-        iso._derivatives(chart, vn), axis=-1)))
-    del P, vn
     skew = basis.skew_residuals
-    if np.any(np.abs(A.skew_residual - skew) > 1e-12 + 1e-8 * skew):
+    if np.any(np.abs(skew_res - skew) > 1e-12 + 1e-8 * skew):
         raise ArithmeticError("isometry skew residuals disagree with the "
                               "modes' skew extensions")
-    bend = geo.frame_rows(iso._bending_frames(chart, A.values), chart.quad_w)
     ritz = basis.bending_ritz
     if (np.max(np.abs(bend @ bend.T - np.diag(ritz)), initial=0.0)
             > 1e-10 * max(1.0, np.max(np.abs(ritz), initial=0.0))):

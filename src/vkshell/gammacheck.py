@@ -190,8 +190,9 @@ def build_ansatz(chart, V, w=None, kappa=1.0, moduli=None, e_rule=None):
 
 def _shift(chart, s, rows=slice(None)):
     """Entries (row-major) of adj(M) and the volume factor det M of
-    M = I + s S on the grid rows rows, one (n, N2) array each."""
-    S = chart.shape_op[rows]
+    M = I + s S on the grid rows rows, one (n, N2) array each, or (n, 1)
+    on the column that holds S (geometry.u1_column)."""
+    S = geo.u1_column(chart.shape_op)[rows]
     m11, m22 = 1.0 + s * S[..., 0, 0], 1.0 + s * S[..., 1, 1]
     m12, m21 = s * S[..., 0, 1], s * S[..., 1, 0]
     return (m22, -m12, -m21, m11), m11 * m22 - m12 * m21
@@ -261,9 +262,10 @@ def _gauss_levels(ansatz, h, t_quad):
 def _dual_gram(chart, adj, vol, rows=slice(None)):
     """K = adj(M) g^-1 adj(M)^T / det(M)^2, the Gram of the dual vectors
     g^j on the grid rows rows: an (n, N2, 2, 2) view of component-major
-    storage."""
+    storage, or (n, 1, 2, 2) when adj(M), det M and g^-1 are held on one
+    column (geometry.u1_column)."""
     a11, a12, a21, a22 = adj
-    G = chart.metric_inv[rows]
+    G = geo.u1_column(chart.metric_inv)[rows]
     g11, g12, g22 = G[..., 0, 0], G[..., 0, 1], G[..., 1, 1]
     r11, r12 = a11 * g11 + a12 * g12, a11 * g12 + a12 * g22   # adj g^-1
     r21, r22 = a21 * g11 + a22 * g12, a21 * g12 + a22 * g22

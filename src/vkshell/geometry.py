@@ -2,7 +2,9 @@
 
 A chart caches, per grid node: position, tangents, unit normal, first and
 second fundamental forms, shape operator, the dual frame, the orthonormal
-tangent frame in which forms are measured, and quadrature weights.
+tangent frame in which forms are measured, and quadrature weights.  On
+the built-in charts the forms and the shape operator depend on u1 alone
+and are held on grid column 0, broadcast along u2 (u1_column).
 The plate uses its flat formulas; the surfaces of revolution (cylinder,
 revolution, sphere patch) share one set of analytic derivatives of
 (r(u1) cos u2, r(u1) sin u2, z(u1)), written from the meridian (r, z) and
@@ -156,15 +158,21 @@ def _poly_profile(coeffs):
     return p, p.deriv(1), p.deriv(2)
 
 
-def _revolution(U2, r, r1, r2, z, z1, z2):
-    """Position and d1, d2, d11, d12, d22 of (r cos u2, r sin u2, z) from
-    meridian values r, z and their u1-derivatives r1, r2 and z1, z2."""
+def _revolution(U2, r, r1, z, z1):
+    """Position and d1, d2 of (r cos u2, r sin u2, z) from meridian values
+    r, z and their u1-derivatives r1, z1."""
     c, s = np.cos(U2), np.sin(U2)
-    zero = np.zeros_like(U2)
     return (np.stack([r * c, r * s, z], axis=-1),
             np.stack([r1 * c, r1 * s, z1], axis=-1),
-            np.stack([-r * s, r * c, zero], axis=-1),
-            np.stack([r2 * c, r2 * s, z2], axis=-1),
+            np.stack([-r * s, r * c, np.zeros_like(U2)], axis=-1))
+
+
+def _revolution_d2(U2, r, r1, r2, z2):
+    """d11, d12, d22 of (r cos u2, r sin u2, z) from meridian values r and
+    the u1-derivatives r1, r2 and z2."""
+    c, s = np.cos(U2), np.sin(U2)
+    zero = np.zeros_like(U2)
+    return (np.stack([r2 * c, r2 * s, z2], axis=-1),
             np.stack([-r1 * s, r1 * c, zero], axis=-1),
             np.stack([-r * c, -r * s, zero], axis=-1))
 
@@ -262,14 +270,22 @@ def build_chart(family, params=None, grid=(32, 32)):
                              "increasing" % (a, b))
     u1, u2, du = _grid(domain, (n1, n2), periodic2)
     U1, U2 = np.meshgrid(u1, u2, indexing="ij")
+    # the metric, second form and shape operator of a built-in chart depend
+    # on u1 alone: they are formed on grid column 0 (cols) and stored as
+    # read-only views broadcast along u2; a custom chart's column is the
+    # whole grid
+    cols = slice(None) if family == "custom" else slice(0, 1)
 
     if family == "plate":
         zero, one = np.zeros_like(U1), np.ones_like(U1)
         pos, t1, t2 = (np.stack(v, axis=-1) for v in (
             (U1, U2, zero), (one, zero, zero), (zero, one, zero)))
-        d11 = d12 = d22 = np.zeros(U1.shape + (3,))
+        d11 = d12 = d22 = np.zeros((n1, 1, 3))
     elif family != "custom":
-        pos, t1, t2, d11, d12, d22 = _revolution(U2, *meridian(U1))
+        r, r1, _, z, z1, _ = meridian(U1)
+        pos, t1, t2 = _revolution(U2, r, r1, z, z1)
+        r, r1, r2, _, _, z2 = meridian(U1[:, cols])
+        d11, d12, d22 = _revolution_d2(U2[:, cols], r, r1, r2, z2)
         if family == "sphere_patch":
             pos, t1, t2, d11, d12, d22 = (radius * v for v in (
                 pos, t1, t2, d11, d12, d22))
@@ -306,25 +322,24 @@ def build_chart(family, params=None, grid=(32, 32)):
     g11 = np.einsum("xyc,xyc->xy", chart.t1, chart.t1)
     g12 = np.einsum("xyc,xyc->xy", chart.t1, chart.t2)
     g22 = np.einsum("xyc,xyc->xy", chart.t2, chart.t2)
-    chart.metric = np.stack(
-        [np.stack([g11, g12], axis=-1), np.stack([g12, g22], axis=-1)], axis=-2
-    )
     det = g11 * g22 - g12 * g12
     chart.sqrt_g = np.sqrt(det)
-    inv = np.empty_like(chart.metric)
-    inv[..., 0, 0] = g22 / det
-    inv[..., 1, 1] = g11 / det
-    inv[..., 0, 1] = inv[..., 1, 0] = -g12 / det
-    chart.metric_inv = inv
-    t = np.stack([chart.t1, chart.t2], axis=2)
-    chart.dual = inv @ t
+    c11, c12, c22, cdet = (g[:, cols] for g in (g11, g12, g22, det))
+    metric = np.stack(
+        [np.stack([c11, c12], axis=-1), np.stack([c12, c22], axis=-1)], axis=-2
+    )
+    inv = np.empty_like(metric)
+    inv[..., 0, 0] = c22 / cdet
+    inv[..., 1, 1] = c11 / cdet
+    inv[..., 0, 1] = inv[..., 1, 0] = -c12 / cdet
 
     # second fundamental form h_ij = (d_i n) . t_j = -n . d_ij r
     # (a custom chart's from the differenced normal)
     if family != "custom":
-        h11 = -np.einsum("xyc,xyc->xy", chart.normal, d11)
-        h12 = -np.einsum("xyc,xyc->xy", chart.normal, d12)
-        h22 = -np.einsum("xyc,xyc->xy", chart.normal, d22)
+        n = chart.normal[:, cols]
+        h11 = -np.einsum("xyc,xyc->xy", n, d11)
+        h12 = -np.einsum("xyc,xyc->xy", n, d12)
+        h22 = -np.einsum("xyc,xyc->xy", n, d22)
     else:
         dn1 = chart.d1(chart.normal)
         dn2 = chart.d2(chart.normal)
@@ -332,26 +347,31 @@ def build_chart(family, params=None, grid=(32, 32)):
         h12 = 0.5 * (np.einsum("xyc,xyc->xy", dn1, chart.t2)
                      + np.einsum("xyc,xyc->xy", dn2, chart.t1))
         h22 = np.einsum("xyc,xyc->xy", dn2, chart.t2)
-    chart.second_form = np.stack(
+    second = np.stack(
         [np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2
     )
-    chart.shape_op = np.einsum("xyik,xykj->xyij", chart.metric_inv, chart.second_form)
+    S = np.einsum("xyik,xykj->xyij", inv, second)
+    chart.metric, chart.metric_inv, chart.second_form, chart.shape_op = (
+        np.broadcast_to(a, (n1, n2, 2, 2)) for a in (metric, inv, second, S))
 
-    # d_j n = S^i_j t_i  (tangency of the normal's derivative)
-    dn = np.einsum("xyij,xyic->xyjc", chart.shape_op, t)
-    chart.dn1, chart.dn2 = np.moveaxis(dn, 2, 0).copy()   # contiguous
+    # dual_i = g^ik t_k and d_j n = S^i_j t_i (tangency of the normal's
+    # derivative): products of the column's coefficients with t1 and t2
+    chart.dual = np.stack([inv[..., i, 0, None] * t1 + inv[..., i, 1, None] * t2
+                           for i in (0, 1)], axis=2)
+    chart.dn1, chart.dn2 = (S[..., 0, j, None] * t1 + S[..., 1, j, None] * t2
+                            for j in (0, 1))
 
     # symmetric inverse square root of the 2x2 metric
     tr = g11 + g22
     s = np.sqrt(det)
     tau = np.sqrt(tr + 2.0 * s)  # with G^(1/2) = (G + s I)/tau
-    ginv_half = np.empty_like(chart.metric)
+    ginv_half = np.empty((n1, n2, 2, 2))
     ginv_half[..., 0, 0] = (g22 + s) / (s * tau)
     ginv_half[..., 1, 1] = (g11 + s) / (s * tau)
     ginv_half[..., 0, 1] = ginv_half[..., 1, 0] = -g12 / (s * tau)
     chart.ginv_half = ginv_half
     # the polar frame in which frame_form expresses forms
-    e = np.swapaxes(t, -1, -2) @ ginv_half
+    e = np.swapaxes(np.stack([t1, t2], axis=2), -1, -2) @ ginv_half
     chart.frame_e1, chart.frame_e2 = e[..., 0], e[..., 1]
 
     w1 = ops.trapezoid_weights(n1, du[0], periodic=False)
@@ -366,13 +386,21 @@ def build_chart(family, params=None, grid=(32, 32)):
     return chart
 
 
+def u1_column(field):
+    """A chart field on the grid columns that hold it: column 0 (N1, 1,
+    ...) of a field broadcast along u2, such as a built-in chart's metric,
+    metric_inv, second_form and shape_op, and any other field whole."""
+    return field[:, :1] if field.strides[1] == 0 else field
+
+
 def principal_curvatures(chart):
-    """Principal curvatures k1 <= k2 (N1, N2 each), the eigenvalues of the
-    shape operator S = g^-1 h.  S is self-adjoint in g, so they are the
-    real numbers tr S/2 -+ sqrt(((S11 - S22)/2)^2 + S12 S21), with the
-    discriminant written so that it does not cancel at umbilics and
-    clipped at 0 against rounding."""
-    S = chart.shape_op
+    """Principal curvatures k1 <= k2, the eigenvalues of the shape operator
+    S = g^-1 h on the grid columns that hold it (u1_column): (N1, 1) each
+    on a built-in chart, (N1, N2) on a custom one.  S is self-adjoint in
+    g, so they are the real numbers tr S/2 -+ sqrt(((S11 - S22)/2)^2 +
+    S12 S21), with the discriminant written so that it does not cancel at
+    umbilics and clipped at 0 against rounding."""
+    S = u1_column(chart.shape_op)
     half_tr = 0.5 * (S[..., 0, 0] + S[..., 1, 1])
     half_gap = 0.5 * (S[..., 0, 0] - S[..., 1, 1])
     root = np.sqrt(np.maximum(half_gap * half_gap

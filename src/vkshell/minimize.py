@@ -273,6 +273,19 @@ def minimize_quadratic(chart, basis, load, candidates, moduli):
 # full quartic minimization
 # ---------------------------------------------------------------------------
 
+# starts whose values lie within this many ulps of the best one tie
+_TIE_ULPS = 4
+
+
+def _earliest_best(runs):
+    """The earliest of the runs (xi, value, ...) whose value ties with the
+    smallest one to _TIE_ULPS ulps, so that the reported run does not
+    follow the rounding of starts that reach the same minimum."""
+    best = min(r[1] for r in runs)
+    return next(r for r in runs
+                if r[1] <= best + _TIE_ULPS * np.spacing(abs(best)))
+
+
 def minimize_J(chart, basis, load, candidates, kappa, moduli,
                dict_degree=4, opts=None):
     """Minimize the full limit functional over displacement and strain.
@@ -295,7 +308,8 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     minimized by Newton's method on its closed-form gradient and Hessian
     with an exact line search (_newton).  Runs every rotation candidate
     and the configured number of seeded restarts; the best pair is
-    returned with the solver's stop reason.
+    returned with the solver's stop reason, and among starts that tie to
+    _TIE_ULPS ulps the earliest one's run.
     """
     if kappa <= 0:
         raise ValueError("minimize_J requires kappa > 0; "
@@ -336,7 +350,7 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     for k, Q in enumerate(candidates):
         ell = _load_vector(chart, load, Q, fields)
         runs = [_newton(pair, G, ell, xi0, opts) for xi0 in starts]
-        run = min(runs, key=lambda r: r[1])
+        run = _earliest_best(runs)
         table.append({"candidate": k, "value": run[1], "gradient_norm": run[2],
                       "iterations": run[3], "stop_reason": run[5]})
         if best is None or run[1] < best[1][1]:

@@ -317,6 +317,24 @@ def test_isometries_verify_catches_corrupt_basis(tmp_path, monkeypatch):
     assert cli.run(["isometries", "--config", cfg_path, "--verify"]) == 3
 
 
+def test_verify_basis_does_not_depend_on_its_chunks(monkeypatch):
+    """_verify_basis takes the modes in chunks of about _VERIFY_NODES
+    mode-nodes: one mode per chunk, chunks of 5 with a partial last one and
+    all 12 modes at once pass alike and give the same rigid residual, and
+    an empty basis is one empty chunk."""
+    chart = vk.build_chart("cylinder", {"radius": 1.0, "height": 1.0},
+                           (16, 32))
+    basis = iso.isometry_basis(chart, n_request=12)
+    assert len(basis) == 12
+    got = []
+    for nodes in (1, 5 * chart.n_nodes, 12 * chart.n_nodes):
+        monkeypatch.setattr(cli, "_VERIFY_NODES", nodes)
+        got.append(cli._verify_basis(chart, basis))
+    np.testing.assert_allclose(got, got[-1], rtol=1e-12, atol=0)
+    empty = iso.isometry_basis(chart, n_request=0)
+    assert empty.empty and cli._verify_basis(chart, empty) == 1.0
+
+
 def test_isometries_verify_compares_rayleigh_with_full_grid(tmp_path,
                                                            monkeypatch):
     """rayleigh is read off the blocks, and --verify compares it with the

@@ -5,6 +5,7 @@ import pytest
 
 import vkshell as vk
 from vkshell import geometry as geo
+from vkshell import operators as ops
 from vkshell.geometry import ChartError, FormField2
 
 
@@ -326,3 +327,124 @@ def test_frame_vectors_express_frame_form():
     np.testing.assert_allclose(e @ np.swapaxes(e, -1, -2),
                                np.broadcast_to(np.eye(2), F.shape),
                                rtol=0, atol=1e-13)
+
+
+# every chart the benchmark builds, and a sphere patch
+COLUMN_CHARTS = (
+    [("cylinder", {"radius": 1.0, "height": 1.0}, g)
+     for g in ((12, 32), (16, 48), (96, 192))]
+    + [("plate", {}, g) for g in ((16, 16), (20, 20), (96, 96))]
+    + [("revolution", {"profile": (1.0, 0.0, 0.3)}, (64, 128)),
+       ("sphere_patch", {"radius": 0.4, "polar_range": (0.5, 1.2)}, (8, 16))])
+
+
+def _full_grid_reference(chart, params):
+    """The chart fields by the full-grid formulas, node by node: the
+    closed-form position, tangents and second derivatives of the family,
+    then the normal, the metric and its inverse, the second form, the
+    shape operator, G^-1/2, the polar frame and the weights."""
+    U1, U2 = np.meshgrid(chart.u1, chart.u2, indexing="ij")
+    zero, one = np.zeros_like(U1), np.ones_like(U1)
+    c, s = np.cos(U2), np.sin(U2)
+    if chart.family == "plate":
+        pos, t1, t2 = (np.stack(v, axis=-1) for v in (
+            (U1, U2, zero), (one, zero, zero), (zero, one, zero)))
+        d11 = d12 = d22 = np.zeros(U1.shape + (3,))
+    else:
+        if chart.family == "sphere_patch":
+            scale = params["radius"]
+            r, z = np.sin(U1), np.cos(U1)
+            r1, z1, r2, z2 = z, -r, -r, -z
+        else:
+            scale = 1.0
+            r, r1, r2 = (chart.profile[k](U1) for k in ("g", "gp", "gpp"))
+            z, z1, z2 = U1, one, zero
+        pos, t1, t2, d11, d12, d22 = (scale * np.stack(v, axis=-1) for v in (
+            (r * c, r * s, z), (r1 * c, r1 * s, z1), (-r * s, r * c, zero),
+            (r2 * c, r2 * s, z2), (-r1 * s, r1 * c, zero),
+            (-r * c, -r * s, zero)))
+    cross = np.cross(t1, t2)
+    normal = cross / np.linalg.norm(cross, axis=-1)[..., None]
+    dot = lambda a, b: np.einsum("xyc,xyc->xy", a, b)
+    g11, g12, g22 = dot(t1, t1), dot(t1, t2), dot(t2, t2)
+    det = g11 * g22 - g12 * g12
+    sqrt_g = np.sqrt(det)
+    metric = np.stack([np.stack([g11, g12], -1), np.stack([g12, g22], -1)], -2)
+    inv = np.stack([np.stack([g22, -g12], -1), np.stack([-g12, g11], -1)],
+                   -2) / det[..., None, None]
+    h11, h12, h22 = (-dot(normal, d) for d in (d11, d12, d22))
+    second = np.stack([np.stack([h11, h12], -1), np.stack([h12, h22], -1)], -2)
+    tau = np.sqrt(g11 + g22 + 2.0 * sqrt_g)
+    ginv_half = np.empty_like(metric)
+    ginv_half[..., 0, 0] = (g22 + sqrt_g) / (sqrt_g * tau)
+    ginv_half[..., 1, 1] = (g11 + sqrt_g) / (sqrt_g * tau)
+    ginv_half[..., 0, 1] = ginv_half[..., 1, 0] = -g12 / (sqrt_g * tau)
+    e = np.swapaxes(np.stack([t1, t2], axis=2), -1, -2) @ ginv_half
+    w1 = ops.trapezoid_weights(chart.shape[0], chart.du[0], periodic=False)
+    w2 = ops.trapezoid_weights(chart.shape[1], chart.du[1],
+                               periodic=chart.periodic2)
+    return {"pos": pos, "t1": t1, "t2": t2, "normal": normal,
+            "sqrt_g": sqrt_g, "ginv_half": ginv_half,
+            "quad_w": np.outer(w1, w2) * sqrt_g,
+            "frame_e1": e[..., 0], "frame_e2": e[..., 1],
+            "metric": metric, "metric_inv": inv, "second_form": second,
+            "shape_op": np.einsum("xyik,xykj->xyij", inv, second)}
+
+
+# the fields that the strain dictionary and the frame read, kept bit for bit
+FULL_GRID_FIELDS = ("pos", "t1", "t2", "normal", "sqrt_g", "ginv_half",
+                    "quad_w", "frame_e1", "frame_e2")
+COLUMN_FIELDS = ("metric", "metric_inv", "second_form", "shape_op")
+
+
+@pytest.mark.parametrize("family,params,grid", COLUMN_CHARTS)
+def test_full_grid_fields_are_bit_identical(family, params, grid):
+    """The fields the strain dictionary reads keep their full-grid formulas
+    bit for bit: the quartic's kappa = 1 minimum amplifies their rounding
+    about 1e9-fold."""
+    ch = vk.build_chart(family, params, grid)
+    want = _full_grid_reference(ch, params)
+    for name in FULL_GRID_FIELDS:
+        got = getattr(ch, name)
+        assert got.shape == want[name].shape, name
+        assert np.array_equal(got.view(np.int64), want[name].view(np.int64)), \
+            name
+
+
+@pytest.mark.parametrize("family,params,grid", COLUMN_CHARTS)
+def test_u1_only_fields_are_one_meridian_column(family, params, grid):
+    """On a built-in chart the metric, its inverse, the second form and the
+    shape operator are read-only (N1, N2, 2, 2) views of grid column 0,
+    with stride 0 along u2, within 4 ulps of the full-grid formulas; dual,
+    dn1 and dn2 are their products with t1 and t2."""
+    ch = vk.build_chart(family, params, grid)
+    want = _full_grid_reference(ch, params)
+    for name in COLUMN_FIELDS:
+        got = getattr(ch, name)
+        assert got.shape == ch.shape + (2, 2) and got.strides[1] == 0, name
+        assert not got.flags.writeable, name
+        assert geo.u1_column(got).shape == (ch.shape[0], 1, 2, 2)
+        ulp = np.spacing(np.max(np.abs(want[name])))
+        assert np.max(np.abs(got - want[name])) <= 4 * ulp, name
+    S, inv = ch.shape_op, ch.metric_inv
+    for i, dual in enumerate((ch.dual[..., 0, :], ch.dual[..., 1, :])):
+        assert np.array_equal(dual, inv[..., i, 0, None] * ch.t1
+                              + inv[..., i, 1, None] * ch.t2)
+    for j, dn in enumerate((ch.dn1, ch.dn2)):
+        assert np.array_equal(dn, S[..., 0, j, None] * ch.t1
+                              + S[..., 1, j, None] * ch.t2)
+
+
+def test_custom_chart_geometry_stays_full_grid():
+    """A custom chart runs the same code with the whole grid as its
+    column: its u1-only fields are full-grid arrays, read whole."""
+    ch = vk.build_chart("custom", {
+        "position": lambda U, V: np.stack([U, V, U * U - V * V], axis=-1),
+        "domain": ((-0.5, 0.5), (-0.5, 0.5))}, (12, 12))
+    for name in COLUMN_FIELDS:
+        got = getattr(ch, name)
+        assert got.strides[1] != 0 and not got.flags.writeable, name
+        assert geo.u1_column(got) is got
+    h = ch.second_form
+    assert np.array_equal(ch.shape_op, np.einsum("xyik,xykj->xyij",
+                                                 ch.metric_inv, h))
