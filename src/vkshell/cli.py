@@ -462,11 +462,11 @@ def cmd_energy(cfg, chart, outdir, checks):
     load = _load(cfg, chart)
     rset = fn.rotation_set(load, sample_count=cfg.sample_count, seed=cfg.seed)
     # J = I - load work per candidate (fn.total_J), with I computed once
-    work = [fn.load_work(chart, load, Q, V) for Q in rset.candidates]
-    k = int(np.argmin([breakdown.total - lw for lw in work]))
+    work = fn.load_work(chart, load, rset.candidates, V)
+    k = int(np.argmin(breakdown.total - work))
     Q = rset.candidates[k]
     best_J = {"stretching": breakdown.stretching, "bending": breakdown.bending,
-              "load": work[k], "total": breakdown.total - work[k]}
+              "load": float(work[k]), "total": float(breakdown.total - work[k])}
     payload = {
         "stretching": breakdown.stretching,
         "bending": breakdown.bending,

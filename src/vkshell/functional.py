@@ -24,16 +24,22 @@ class LoadSpec:
     f: geo.VectorField3
     moment: np.ndarray       # integral of f (x) x
     mean: np.ndarray
-    torque: np.ndarray
-    mean_tol: float = 1e-8
 
     @property
-    def mean_ok(self):
-        scale = max(float(np.linalg.norm(self.moment)), 1.0)
-        return bool(np.linalg.norm(self.mean) <= self.mean_tol * scale)
+    def torque(self):
+        """Integral of f x x (see _torque)."""
+        return _torque(self.moment)
 
 
-def make_load(chart, values, remove_mean=False, mean_tol=1e-8):
+def _torque(moment):
+    """Integral of f x x from the moment integral of f (x) x: the axial
+    vector of its skew part."""
+    return np.array([moment[1, 2] - moment[2, 1],
+                     moment[2, 0] - moment[0, 2],
+                     moment[0, 1] - moment[1, 0]])
+
+
+def make_load(chart, values, remove_mean=False):
     """Build a LoadSpec from nodal force values; optionally remove the mean."""
     fld = as_vector_field(values)
     if fld.shape != chart.shape:
@@ -44,10 +50,9 @@ def make_load(chart, values, remove_mean=False, mean_tol=1e-8):
         mean = np.einsum("xy,xyc->c", chart.quad_w, vals) / area
         vals = vals - mean
     mean = np.einsum("xy,xyc->c", chart.quad_w, vals)
-    moment = np.einsum("xy,xyc,xyd->cd", chart.quad_w, vals, chart.pos)
-    torque = np.einsum("xy,xyc->c", chart.quad_w, np.cross(vals, chart.pos))
-    return LoadSpec(f=geo.VectorField3(vals), moment=moment, mean=mean,
-                    torque=torque, mean_tol=mean_tol)
+    load = LoadSpec(f=geo.VectorField3(vals), moment=None, mean=mean)
+    load.moment = load_moment(chart, load, chart.pos)
+    return load
 
 
 @dataclass
@@ -55,8 +60,6 @@ class RotationSetResult:
     m: float
     candidates: list
     degenerate: bool
-    linearized_ok: bool
-    linearized_residuals: np.ndarray
     torque: np.ndarray
 
 
@@ -114,13 +117,24 @@ def stretching_energy(chart, form, A, kappa, moduli):
     return float(0.5 * geo.integrate(chart, q2))
 
 
-def load_work(chart, load, rotation, fld):
-    """Linear load term: integral of f . (Q V); a stack of fields
-    (m, N1, N2, 3) gives one value per field."""
+def load_moment(chart, load, fld):
+    """The moment N = integral of f (x) V of the load against a field V,
+    (3, 3), or one per field of a stack (m, N1, N2, 3), (m, 3, 3): the
+    load reaches the limit functional only through N and the moment
+    LoadSpec.moment of the undeformed surface."""
     V = getattr(fld, "values", fld)
     V = as_vector_field(V).values if np.ndim(V) == 3 else np.asarray(V, float)
-    qv = np.einsum("cd,...xyd->...xyc", rotation, V)
-    return geo.integrate(chart, np.einsum("xyc,...xyc->...xy", load.f.values, qv))
+    return np.einsum("xy,xyc,...xyd->...cd", chart.quad_w, load.f.values, V)
+
+
+def load_work(chart, load, rotation, fld):
+    """Linear load term: integral of f . (Q V) = sum_cd Q_cd N_cd with
+    N = load_moment(chart, load, fld).  A stack of rotations (k, 3, 3) and
+    a stack of fields (m, N1, N2, 3) give one value per rotation and field,
+    of shape (k, m)."""
+    Q = np.asarray(rotation, float)
+    N = load_moment(chart, load, fld)
+    return np.tensordot(Q, N, axes=([-2, -1], [-2, -1]))[()]
 
 
 def _check_rotation(Q):
@@ -155,14 +169,7 @@ def total_J(chart, fld, form, kappa, moduli, load, rotation):
 # optimal rotations of the undeformed surface
 # ---------------------------------------------------------------------------
 
-def _linearized_residuals(moment, candidates):
-    """Skew defect of Q^T Fhat per candidate; zero iff the load does no
-    first-order work on rotations through that candidate."""
-    res = []
-    for Q in candidates:
-        S = Q.T @ moment
-        res.append(np.linalg.norm(S - S.T) / np.sqrt(2.0))
-    return np.array(res)
+_ROTATION_TOL = 1e-9    # degenerate moment norm and singular value gap
 
 
 def _circle_family(U, V, count):
@@ -190,38 +197,32 @@ def _so3_samples(count, seed=0):
     return out
 
 
-def rotation_set(load, tol=1e-9, sample_count=64, seed=0):
+def rotation_set(load, sample_count=64, seed=0):
     """Maximize tr(Q^T Fhat) over proper rotations.
 
     Uses the singular value decomposition Fhat = U S V^T: the maximizer is
     U diag(1, 1, det(UV^T)) V^T and the maximum is s1 + s2 + det(UV^T) s3.
-    Degenerate moment matrices (coinciding relevant singular values, or
-    Fhat = 0) yield a sampled family of maximizers and degenerate=True.
+    Degenerate moment matrices (singular values that coincide to
+    _ROTATION_TOL, or |Fhat| <= _ROTATION_TOL) yield a sampled family of
+    maximizers and degenerate=True.  The torque is the integral of f x x.
     """
     moment = np.asarray(getattr(load, "moment", load), dtype=float)
     if moment.shape != (3, 3):
         raise ValueError("expected a LoadSpec or a 3x3 moment matrix")
-    default_torque = np.array([moment[2, 1] - moment[1, 2],
-                               moment[0, 2] - moment[2, 0],
-                               moment[1, 0] - moment[0, 1]])
-    torque = np.asarray(getattr(load, "torque", default_torque), dtype=float)
-    scale = float(np.linalg.norm(moment))
-    if scale <= tol:
-        cands = _so3_samples(sample_count, seed=seed)
-        lin = _linearized_residuals(moment, cands)
-        return RotationSetResult(
-            m=0.0, candidates=cands, degenerate=True,
-            linearized_ok=bool(np.all(lin <= max(tol * max(scale, 1.0), tol))),
-            linearized_residuals=lin, torque=torque)
+    torque = _torque(moment)
+    if float(np.linalg.norm(moment)) <= _ROTATION_TOL:
+        return RotationSetResult(0.0, _so3_samples(sample_count, seed), True,
+                                 torque)
     U, sig, Vt = np.linalg.svd(moment)
     detuv = np.linalg.det(U @ Vt)
     qstar = U @ np.diag([1.0, 1.0, detuv]) @ Vt
     m = float(sig[0] + sig[1] + detuv * sig[2])
-    degenerate = bool(sig[1] + detuv * sig[2] <= tol * max(sig[0], 1.0))
+    tol = _ROTATION_TOL * max(sig[0], 1.0)
+    degenerate = bool(sig[1] + detuv * sig[2] <= tol)
     candidates = [qstar]
     if degenerate:
         V = Vt.T
-        if sig[1] <= tol * max(sig[0], 1.0):
+        if sig[1] <= tol:
             # rank-one moment: stabilizer circle about the leading axis
             Ur = U.copy()
             if detuv < 0:
@@ -232,8 +233,5 @@ def rotation_set(load, tol=1e-9, sample_count=64, seed=0):
             # det(UV^T) = -1 with coinciding trailing singular values:
             # one-parameter family of reflected completions
             candidates = _circle_family(U, V * [1.0, 1.0, -1.0], sample_count)
-    lin = _linearized_residuals(moment, candidates)
-    return RotationSetResult(
-        m=m, candidates=candidates, degenerate=degenerate,
-        linearized_ok=bool(np.all(lin <= 1e-9 * max(scale, 1.0) + 1e-12)),
-        linearized_residuals=lin, torque=torque)
+    return RotationSetResult(m=m, candidates=candidates,
+                             degenerate=degenerate, torque=torque)

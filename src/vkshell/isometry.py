@@ -285,26 +285,20 @@ def _cholesky(M):
         raise ArithmeticError(_PENCIL_FAILURE) from exc
 
 
-def eigh(F, W=None):
-    """Eigenvalues (ascending) and eigenvectors of the pencil
-    K x = rho M x of a symmetry block F, with K = F F^H and
-    M = (W W^H)^{-1}, or M = I when W is None (coordinates that are
-    M-orthonormal as built).  F (n, r) may be a stack (..., n, r) of blocks
-    of one shape, solved in one call, with W None or a matching stack.
-
-    Solved as the standard Hermitian problem of the whitened rows W^H F:
-    the eigenvectors z returned are M-orthonormal coordinates, and x = W z
-    are the pencil's (M-orthonormal) eigenvectors.  A block whose F has no
-    columns (no strain) has the eigenvalues 0 and the identity as
-    eigenvectors, with no solve.
+def eigh(F):
+    """Eigenvalues (ascending) and eigenvectors of K = F F^H for a symmetry
+    block F whose rows are whitened as built (M-orthonormal coordinates),
+    so that its pencil K x = rho M x is the standard Hermitian problem.
+    F (n, r) may be a stack (..., n, r) of blocks of one shape, solved in
+    one call.  A block whose F has no columns (no strain) has the
+    eigenvalues 0 and the identity as eigenvectors, with no solve.
     """
     if not F.shape[-1]:
         n = F.shape[-2]
         return (np.zeros(F.shape[:-1]),
                 np.broadcast_to(np.eye(n), F.shape[:-1] + (n,)).copy())
-    Fw = F if W is None else np.swapaxes(W.conj(), -1, -2) @ F
     try:
-        return np.linalg.eigh(Fw @ np.swapaxes(Fw.conj(), -1, -2))
+        return np.linalg.eigh(F @ np.swapaxes(F.conj(), -1, -2))
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(_PENCIL_FAILURE) from exc
 

@@ -74,13 +74,17 @@ class WellposednessReport:
 
 
 def wellposedness_check(load, candidates, tol=1e-9):
-    """Mean-zero and per-candidate linearized compatibility of the load."""
+    """The one admissibility decision for a load: its mean vanishes, and
+    at every rotation candidate Q the skew defect of Q^T Fhat (zero iff
+    the load does no first-order work on rotations through Q) vanishes,
+    each to tol relative to max(|Fhat|, 1)."""
     scale = max(float(np.linalg.norm(load.moment)), 1.0)
     mean_norm = float(np.linalg.norm(load.mean))
     failures = []
     if mean_norm > tol * scale:
         failures.append(("mean", load.mean.tolist()))
-    res = fn._linearized_residuals(load.moment, candidates)
+    S = np.swapaxes(np.asarray(candidates, float), -1, -2) @ load.moment
+    res = np.linalg.norm(S - np.swapaxes(S, -1, -2), axis=(-2, -1)) / 2**0.5
     for k, r in enumerate(res):
         if r > tol * scale:
             failures.append(("linearized", k, float(r)))
@@ -93,8 +97,21 @@ def wellposedness_check(load, candidates, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 def _load_vector(chart, load, rotation, fields):
-    """Load work of each field of a stack (m, N1, N2, 3)."""
+    """Load work of each rotation and field (functional.load_work)."""
     return fn.load_work(chart, load, rotation, fields)
+
+
+def _best_candidate(chart, load, candidates, fields, solve):
+    """solve(ell) -> (run, table row) for every rotation candidate, their
+    load vectors read off one load moment of the fields.  Returns the
+    table, and the index and run of the first candidate of least value."""
+    runs, table = [], []
+    for k, ell in enumerate(_load_vector(chart, load, candidates, fields)):
+        run, row = solve(ell)
+        runs.append(run)
+        table.append({"candidate": k, **row})
+    k = int(np.argmin([row["value"] for row in table]))
+    return table, k, runs[k]
 
 
 def _pair_rows(chart, A, kappa, moduli, weights, frame):
@@ -248,18 +265,13 @@ def minimize_quadratic(chart, basis, load, candidates, moduli):
     flagged = bool(evals[0] <= cutoff)
     inv = np.where(evals > cutoff, 1.0 / np.maximum(evals, cutoff), 0.0)
 
-    table = []
-    best = None
-    for k, Q in enumerate(candidates):
-        ell = _load_vector(chart, load, Q, fields)
+    def solve(ell):
         xi = evecs @ (0.5 * inv * (evecs.T @ ell))
-        value = float(xi @ G @ xi - ell @ xi)
-        grad_norm = float(np.linalg.norm(2.0 * G @ xi - ell))
-        table.append({"candidate": k, "value": value,
-                      "gradient_norm": grad_norm})
-        if best is None or value < best[0]:
-            best = (value, k, xi, ell, grad_norm)
-    value, k, xi, ell, grad_norm = best
+        return xi, {"value": float(xi @ G @ xi - ell @ xi),
+                    "gradient_norm": float(np.linalg.norm(2.0 * G @ xi - ell))}
+
+    table, k, xi = _best_candidate(chart, load, candidates, fields, solve)
+    value, grad_norm = table[k]["value"], table[k]["gradient_norm"]
     vfield = VectorField3(np.tensordot(xi, fields, axes=1))
     zero_form = FormField2(np.zeros(chart.shape + (2, 2)))
     return MinimizationResult(
@@ -345,18 +357,13 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
         starts += [0.1 * rng.standard_normal(p)
                    for _ in range(opts.restarts - 1)]
 
-    table = []
-    best = None
-    for k, Q in enumerate(candidates):
-        ell = _load_vector(chart, load, Q, fields)
-        runs = [_newton(pair, G, ell, xi0, opts) for xi0 in starts]
-        run = _earliest_best(runs)
-        table.append({"candidate": k, "value": run[1], "gradient_norm": run[2],
-                      "iterations": run[3], "stop_reason": run[5]})
-        if best is None or run[1] < best[1][1]:
-            best = (k, run)
+    def solve(ell):
+        run = _earliest_best([_newton(pair, G, ell, x, opts) for x in starts])
+        return run, {"value": run[1], "gradient_norm": run[2],
+                     "iterations": run[3], "stop_reason": run[5]}
 
-    k, (xi, value, grad_norm, iters, history, reason) = best
+    table, k, run = _best_candidate(chart, load, candidates, fields, solve)
+    xi, value, grad_norm, iters, history, reason = run
     weight = np.where(iu == ju, 1.0, 2.0) * xi[iu] * xi[ju]
     beta = np.linalg.solve(colsr, weight @ packed_dict)
     coeffs, _, B_field = mem._dictionary_field(chart, gens, kept_idx, beta)

@@ -105,8 +105,7 @@ def trapezoid_weights(n, spacing, periodic):
     return w
 
 
-def gauss_legendre(npts, a=-0.5, b=0.5):
-    """Gauss-Legendre nodes/weights on [a, b], weights normalized to b-a."""
+def gauss_legendre(npts):
+    """Gauss-Legendre nodes/weights on [-1/2, 1/2], weights summing to 1."""
     x, w = np.polynomial.legendre.leggauss(npts)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+    return -0.5 + 0.5 * (x + 1.0), 0.5 * w

@@ -414,6 +414,26 @@ def test_energy_subcommand(tmp_path):
                                  - total["load"])) < 1e-10
 
 
+def test_energy_best_J_is_the_least_total_J_over_the_candidates(tmp_path):
+    """energy scans every rotation candidate through one load moment; its
+    best_J is the least total_J among them."""
+    text = CYL_CFG.replace("preset = radial_cos2", "preset = normal_saddle") \
+        .replace("sample_count = 8", "sample_count = 64")
+    cfg_path = write_cfg(tmp_path, text)
+    assert cli.run(["energy", "--config", cfg_path]) == 0
+    data = json.loads((tmp_path / "out" / "energy_result.json").read_text())
+    cfg = cli.parse_config(cfg_path)
+    chart = cli._build_chart(cfg)
+    load = cli._load(cfg, chart)
+    V = cli._mode_field(cfg, chart)
+    zero = vk.FormField2(np.zeros(chart.shape + (2, 2)))
+    candidates = fn.rotation_set(load, sample_count=64, seed=1).candidates
+    assert len(candidates) == 64
+    least = min(fn.total_J(chart, V, zero, cfg.kappa, cli._moduli(cfg), load,
+                           Q).total for Q in candidates)
+    assert abs(data["best_J"]["total"] - least) <= 1e-12 * abs(least)
+
+
 def test_energy_verify_catches_inconsistent_breakdown(tmp_path, monkeypatch):
     """--verify recomputes J with functional.total_J, so a load term that
     disagrees with it is caught."""

@@ -5,6 +5,7 @@ from vkshell import functional as fn
 from vkshell import geometry as geo
 from vkshell import isometry as iso
 from vkshell import material as mat
+from vkshell import minimize as mz
 from vkshell import presets
 from vkshell.geometry import FormField2, VectorField3
 
@@ -164,9 +165,11 @@ def test_make_load_mean_removal(plate32):
     vals = np.ones(plate32.shape + (3,))
     load = fn.make_load(plate32, vals, remove_mean=True)
     assert np.linalg.norm(load.mean) < 1e-13
-    assert load.mean_ok
+    assert not any(kind == "mean" for kind, *_ in
+                   mz.wellposedness_check(load, [np.eye(3)]).failures)
     raw = fn.make_load(plate32, vals, remove_mean=False)
-    assert not raw.mean_ok
+    assert any(kind == "mean" for kind, *_ in
+               mz.wellposedness_check(raw, [np.eye(3)]).failures)
 
 
 def test_rotation_set_identity_moment():
@@ -174,7 +177,8 @@ def test_rotation_set_identity_moment():
     assert not rs.degenerate
     assert abs(rs.m - 3.0) < 1e-14
     assert np.linalg.norm(rs.candidates[0] - np.eye(3)) < 1e-14
-    assert rs.linearized_ok
+    load = fn.LoadSpec(f=None, moment=np.eye(3), mean=np.zeros(3))
+    assert mz.wellposedness_check(load, rs.candidates).ok
 
 
 def test_rotation_set_reflected_moment():
@@ -259,6 +263,50 @@ def test_identity_candidate_implies_zero_torque(plate32):
                      for Q in rs.candidates)
         if has_id:
             assert np.linalg.norm(load.torque) <= 1e-8 * np.linalg.norm(load.moment)
+
+
+def _random_load(chart, seed):
+    rng = np.random.default_rng(seed)
+    return fn.make_load(chart, rng.normal(size=chart.shape + (3,)),
+                        remove_mean=True)
+
+
+def test_torque_is_one_sign_for_a_load_and_its_moment(cyl_small):
+    """rotation_set reports the torque integral of f x x whether it is
+    given the LoadSpec or its bare moment matrix."""
+    load = _random_load(cyl_small, 11)
+    direct = np.einsum("xy,xyc->c", cyl_small.quad_w,
+                       np.cross(load.f.values, cyl_small.pos))
+    scale = np.linalg.norm(direct)
+    for torque in (load.torque, fn.rotation_set(load).torque,
+                   fn.rotation_set(load.moment).torque):
+        assert np.linalg.norm(torque - direct) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("chart_name", ["cyl_small", "plate16"])
+def test_load_work_is_the_full_grid_integral(request, chart_name):
+    """load_work reads the load through one 3x3 moment per field; it
+    equals the integral of f . (Q V) over the grid for one field, a stack
+    of fields and a stack of rotations."""
+    chart = request.getfixturevalue(chart_name)
+    load = _random_load(chart, 3)
+    rng = np.random.default_rng(4)
+    fields = rng.normal(size=(5,) + chart.shape + (3,))
+    rotations = np.array([random_rotation(rng) for _ in range(7)])
+    f = load.f.values
+    want = np.array([[geo.integrate(chart, np.einsum(
+        "xyc,xyc->xy", f, V @ Q.T)) for V in fields] for Q in rotations])
+    scale = np.max(np.abs(want))
+
+    def close(got, expect):
+        return np.max(np.abs(got - expect)) <= 1e-13 * scale
+
+    assert close(fn.load_work(chart, load, rotations[0], fields[0]),
+                 want[0, 0])
+    assert close(fn.load_work(chart, load, rotations[0], fields), want[0])
+    assert close(fn.load_work(chart, load, rotations, fields[0]), want[:, 0])
+    assert close(fn.load_work(chart, load, list(rotations), fields), want)
+    assert fn.load_work(chart, load, rotations, fields).shape == (7, 5)
 
 
 def test_frame_invariance_of_energies(cyl_small):

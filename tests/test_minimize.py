@@ -82,6 +82,30 @@ def test_candidate_dominance(cyl_problem):
     assert res.value == best
 
 
+def test_minimizers_read_the_load_through_one_moment(monkeypatch, plate16):
+    """Both minimizers take the load vectors of all their rotation
+    candidates from one load moment of the basis fields."""
+    load = fn.make_load(plate16, presets.load_preset(plate16, "normal_saddle"),
+                        remove_mean=True)
+    rset = fn.rotation_set(load, sample_count=8, seed=0)
+    assert rset.m == 0.0 and len(rset.candidates) == 8    # SO(3) samples
+    basis = iso.isometry_basis(plate16, n_request=12, tol=1e-8)
+    opts = mz.SolverOptions(tol=1e-10, restarts=1)
+    calls, moment = [], fn.load_moment
+    monkeypatch.setattr(fn, "load_moment",
+                        lambda *args: calls.append(1) or moment(*args))
+    for count in (1, 3, 8):
+        candidates = rset.candidates[:count]
+        for run in (
+                lambda: mz.minimize_quadratic(plate16, basis, load,
+                                              candidates, M11),
+                lambda: mz.minimize_J(plate16, basis, load, candidates, 1.0,
+                                      M11, dict_degree=2, opts=opts)):
+            calls.clear()
+            assert len(run().table) == count
+            assert len(calls) == 1
+
+
 def test_kappa_continuity(cyl_problem):
     chart, basis, load = cyl_problem
     quad = mz.minimize_quadratic(chart, basis, load, [np.eye(3)], M11)
