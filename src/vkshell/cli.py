@@ -229,18 +229,34 @@ def write_json(path, payload):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _write_csv(path, header, table):
-    """Write a header and a float table in the module's CSV format.
+_BLOCK_CELLS = 8192     # cells of one block of rows in _write_csv
+
+
+def _write_csv(path, header, table, stack=None):
+    """Write a header and a float table in the module's CSV format.  The
+    rows are those of ``table`` (n, k), each followed by the values of an
+    optional field stack ``stack`` (m, n, c) at that row, field by field:
+    row i is table[i], stack[0, i], ..., stack[m - 1, i].  The rows go out
+    in blocks of at most _BLOCK_CELLS cells (at least one row), each built
+    from a slice of table and stack, so that neither the whole
+    (n, k + m c) table nor the strings of a large one are ever formed.
     Tables repeat values (grid coordinates, exact zeros, +- pairs), so each
-    block of rows formats each distinct float64 bit pattern once; keying
-    on bits keeps -0.0 apart from 0.0."""
+    block formats each distinct float64 bit pattern once; keying on bits
+    keeps -0.0 apart from 0.0."""
     table = np.asarray(table, float)
+    n, k = table.shape
+    stack = np.empty((0, n, 0)) if stack is None else stack
+    m, _, c = stack.shape
+    width = k + m * c
+    rows = max(1, _BLOCK_CELLS // width)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        # in blocks of rows, so that the strings of a large table are
-        # never all alive at once
-        for start in range(0, len(table), 1024):
-            block = table[start:start + 1024]
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            block = np.empty((stop - start, width))
+            block[:, :k] = table[start:stop]
+            block[:, k:].reshape(stop - start, m, c)[...] = np.moveaxis(
+                stack[:, start:stop], 0, 1)
             bits, inverse = np.unique(block.view(np.int64),
                                       return_inverse=True)
             text = np.array(list(map(repr, bits.view(float).tolist())),
@@ -248,19 +264,18 @@ def _write_csv(path, header, table):
             fh.write("\r\n".join(map(",".join, text.tolist())) + "\r\n")
 
 
-def write_field_csv(path, chart, columns):
-    """One row per node: u1, u2, x, y, z, then named value columns."""
+def write_field_csv(path, chart, names, values):
+    """One row per node: u1, u2, x, y, z, then the columns ``names`` of the
+    field stack ``values`` (m, N1, N2, c), field by field."""
     U1, U2 = np.meshgrid(chart.u1, chart.u2, indexing="ij")
-    table = np.column_stack([U1.ravel(), U2.ravel(), chart.pos.reshape(-1, 3)]
-                            + [np.ravel(arr) for _, arr in columns])
-    _write_csv(path, ["u1", "u2", "x", "y", "z"]
-               + [name for name, _ in columns], table)
+    nodes = np.column_stack([U1.ravel(), U2.ravel(), chart.pos.reshape(-1, 3)])
+    _write_csv(path, ["u1", "u2", "x", "y", "z"] + names, nodes,
+               values.reshape(len(values), chart.n_nodes, values.shape[-1]))
 
 
 def _write_vector_csv(path, chart, prefix, values):
     """Node CSV of a vector field (N1, N2, 3) in columns <prefix>x/y/z."""
-    write_field_csv(path, chart, [(prefix + c, values[..., k])
-                                  for k, c in enumerate("xyz")])
+    write_field_csv(path, chart, [prefix + c for c in "xyz"], values[None])
 
 
 def _verify_chart(chart):
@@ -364,12 +379,11 @@ def cmd_surface(cfg, chart, outdir, checks):
     }
     if checks is not None:
         payload["verify"] = checks
-    write_field_csv(outdir / "surface_nodes.csv", chart, [
-        ("sqrt_g", chart.sqrt_g),
-        ("h11", chart.second_form[..., 0, 0]),
-        ("h12", chart.second_form[..., 0, 1]),
-        ("h22", chart.second_form[..., 1, 1]),
-    ])
+    h = chart.second_form
+    write_field_csv(outdir / "surface_nodes.csv", chart,
+                    ["sqrt_g", "h11", "h12", "h22"],
+                    np.stack([chart.sqrt_g, h[..., 0, 0], h[..., 0, 1],
+                              h[..., 1, 1]], axis=-1)[None])
     return payload
 
 
@@ -388,9 +402,9 @@ def cmd_isometries(cfg, chart, outdir, checks):
     }
     if checks is not None:
         payload["rigid_residual"] = _verify_basis(chart, basis)
-    for k, mode in enumerate(basis.modes):
-        _write_vector_csv(outdir / ("isometry_mode_%03d.csv" % k), chart, "v",
-                          mode)
+    write_field_csv(outdir / "isometry_modes.csv", chart,
+                    ["v%03d%s" % (k, c) for k in range(len(basis))
+                     for c in "xyz"], basis.modes)
     return payload
 
 

@@ -165,7 +165,7 @@ def test_isometries_subcommand(tmp_path):
     assert data["cluster_size"] == 16 * 16 + 3
     assert data["gap_ratio"] >= 1e3
     assert data["rigid_residual"] <= 1e-8
-    assert (tmp_path / "out" / "isometry_mode_000.csv").exists()
+    assert (tmp_path / "out" / "isometry_modes.csv").exists()
 
 
 BYTE_IDENTICAL_RUNS = {
@@ -235,28 +235,50 @@ def _shared_blocks_table():
     return np.random.default_rng(5).choice(pool, size=(2500, 6))
 
 
+def _node_stack_table():
+    """The node columns of a 16x48 grid followed by a stack of 40
+    three-column fields, as (table, stack) and as the whole table."""
+    rng = np.random.default_rng(7)
+    nodes = np.round(rng.standard_normal((16 * 48, 5)), 3)
+    stack = rng.standard_normal((40, 16 * 48, 3))
+    stack[:, ::5] = 0.0
+    stack[3] = -stack[2]
+    return (nodes, stack), np.concatenate(
+        [nodes, np.moveaxis(stack, 0, 1).reshape(16 * 48, -1)], axis=1)
+
+
 CSV_TABLES = {
     "special-row": SPECIAL_FLOATS[None, :],
     "special-column": SPECIAL_FLOATS[:, None],
     "shared-blocks": _shared_blocks_table(),
     "one-row": np.array([[1.5, -2.0, 0.0]]),
     "zero-rows": np.zeros((0, 3)),
+    # wider than one block's cell budget: every block is a single row
+    "wide-rows": np.random.default_rng(6).choice(
+        np.concatenate([SPECIAL_FLOATS, np.linspace(-1.0, 1.0, 7)]),
+        size=(3, 9000)),
+    "node-stack": _node_stack_table(),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CSV_TABLES))
 def test_write_csv_matches_csv_module(tmp_path, name):
     table = CSV_TABLES[name]
+    if isinstance(table, tuple):    # node columns and an appended stack
+        args, table = table
+    else:
+        args = (table,)
     header = ["c%d" % k for k in range(table.shape[1])]
-    cli._write_csv(tmp_path / "new.csv", header, table)
+    cli._write_csv(tmp_path / "new.csv", header, *args)
     _csv_module_reference(tmp_path / "ref.csv", header, table)
     assert ((tmp_path / "new.csv").read_bytes()
             == (tmp_path / "ref.csv").read_bytes())
 
 
 def test_isometry_mode_csv_holds_modes_bit_for_bit(tmp_path, monkeypatch):
-    """The value columns of isometry_mode_k.csv read back as basis.modes[k]
-    exactly: each float is written as its shortest round-trip repr."""
+    """Columns 5+3k .. 7+3k of isometry_modes.csv read back as
+    basis.modes[k] exactly: each float is written as its shortest
+    round-trip repr."""
     bases = []
     exact = iso.isometry_basis
 
@@ -268,11 +290,33 @@ def test_isometry_mode_csv_holds_modes_bit_for_bit(tmp_path, monkeypatch):
     cfg_path = write_cfg(tmp_path, CYL_CFG)
     assert cli.run(["isometries", "--config", cfg_path]) == 0
     (basis,) = bases
+    path = tmp_path / "out" / "isometry_modes.csv"
+    header = path.read_text().splitlines()[0].split(",")
+    assert header == ["u1", "u2", "x", "y", "z"] + [
+        "v%03d%s" % (k, c) for k in range(len(basis)) for c in "xyz"]
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert table.shape == (basis.chart.n_nodes, 5 + 3 * len(basis))
     for k, mode in enumerate(basis.modes):
-        table = np.loadtxt(tmp_path / "out" / ("isometry_mode_%03d.csv" % k),
-                           delimiter=",", skiprows=1, ndmin=2)
-        assert np.array_equal(table[:, 5:].view(np.int64),
+        assert np.array_equal(table[:, 5 + 3 * k:8 + 3 * k].view(np.int64),
                               mode.reshape(-1, 3).view(np.int64))
+
+
+def test_isometries_empty_basis_writes_node_columns(tmp_path):
+    """sphere_patch 10x16 keeps no mode at the default basis_tol: --verify
+    still passes, and isometry_modes.csv carries the five node columns."""
+    cfg_path = write_cfg(tmp_path, "[surface]\nfamily = sphere_patch\n"
+                         "grid = 10 16\n\n[output]\ndirectory = {out}\n")
+    assert cli.run(["isometries", "--config", cfg_path, "--verify"]) == 0
+    data = json.loads((tmp_path / "out" / "isometries_result.json")
+                      .read_text())
+    assert data["empty"] and data["count"] == 0
+    path = tmp_path / "out" / "isometry_modes.csv"
+    assert path.read_text().splitlines()[0] == "u1,u2,x,y,z"
+    chart = vk.build_chart("sphere_patch", {}, (10, 16))
+    U1, U2 = np.meshgrid(chart.u1, chart.u2, indexing="ij")
+    np.testing.assert_array_equal(
+        np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2),
+        np.column_stack([U1.ravel(), U2.ravel(), chart.pos.reshape(-1, 3)]))
 
 
 def test_isometries_verify_catches_corrupt_basis(tmp_path, monkeypatch):
@@ -895,7 +939,7 @@ def test_csv_dumps_are_numeric(tmp_path):
                               chart.pos.reshape(-1, 3)])
     paths = sorted((tmp_path / "out").glob("*.csv"))
     names = {p.name for p in paths}
-    assert {"surface_nodes.csv", "isometry_mode_000.csv", "membrane_w.csv",
+    assert {"surface_nodes.csv", "isometry_modes.csv", "membrane_w.csv",
             "minimize_V.csv", "gamma_check_table.csv"} <= names
     for path in paths:
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
