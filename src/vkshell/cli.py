@@ -553,7 +553,6 @@ def cmd_minimize(cfg, chart, outdir, checks):
 
 
 def cmd_gamma_check(cfg, chart, outdir, checks):
-    moduli = _moduli(cfg)
     V = _mode_field(cfg, chart)
     w = None
     if cfg.kappa > 0 and cfg.mode.startswith("cylinder"):
@@ -564,11 +563,11 @@ def cmd_gamma_check(cfg, chart, outdir, checks):
 
         def w(target):   # build_ansatz passes (kappa/2)(A^2)_tan
             return _solve_membrane(cfg, chart, target).w
-    ansatz = gc.build_ansatz(chart, V, w=w, kappa=cfg.kappa, moduli=moduli,
+    ansatz = gc.build_ansatz(chart, V, w=w, kappa=cfg.kappa,
+                             moduli=_moduli(cfg),
                              e_rule=gc.thickness_scaling(cfg.e_rule,
                                                          cfg.kappa))
-    table = gc.convergence_study(ansatz, cfg.h_ladder, moduli,
-                                 t_quad=cfg.t_quad)
+    table = gc.convergence_study(ansatz, cfg.h_ladder, t_quad=cfg.t_quad)
     errors = table.errors()
     payload = {
         "limit": table.limit,
@@ -632,8 +631,8 @@ def run(argv):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (ArithmeticError, ChartError, mz.MinimizationError,
-            np.linalg.LinAlgError, ValueError) as exc:
+    except (ArithmeticError, mz.MinimizationError, np.linalg.LinAlgError,
+            ValueError) as exc:
         diag = {"error": str(exc), "type": type(exc).__name__}
         if isinstance(exc, mz.MinimizationError):
             diag["diagnostics"] = exc.diagnostics

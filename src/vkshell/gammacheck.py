@@ -277,8 +277,9 @@ def _dual_gram(chart, adj, vol, rows=slice(None)):
     return np.moveaxis(K, (0, 1), (-2, -1))
 
 
-def energy_3d(ansatz, h, moduli=None, t_quad=4, rotate=None):
-    """Scaled 3D elastic energy of the recovery deformation at thickness h.
+def energy_3d(ansatz, h, t_quad=4):
+    """Scaled 3D elastic energy of the recovery deformation at thickness h,
+    for the ansatz's own moduli.
 
     Surface trapezoid quadrature times Gauss-Legendre in the thickness
     variable, with the geometric volume factor det(I + t h Pi).  F is not
@@ -288,25 +289,22 @@ def energy_3d(ansatz, h, moduli=None, t_quad=4, rotate=None):
     material.svk_density reads D with the dual Gram K (isotropic moduli)
     or with the dual basis (anisotropic).  Each level is summed over
     blocks of grid rows of about _BLOCK_NODES nodes, so its arrays do
-    not grow with the grid.  F^T F does not change under a left
-    rotation of F, so ``rotate`` does not enter the value.
+    not grow with the grid.
     """
-    if moduli is None:
-        moduli = mat.ElasticModuli(1.0, 1.0)
     n1, n2 = ansatz.chart.shape
     step = max(1, _BLOCK_NODES // n2)
     blocks = [slice(r, r + step) for r in range(0, n1, step)]
     total = 0.0
     for t, wt in _gauss_levels(ansatz, h, t_quad):
-        total += wt * sum(_block_energy(ansatz, h, t, rows, moduli)
+        total += wt * sum(_block_energy(ansatz, h, t, rows)
                           for rows in blocks)
     return float(total)
 
 
-def _block_energy(ansatz, h, t, rows, moduli):
+def _block_energy(ansatz, h, t, rows):
     """The surface integral of W det M at level t over the grid rows rows;
     its arrays are freed before the next block is formed."""
-    chart = ansatz.chart
+    chart, moduli = ansatz.chart, ansatz.moduli
     m, d, adj, vol = _level(ansatz, h, t, rows)
     m += 0.5 * d
     D = np.einsum("ac...,bc...->ab...", m, d)          # m d^T
@@ -321,26 +319,21 @@ def _block_energy(ansatz, h, t, rows, moduli):
     return np.sum(chart.quad_w[rows] * (W * vol))
 
 
-def convergence_study(ansatz, h_list, moduli=None, t_quad=4):
+def convergence_study(ansatz, h_list, t_quad=4):
     """Scaled-energy ladder against the limit functional.
 
     Rows carry (h, I_h / e_h, |ratio - limit|, successive slope); the
     limit is the discrete limit energy with the ansatz's own strain field,
-    ``ansatz.limit``.  The ansatz's warping vectors are optimal for its own
-    moduli only, so other moduli are rejected.
+    ``ansatz.limit``.  The 3D energy is read with the ansatz's own moduli,
+    for which its warping vectors are optimal.
     """
-    if moduli is None:
-        moduli = mat.ElasticModuli(1.0, 1.0)
-    if not np.array_equal(moduli.voigt, ansatz.moduli.voigt):
-        raise ValueError("moduli differ from those the ansatz was built "
-                         "with")
     h_list = list(h_list)
     if len(h_list) < 4 or any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise ValueError("need at least 4 strictly decreasing thicknesses")
     limit = ansatz.limit
     rows = []
     for h in h_list:
-        ih = energy_3d(ansatz, h, moduli, t_quad=t_quad)
+        ih = energy_3d(ansatz, h, t_quad=t_quad)
         ratio = ih / ansatz.e(h)
         rows.append({"h": h, "energy": ih, "ratio": ratio,
                      "error": abs(ratio - limit), "slope": np.nan})

@@ -1,15 +1,19 @@
 """Discrete charts for parametrized mid-surfaces.
 
-A chart caches, per grid node: position, tangents, unit normal, first and
-second fundamental forms, shape operator, the dual frame, the orthonormal
-tangent frame in which forms are measured, and quadrature weights.  On
-the built-in charts the forms and the shape operator depend on u1 alone
-and are held on grid column 0, broadcast along u2 (u1_column).
-The plate uses its flat formulas; the surfaces of revolution (cylinder,
-revolution, sphere patch) share one set of analytic derivatives of
-(r(u1) cos u2, r(u1) sin u2, z(u1)), written from the meridian (r, z) and
-its first two derivatives.  A custom chart gives positions only: its
-tangents and normal derivatives are differences of the samples.
+A chart is one frozen value, formed once by build_chart: its node Grid
+(u1, u2 and the derivatives along each axis) and, per node, read-only
+arrays of position, tangents, unit normal, first and second fundamental
+forms, shape operator, the dual frame, the orthonormal frame (rows
+frame_e1, frame_e2, normal) in which forms are measured, and quadrature
+weights.  On the built-in charts the forms and the shape operator depend
+on u1 alone and are held on grid column 0, broadcast along u2
+(u1_column).  The plate uses its flat formulas; the surfaces of
+revolution (cylinder, revolution, sphere patch) share one set of analytic
+derivatives of (r(u1) cos u2, r(u1) sin u2, z(u1)), written from the
+meridian (r, z) and its first two derivatives sampled once on u1; a
+cylinder or revolution keeps its sampled profile g, g', g''.  A custom
+chart gives positions only: its tangents and normal derivatives are
+differences of the samples.
 
 Tangential derivatives of nodal fields use 2nd-order finite differences
 along non-periodic axes.  Along a closed (periodic) axis the default is
@@ -79,37 +83,20 @@ def as_form_field(obj):
     return obj if isinstance(obj, FormField2) else FormField2(np.asarray(obj, float))
 
 
-@dataclass
-class SurfaceChart:
-    """Discretized parametrized surface with cached geometric data."""
+@dataclass(frozen=True, kw_only=True)
+class Grid:
+    """The node grid of a chart and its derivatives along each axis: u1
+    (N1,) and u2 (N2,) on domain with spacings du, u2 closed when
+    periodic2."""
 
-    family: str
     domain: tuple
     shape: tuple
     periodic2: bool
     u1: np.ndarray
     u2: np.ndarray
-    pos: np.ndarray          # (N1,N2,3)
-    t1: np.ndarray           # d r / d u1
-    t2: np.ndarray           # d r / d u2
-    normal: np.ndarray
-    metric: np.ndarray       # (N1,N2,2,2)
-    metric_inv: np.ndarray
-    sqrt_g: np.ndarray
-    second_form: np.ndarray  # h_ij = (d_i n) . t_j
-    shape_op: np.ndarray     # S^i_j = g^{ik} h_kj
-    dn1: np.ndarray          # d n / d u1
-    dn2: np.ndarray
-    dual: np.ndarray         # (N1,N2,2,3) dual_i = g^{ij} t_j
-    frame_e1: np.ndarray     # e_a = sum_k t_k G^{-1/2}_ka
-    frame_e2: np.ndarray
-    ginv_half: np.ndarray    # G^{-1/2}, symmetric
-    quad_w: np.ndarray       # (N1,N2) trapezoid x sqrt(g)
     du: tuple
     theta_scheme: str = "spectral"
-    profile: dict = field(default_factory=dict)
 
-    # -- derivative application ------------------------------------------
     def d1(self, f):
         return ops.fd1_apply(f, self.du[0], axis=0)
 
@@ -122,21 +109,45 @@ class SurfaceChart:
         return ops.fd1_periodic_apply(f, self.du[1], axis=1)
 
     @property
-    def frame(self):
-        """(N1, N2, 3, 3) rows frame_e1, frame_e2, normal: the orthonormal
-        frame in which the relaxed form Q2 is taken."""
-        return np.stack([self.frame_e1, self.frame_e2, self.normal], axis=-2)
-
-    @property
     def n_nodes(self):
         return self.shape[0] * self.shape[1]
+
+
+@dataclass(frozen=True, kw_only=True)
+class SurfaceChart(Grid):
+    """Discretized parametrized surface: its grid and read-only geometric
+    data, formed once by build_chart."""
+
+    family: str
+    pos: np.ndarray          # (N1,N2,3)
+    t1: np.ndarray           # d r / d u1
+    t2: np.ndarray           # d r / d u2
+    normal: np.ndarray
+    metric: np.ndarray       # (N1,N2,2,2)
+    metric_inv: np.ndarray
+    sqrt_g: np.ndarray
+    second_form: np.ndarray  # h_ij = (d_i n) . t_j
+    shape_op: np.ndarray     # S^i_j = g^{ik} h_kj
+    dn1: np.ndarray          # d n / d u1
+    dn2: np.ndarray
+    dual: np.ndarray         # (N1,N2,2,3) dual_i = g^{ij} t_j
+    frame: np.ndarray        # (N1,N2,3,3) rows frame_e1, frame_e2, normal
+    frame_e1: np.ndarray     # e_a = sum_k t_k G^{-1/2}_ka
+    frame_e2: np.ndarray
+    ginv_half: np.ndarray    # G^{-1/2}, symmetric
+    quad_w: np.ndarray       # (N1,N2) trapezoid x sqrt(g)
+    profile: dict = field(default_factory=dict)   # g, gp, gpp (N1,) samples
 
 
 # ---------------------------------------------------------------------------
 # chart construction
 # ---------------------------------------------------------------------------
 
-def _grid(domain, shape, periodic2):
+def _grid(domain, shape, periodic2, theta_scheme):
+    for a, b in domain:
+        if not -np.inf < a < b < np.inf:
+            raise ChartError("domain interval (%g, %g) must be finite and "
+                             "increasing" % (a, b))
     (a1, b1), (a2, b2) = domain
     n1, n2 = shape
     u1 = np.linspace(a1, b1, n1)
@@ -147,21 +158,17 @@ def _grid(domain, shape, periodic2):
         u2 = np.linspace(a2, b2, n2)
         du2 = (b2 - a2) / (n2 - 1)
     du1 = (b1 - a1) / (n1 - 1)
-    return u1, u2, (du1, du2)
-
-
-def _poly_profile(coeffs):
-    c = np.asarray(coeffs, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise ChartError("revolution profile coefficients must be finite")
-    p = np.polynomial.Polynomial(c)
-    return p, p.deriv(1), p.deriv(2)
+    for u in (u1, u2):
+        u.setflags(write=False)
+    return Grid(domain=domain, shape=shape, periodic2=periodic2, u1=u1,
+                u2=u2, du=(du1, du2), theta_scheme=theta_scheme)
 
 
 def _revolution(U2, r, r1, z, z1):
     """Position and d1, d2 of (r cos u2, r sin u2, z) from meridian values
-    r, z and their u1-derivatives r1, z1."""
+    r, z and their u1-derivatives r1, z1, each (N1, 1)."""
     c, s = np.cos(U2), np.sin(U2)
+    z, z1 = (np.broadcast_to(v, U2.shape) for v in (z, z1))
     return (np.stack([r * c, r * s, z], axis=-1),
             np.stack([r1 * c, r1 * s, z1], axis=-1),
             np.stack([-r * s, r * c, np.zeros_like(U2)], axis=-1))
@@ -182,7 +189,9 @@ def build_chart(family, params=None, grid=(32, 32)):
 
     The plate and the surfaces of revolution (cylinder, revolution,
     sphere_patch) take their tangents and second form from analytic
-    derivatives; a custom chart takes both from its sampled positions.
+    derivatives, with the meridian sampled once on u1; a custom chart
+    takes both from its sampled positions.  Non-finite samples, a profile
+    that is not positive at a node and a degenerate node raise ChartError.
 
     Parameters
     ----------
@@ -207,41 +216,34 @@ def build_chart(family, params=None, grid=(32, 32)):
     if theta_scheme not in ("spectral", "central"):
         raise ChartError("theta_scheme must be 'spectral' or 'central'")
 
-    profile = {}
     periodic2 = True
     if family == "plate":
         (a1, b1), (a2, b2) = params.get("bounds", ((0.0, 1.0), (0.0, 1.0)))
         domain = ((a1, b1), (a2, b2))
         periodic2 = False
     elif family in ("cylinder", "revolution"):
-        if family == "cylinder":
+        if family == "cylinder":   # the constant profile g = radius
             radius = float(params.get("radius", 1.0))
             height = float(params.get("height", 1.0))
             if not (0 < radius < np.inf and 0 < height < np.inf):
                 raise ChartError("cylinder needs finite radius > 0 and "
                                  "height > 0")
-            s0, s1 = params.get("s_range", (0.0, height))
-            g = lambda s: np.full_like(np.asarray(s, float), radius)
-            gp = lambda s: np.zeros_like(np.asarray(s, float))
-            gpp = gp
+            prof, s_range = (radius,), (0.0, height)
         else:
-            prof = params.get("profile")
+            prof, s_range = params.get("profile"), (0.0, 1.0)
             if prof is None:
                 raise ChartError("revolution needs a 'profile'")
-            if callable(prof):
-                g = prof
-                gp = params.get("profile_d1")
-                gpp = params.get("profile_d2")
-                if gp is None or gpp is None:
-                    raise ChartError("callable profile needs profile_d1 and profile_d2")
-            else:
-                g, gp, gpp = _poly_profile(prof)
-            s0, s1 = params.get("s_range", (0.0, 1.0))
+        if callable(prof):
+            g = prof
+            gp = params.get("profile_d1")
+            gpp = params.get("profile_d2")
+            if gp is None or gpp is None:
+                raise ChartError("callable profile needs profile_d1 and profile_d2")
+        else:
+            g = np.polynomial.Polynomial(np.asarray(prof, dtype=float))
+            gp, gpp = g.deriv(1), g.deriv(2)
+        s0, s1 = params.get("s_range", s_range)
         domain = ((s0, s1), (0.0, 2.0 * np.pi))
-        profile = {"g": g, "gp": gp, "gpp": gpp}
-        gv = np.asarray(g(np.linspace(s0, s1, 64)), float)
-        if np.any(gv <= 0):
-            raise ChartError("revolution profile must be positive on the s-range")
         meridian = lambda s: (g(s), gp(s), gpp(s), s, np.ones_like(s),
                               np.zeros_like(s))
     elif family == "sphere_patch":
@@ -264,17 +266,29 @@ def build_chart(family, params=None, grid=(32, 32)):
         domain = params.get("domain", ((0.0, 1.0), (0.0, 1.0)))
         periodic2 = bool(params.get("periodic2", False))
 
-    for a, b in domain:
-        if not -np.inf < a < b < np.inf:
-            raise ChartError("domain interval (%g, %g) must be finite and "
-                             "increasing" % (a, b))
-    u1, u2, du = _grid(domain, (n1, n2), periodic2)
-    U1, U2 = np.meshgrid(u1, u2, indexing="ij")
+    grid = _grid(domain, (n1, n2), periodic2, theta_scheme)
+    u1 = grid.u1
+    U1, U2 = np.meshgrid(u1, grid.u2, indexing="ij")
     # the metric, second form and shape operator of a built-in chart depend
     # on u1 alone: they are formed on grid column 0 (cols) and stored as
     # read-only views broadcast along u2; a custom chart's column is the
     # whole grid
     cols = slice(None) if family == "custom" else slice(0, 1)
+
+    profile = {}
+    if family in ("cylinder", "revolution", "sphere_patch"):
+        # the meridian (r, r', r'', z, z', z'') sampled once on u1; a
+        # cylinder's or revolution's r, r', r'' is its profile g, g', g''
+        m = [np.broadcast_to(np.asarray(v, dtype=float), u1.shape)
+             for v in meridian(u1)]
+        if not np.isfinite(m).all():
+            raise ChartError("revolution profile must be finite at every node")
+        if np.any(m[0] <= 0):
+            raise ChartError("revolution profile must be positive at every "
+                             "node")
+        if family != "sphere_patch":
+            profile = dict(zip(("g", "gp", "gpp"), m))
+        r, r1, r2, z, z1, z2 = (v[:, None] for v in m)
 
     if family == "plate":
         zero, one = np.zeros_like(U1), np.ones_like(U1)
@@ -282,48 +296,35 @@ def build_chart(family, params=None, grid=(32, 32)):
             (U1, U2, zero), (one, zero, zero), (zero, one, zero)))
         d11 = d12 = d22 = np.zeros((n1, 1, 3))
     elif family != "custom":
-        r, r1, _, z, z1, _ = meridian(U1)
         pos, t1, t2 = _revolution(U2, r, r1, z, z1)
-        r, r1, r2, _, _, z2 = meridian(U1[:, cols])
         d11, d12, d22 = _revolution_d2(U2[:, cols], r, r1, r2, z2)
         if family == "sphere_patch":
             pos, t1, t2, d11, d12, d22 = (radius * v for v in (
                 pos, t1, t2, d11, d12, d22))
-    elif callable(position):
-        pos = position(U1, U2)
-    else:
-        pos = np.asarray(position, dtype=float)
-        if pos.shape != (n1, n2, 3):
-            raise ChartError("sampled custom positions must have shape (N1,N2,3)")
+    else:   # tangents: differences of the samples
+        pos = np.asarray(position(U1, U2) if callable(position)
+                         else position, dtype=float)
+        if pos.shape != (n1, n2, 3) or not np.all(np.isfinite(pos)):
+            raise ChartError("custom positions must be finite, of shape "
+                             "(N1,N2,3)")
+        t1, t2 = grid.d1(pos), grid.d2(pos)
 
-    chart = SurfaceChart(
-        family=family, domain=domain, shape=(n1, n2), periodic2=periodic2,
-        u1=u1, u2=u2, pos=pos, t1=None, t2=None, normal=None, metric=None,
-        metric_inv=None, sqrt_g=None, second_form=None, shape_op=None,
-        dn1=None, dn2=None, dual=None, frame_e1=None, frame_e2=None,
-        ginv_half=None, quad_w=None, du=du, theta_scheme=theta_scheme,
-        profile=profile,
-    )
-    if family == "custom":   # tangents: differences of the samples
-        t1, t2 = chart.d1(pos), chart.d2(pos)
-    chart.t1, chart.t2 = t1, t2
-
-    cross = np.cross(chart.t1, chart.t2)
+    cross = np.cross(t1, t2)
     area2 = np.linalg.norm(cross, axis=-1)
     bad = area2 < 1e-10
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise ChartError(
             "degenerate parametrization at node (%d, %d), u=(%g, %g): |t1 x t2| = %.3e"
-            % (i, j, u1[i], u2[j], area2[i, j])
+            % (i, j, u1[i], grid.u2[j], area2[i, j])
         )
-    chart.normal = cross / area2[..., None]
+    normal = cross / area2[..., None]
 
-    g11 = np.einsum("xyc,xyc->xy", chart.t1, chart.t1)
-    g12 = np.einsum("xyc,xyc->xy", chart.t1, chart.t2)
-    g22 = np.einsum("xyc,xyc->xy", chart.t2, chart.t2)
+    g11 = np.einsum("xyc,xyc->xy", t1, t1)
+    g12 = np.einsum("xyc,xyc->xy", t1, t2)
+    g22 = np.einsum("xyc,xyc->xy", t2, t2)
     det = g11 * g22 - g12 * g12
-    chart.sqrt_g = np.sqrt(det)
+    sqrt_g = np.sqrt(det)
     c11, c12, c22, cdet = (g[:, cols] for g in (g11, g12, g22, det))
     metric = np.stack(
         [np.stack([c11, c12], axis=-1), np.stack([c12, c22], axis=-1)], axis=-2
@@ -336,30 +337,21 @@ def build_chart(family, params=None, grid=(32, 32)):
     # second fundamental form h_ij = (d_i n) . t_j = -n . d_ij r
     # (a custom chart's from the differenced normal)
     if family != "custom":
-        n = chart.normal[:, cols]
+        n = normal[:, cols]
         h11 = -np.einsum("xyc,xyc->xy", n, d11)
         h12 = -np.einsum("xyc,xyc->xy", n, d12)
         h22 = -np.einsum("xyc,xyc->xy", n, d22)
     else:
-        dn1 = chart.d1(chart.normal)
-        dn2 = chart.d2(chart.normal)
-        h11 = np.einsum("xyc,xyc->xy", dn1, chart.t1)
-        h12 = 0.5 * (np.einsum("xyc,xyc->xy", dn1, chart.t2)
-                     + np.einsum("xyc,xyc->xy", dn2, chart.t1))
-        h22 = np.einsum("xyc,xyc->xy", dn2, chart.t2)
+        dn1 = grid.d1(normal)
+        dn2 = grid.d2(normal)
+        h11 = np.einsum("xyc,xyc->xy", dn1, t1)
+        h12 = 0.5 * (np.einsum("xyc,xyc->xy", dn1, t2)
+                     + np.einsum("xyc,xyc->xy", dn2, t1))
+        h22 = np.einsum("xyc,xyc->xy", dn2, t2)
     second = np.stack(
         [np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2
     )
     S = np.einsum("xyik,xykj->xyij", inv, second)
-    chart.metric, chart.metric_inv, chart.second_form, chart.shape_op = (
-        np.broadcast_to(a, (n1, n2, 2, 2)) for a in (metric, inv, second, S))
-
-    # dual_i = g^ik t_k and d_j n = S^i_j t_i (tangency of the normal's
-    # derivative): products of the column's coefficients with t1 and t2
-    chart.dual = np.stack([inv[..., i, 0, None] * t1 + inv[..., i, 1, None] * t2
-                           for i in (0, 1)], axis=2)
-    chart.dn1, chart.dn2 = (S[..., 0, j, None] * t1 + S[..., 1, j, None] * t2
-                            for j in (0, 1))
 
     # symmetric inverse square root of the 2x2 metric
     tr = g11 + g22
@@ -369,21 +361,31 @@ def build_chart(family, params=None, grid=(32, 32)):
     ginv_half[..., 0, 0] = (g22 + s) / (s * tau)
     ginv_half[..., 1, 1] = (g11 + s) / (s * tau)
     ginv_half[..., 0, 1] = ginv_half[..., 1, 0] = -g12 / (s * tau)
-    chart.ginv_half = ginv_half
-    # the polar frame in which frame_form expresses forms
+    # the polar frame in which frame_form expresses forms, stacked over the
+    # normal: rows frame_e1, frame_e2, normal
     e = np.swapaxes(np.stack([t1, t2], axis=2), -1, -2) @ ginv_half
-    chart.frame_e1, chart.frame_e2 = e[..., 0], e[..., 1]
+    frame = np.concatenate([np.swapaxes(e, -1, -2), normal[..., None, :]],
+                           axis=-2)
 
-    w1 = ops.trapezoid_weights(n1, du[0], periodic=False)
-    w2 = ops.trapezoid_weights(n2, du[1], periodic=periodic2)
-    chart.quad_w = np.outer(w1, w2) * chart.sqrt_g
-
-    for arr in (chart.pos, chart.t1, chart.t2, chart.normal, chart.metric,
-                chart.metric_inv, chart.sqrt_g, chart.second_form,
-                chart.shape_op, chart.dn1, chart.dn2, chart.dual,
-                chart.frame_e1, chart.frame_e2, chart.ginv_half, chart.quad_w):
+    w1 = ops.trapezoid_weights(n1, grid.du[0], periodic=False)
+    w2 = ops.trapezoid_weights(n2, grid.du[1], periodic=periodic2)
+    fields = dict(
+        pos=pos, t1=t1, t2=t2, normal=normal, sqrt_g=sqrt_g,
+        metric=metric, metric_inv=inv, second_form=second, shape_op=S,
+        # dual_i = g^ik t_k and d_j n = S^i_j t_i (tangency of the normal's
+        # derivative): products of the column's coefficients with t1 and t2
+        dual=np.stack([inv[..., i, 0, None] * t1 + inv[..., i, 1, None] * t2
+                       for i in (0, 1)], axis=2),
+        dn1=S[..., 0, 0, None] * t1 + S[..., 1, 0, None] * t2,
+        dn2=S[..., 0, 1, None] * t1 + S[..., 1, 1, None] * t2,
+        ginv_half=ginv_half, frame=frame, frame_e1=frame[..., 0, :],
+        frame_e2=frame[..., 1, :], quad_w=np.outer(w1, w2) * sqrt_g)
+    for name in ("metric", "metric_inv", "second_form", "shape_op"):
+        fields[name] = np.broadcast_to(fields[name], (n1, n2, 2, 2))
+    for arr in fields.values():
         arr.setflags(write=False)
-    return chart
+    return SurfaceChart(**vars(grid), family=family, profile=profile,
+                        **fields)
 
 
 def u1_column(field):
@@ -492,8 +494,6 @@ def frame_form(chart, form):
     """
     form = as_form_field(form)
     _check_grid(chart, form.shape[-2:])
-    if np.any(chart.sqrt_g <= 0) or not np.all(np.isfinite(chart.ginv_half)):
-        raise ChartError("metric is not positive definite; chart is corrupted")
     return chart.ginv_half @ form.coeff @ chart.ginv_half
 
 

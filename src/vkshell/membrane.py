@@ -72,13 +72,6 @@ def curl_curl(chart, form):
 # surface-of-revolution membrane solver
 # ---------------------------------------------------------------------------
 
-def _require_revolution(chart):
-    if chart.family not in ("cylinder", "revolution") or not chart.profile:
-        raise ValueError("solver needs a revolution (or cylinder) chart "
-                         "with profile callables")
-    return chart.profile["g"], chart.profile["gp"], chart.profile["gpp"]
-
-
 def membrane_sym_grad(chart, fld):
     """Symmetrized tangential gradient with the solver's derivative ops
     (spectral circumferential, 4th-order axial)."""
@@ -119,7 +112,9 @@ def solve_revolution_membrane(chart, form, fourier_order=None,
     squares over the two equations containing it, whose residual is
     reported instead of silently drifting.
     """
-    g, gp, gpp = _require_revolution(chart)
+    if chart.family not in ("cylinder", "revolution"):
+        raise ValueError("solver needs a revolution (or cylinder) chart")
+    gs, gps, gpps = (chart.profile[k] for k in ("g", "gp", "gpp"))
     form = as_form_field(form)
     if form.shape != chart.shape:
         raise ValueError("form grid does not match chart grid")
@@ -129,10 +124,6 @@ def solve_revolution_membrane(chart, form, fourier_order=None,
     N = int(fourier_order)
     if not (0 <= N <= n2 // 2):
         raise ValueError("fourier_order out of range")
-
-    gs, gps, gpps = (np.asarray(f(chart.u1), float) for f in (g, gp, gpp))
-    if np.any(gs <= 0):
-        raise ValueError("profile must be positive on the s-grid")
 
     # circumferential spectra of modes 0..N; axial derivatives by Ds
     B11h, B22h, B12h = (np.fft.rfft(form.coeff[..., i, j], axis=1)[:, :N + 1]

@@ -106,8 +106,8 @@ def revolution_form_and_field(chart, a_funcs, b_funcs, c_funcs):
     """Assemble the strain form of w = a gamma + b gamma' + c e3 from
     analytic frame components (f, df/ds, df/dtheta) and return (B, w)."""
     S, T = np.meshgrid(chart.u1, chart.u2, indexing="ij")
-    g = chart.profile["g"](S)
-    gp = chart.profile["gp"](S)
+    g = chart.profile["g"][:, None]
+    gp = chart.profile["gp"][:, None]
     a, a_s, a_t = (f(S, T) for f in a_funcs)
     b, b_s, b_t = (f(S, T) for f in b_funcs)
     c, c_s, c_t = (f(S, T) for f in c_funcs)

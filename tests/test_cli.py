@@ -785,6 +785,10 @@ BAD_INPUTS = {
                                ("surface",)),
     "nan_profile": (CYL_CFG, [("family = cylinder", "family = revolution\n"
                                "profile_poly = 1 nan")], ("surface",)),
+    "profile_not_positive": (CYL_CFG, [("family = cylinder",
+                                        "family = revolution\n"
+                                        "profile_poly = 0.5 0 -1")],
+                             ("surface", "membrane")),
     "cylinder_mode_on_plate": (
         PLATE_CFG, [("kappa = 0.0", "kappa = 1.0"),
                     ("grid = 16 16", "grid = 16 40"),
@@ -852,21 +856,6 @@ def test_bad_flag_is_config_error(tmp_path, flag, value):
     for command in ("minimize", "energy"):
         assert cli.run([command, "--config", cfg_path, flag, value]) == 2
     assert not list((tmp_path / "out").glob("*_result.json"))
-
-
-def test_late_chart_error_is_numerical_failure(tmp_path, monkeypatch):
-    """A chart that passes the build but is corrupted later still exits 3
-    (numerical failure), not 2."""
-    build = cli._build_chart
-
-    def corrupted(cfg):
-        chart = build(cfg)
-        chart.sqrt_g[0, 0] = -1.0
-        return chart
-
-    monkeypatch.setattr(cli, "_build_chart", corrupted)
-    cfg_path = write_cfg(tmp_path, PLATE_CFG)
-    assert cli.run(["membrane", "--config", cfg_path]) == 3
 
 
 def test_solver_failure_reports_diagnostics(tmp_path, monkeypatch, capsys):

@@ -32,7 +32,7 @@ def test_revolution_principal_curvatures():
     surface of revolution, -g''/(1+g'^2)^(3/2) along the meridian and
     1/(g sqrt(1+g'^2)) along the parallel, for one orientation sign."""
     ch = vk.build_chart("revolution", {"profile": [1.0, 0.3, -0.2]}, (24, 24))
-    g, gp, gpp = (ch.profile[k](ch.u1)[:, None] for k in ("g", "gp", "gpp"))
+    g, gp, gpp = (ch.profile[k][:, None] for k in ("g", "gp", "gpp"))
     meridian = -gpp / (1.0 + gp * gp) ** 1.5 + 0.0 * ch.u2
     parallel = 1.0 / (g * np.sqrt(1.0 + gp * gp)) + 0.0 * ch.u2
     k1, k2 = geo.principal_curvatures(ch)
@@ -71,8 +71,8 @@ def test_invalid_revolution_profile():
 
 def test_callable_revolution_profile_matches_coefficients():
     """A callable profile with its two derivatives builds, bit for bit,
-    the chart of the same polynomial given by its coefficients; without
-    the derivatives it is rejected."""
+    the chart and the sampled profile of the same polynomial given by its
+    coefficients; without the derivatives it is rejected."""
     p = np.polynomial.Polynomial([1.0, 0.0, 0.3])
     want = vk.build_chart("revolution", {"profile": (1.0, 0.0, 0.3)}, (10, 12))
     got = vk.build_chart("revolution", {
@@ -83,8 +83,56 @@ def test_callable_revolution_profile_matches_coefficients():
     assert "pos" in arrays and "second_form" in arrays
     for name in arrays:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert sorted(got.profile) == sorted(want.profile) == ["g", "gp", "gpp"]
+    for key, samples in want.profile.items():
+        assert samples.shape == want.u1.shape
+        assert np.array_equal(got.profile[key], samples), key
     with pytest.raises(ChartError, match="profile_d1"):
         vk.build_chart("revolution", {"profile": p}, (10, 12))
+
+
+def test_chart_is_frozen_and_read_only():
+    """A built chart's fields cannot be reassigned and none of its arrays,
+    the stored frame and the sampled profile among them, can be written."""
+    ch = vk.build_chart("revolution", {"profile": (1.0, 0.0, 0.3)}, (10, 12))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ch.sqrt_g = np.ones(ch.shape)
+    arrays = [getattr(ch, f.name) for f in dataclasses.fields(ch)
+              if isinstance(getattr(ch, f.name), np.ndarray)]
+    arrays += list(ch.profile.values())
+    assert len(arrays) == 22
+    for arr in arrays:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ch.frame[0, 0, 0, 0] = 0.0
+
+
+def test_non_finite_custom_position_rejected():
+    """A custom chart with a NaN position is refused at build."""
+    def position(U, V):
+        pos = np.stack([U, V, U * V], axis=-1)
+        pos[3, 4, 2] = np.nan
+        return pos
+    with pytest.raises(ChartError, match="finite"):
+        vk.build_chart("custom", {"position": position}, (10, 10))
+    with pytest.raises(ChartError, match="finite"):
+        vk.build_chart("custom", {"position": position(
+            *np.meshgrid(np.linspace(0, 1, 10), np.linspace(0, 1, 10),
+                         indexing="ij"))}, (10, 10))
+
+
+def test_non_finite_callable_profile_rejected():
+    """A callable revolution profile that is NaN at a node is refused at
+    build, as is one whose derivative is."""
+    p = np.polynomial.Polynomial([1.0, 0.0, 0.3])
+    u1 = np.linspace(0.0, 1.0, 10)
+    nan_at_node = lambda f: (lambda s: np.where(s == u1[4], np.nan, f(s)))
+    for params in ({"profile": nan_at_node(p), "profile_d1": p.deriv(1),
+                    "profile_d2": p.deriv(2)},
+                   {"profile": p, "profile_d1": p.deriv(1),
+                    "profile_d2": nan_at_node(p.deriv(2))}):
+        with pytest.raises(ChartError, match="finite"):
+            vk.build_chart("revolution", params, (10, 12))
 
 
 def test_unit_normals_and_frames(plate32, cyl_small):
@@ -357,7 +405,7 @@ def _full_grid_reference(chart, params):
             r1, z1, r2, z2 = z, -r, -r, -z
         else:
             scale = 1.0
-            r, r1, r2 = (chart.profile[k](U1) for k in ("g", "gp", "gpp"))
+            r, r1, r2 = (chart.profile[k][:, None] for k in ("g", "gp", "gpp"))
             z, z1, z2 = U1, one, zero
         pos, t1, t2, d11, d12, d22 = (scale * np.stack(v, axis=-1) for v in (
             (r * c, r * s, z), (r1 * c, r1 * s, z1), (-r * s, r * c, zero),
@@ -387,13 +435,14 @@ def _full_grid_reference(chart, params):
             "sqrt_g": sqrt_g, "ginv_half": ginv_half,
             "quad_w": np.outer(w1, w2) * sqrt_g,
             "frame_e1": e[..., 0], "frame_e2": e[..., 1],
+            "frame": np.stack([e[..., 0], e[..., 1], normal], axis=-2),
             "metric": metric, "metric_inv": inv, "second_form": second,
             "shape_op": np.einsum("xyik,xykj->xyij", inv, second)}
 
 
 # the fields that the strain dictionary and the frame read, kept bit for bit
 FULL_GRID_FIELDS = ("pos", "t1", "t2", "normal", "sqrt_g", "ginv_half",
-                    "quad_w", "frame_e1", "frame_e2")
+                    "quad_w", "frame_e1", "frame_e2", "frame")
 COLUMN_FIELDS = ("metric", "metric_inv", "second_form", "shape_op")
 
 
