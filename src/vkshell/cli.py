@@ -619,7 +619,11 @@ def run(argv):
             name: getattr(args, name) for name in (
                 "kappa", "tol", "max_iter", "restarts", "seed", "output_dir")})
         outdir = Path(cfg.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("cannot create output directory %r: %s"
+                              % (str(outdir), exc)) from exc
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

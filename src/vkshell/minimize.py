@@ -146,6 +146,16 @@ def _pair_rows(chart, A, kappa, moduli, weights, frame):
     return rows
 
 
+def _row_blocks(n):
+    """Slices of 64 rows that cover range(n).  A last block of fewer than
+    8 rows joins the one before it: a product of so few rows takes BLAS's
+    matrix-vector path, which rounds differently."""
+    cuts = list(range(0, n, 64))
+    if len(cuts) > 1 and n - cuts[-1] < 8:
+        cuts.pop()
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:] + [n])]
+
+
 def _quartic_parts(xi, pair, G, ell):
     """Value, gradient and Hessian of |y|^2 + xi.G xi - ell.xi with
     y = sum_ij xi_i xi_j D_ij, for D = pair symmetric in its first two axes.
@@ -315,13 +325,17 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     i <= j; their dictionary coordinates give the optimal strain.  f reads
     P only through P P^T, so P is replaced by the R factor of P^T = Q R,
     p' x p' with p' = p (p + 1) / 2 when 3 N >= p': |R c| = |P^T c| with
-    the accuracy of the rows, which the Gram P P^T would square.  R^T is
-    unpacked into the symmetric (p, p, p') tensor of the quartic, and f is
-    minimized by Newton's method on its closed-form gradient and Hessian
-    with an exact line search (_newton).  Runs every rotation candidate
-    and the configured number of seeded restarts; the best pair is
-    returned with the solver's stop reason, and among starts that tie to
-    _TIE_ULPS ulps the earliest one's run.
+    the accuracy of the rows, which the Gram P P^T would square.  The
+    rows are held once: they are projected in place in blocks of 64 rows
+    (_row_blocks), the dictionary's columns are freed after their QR, and
+    R is the R factor of the stacked R factors of P^T's two row halves,
+    so that numpy qr's two working copies are of one half at a time.  R^T
+    is unpacked into the symmetric (p, p, p') tensor of the quartic, and f
+    is minimized by Newton's method on its closed-form gradient and
+    Hessian with an exact line search (_newton).  Runs every rotation
+    candidate and the configured number of seeded restarts; the best pair
+    is returned with the solver's stop reason, and among starts that tie
+    to _TIE_ULPS ulps the earliest one's run.
     """
     if kappa <= 0:
         raise ValueError("minimize_J requires kappa > 0; "
@@ -338,15 +352,23 @@ def minimize_J(chart, basis, load, candidates, kappa, moduli,
     cols, kept_idx = mem._dictionary_columns(
         chart, gens, lambda F: mat.q2_rows(F, moduli, w, frame))
     colsq, colsr = np.linalg.qr(cols, mode="reduced")
+    del cols
 
     # split the packed pair rows into dictionary coordinates (which give
     # the optimal strain) and the complement P (which enters the objective
-    # only through P P^T), then replace P by the R factor of P^T = Q R and
-    # unpack it into the symmetric (p, p, p') tensor, p' = p (p + 1) / 2
+    # only through P P^T), projected in place one block of rows at a time,
+    # then replace P by the R factor of P^T = Q R and unpack it into the
+    # symmetric (p, p, p') tensor, p' = p (p + 1) / 2; P is freed before
+    # the R factors of P^T's two row halves are combined
     packed = _pair_rows(chart, A, kappa, moduli, w, frame)
     packed_dict = packed @ colsq
-    packed -= packed_dict @ colsq.T
-    packed = np.linalg.qr(packed.T, mode="r").T
+    for rows in _row_blocks(len(packed)):
+        packed[rows] -= packed_dict[rows] @ colsq.T
+    half = packed.shape[1] // 2
+    halves = np.concatenate([np.linalg.qr(packed[:, :half].T, mode="r"),
+                             np.linalg.qr(packed[:, half:].T, mode="r")])
+    del packed
+    packed = np.linalg.qr(halves, mode="r").T
     iu, ju = np.triu_indices(p)
     pair = np.empty((p, p, packed.shape[1]))
     pair[iu, ju] = pair[ju, iu] = packed

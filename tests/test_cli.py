@@ -905,6 +905,17 @@ def test_negative_kappa_flag_is_config_error(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_uncreatable_output_dir_is_config_error(tmp_path, capsys):
+    """An output directory below a regular file exits 2 with a message
+    on stderr, not with a traceback."""
+    cfg_path = write_cfg(tmp_path, PLATE_CFG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.run(["surface", "--config", cfg_path,
+                    "--output-dir", str(blocker / "sub")]) == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
 def test_membrane_reports_projection_rank(tmp_path):
     cfg_path = write_cfg(tmp_path, PLATE_CFG)
     assert cli.run(["membrane", "--config", cfg_path]) == 0
